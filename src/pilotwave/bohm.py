@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, SamplingError, TrajectoryEscape, UsageError
 from .grid import Grid, gradient_values, laplacian_values
-from .potential import StaticPotential, TimePeriodicPotential
+from .potential import StaticPotential, TimePeriodicPotential, evaluate
 from .solver import WaveFunction
 
 __all__ = [
@@ -502,10 +502,7 @@ def _potential_gradient(
     if isinstance(potential, StaticPotential):
         return potential.gradient()
     V, eps = potential
-    a = float(V.temporal(np.asarray(t / eps)))
-    if V.spatial.gradient is not None:
-        return a * np.stack(V.spatial.gradient(grid.meshgrid()))
-    return a * gradient_values(grid, V.spatial_values(grid))
+    return evaluate(V, t / eps, grid).gradient()
 
 
 def _potential_gradient_at(

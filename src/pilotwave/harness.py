@@ -10,6 +10,7 @@ the master seed before fan-out, so thread count cannot affect results.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ import yaml
 
 from . import __version__
 from .bohm import FieldHistory, densities, integrate_trajectories, sample_initial_positions
-from .errors import BoundaryMassExceeded, ConfigError, MonitorAbort, UsageError, WaveBlowUp
+from .errors import ConfigError, MonitorAbort, UsageError
 from .fieldio import save_field
 from .grid import ComplexField, Grid, boundary_mass_fraction, make_grid, norms
 from .measure import bohmian_measure, flow_injectivity_monitor, monokinetic_deviation, trajectory_deviation_measure
@@ -44,9 +45,12 @@ from .solver import (
     SolverConfig,
     WaveFunction,
     StrangStepper,
+    _finalize_initial,
+    check_monitors,
     gaussian_packet,
     gronwall_integrand,
     h1_distance,
+    lockstep,
 )
 
 __all__ = [
@@ -61,9 +65,6 @@ __all__ = [
     "emit_csv",
     "emit_json",
 ]
-
-BLOWUP_FACTOR = 10.0
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -162,67 +163,14 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict[str, Any]:
         """Resolved config as plain nested dicts (defaults included)."""
-        return {
-            "grid": {
-                "dim": self.grid.dim,
-                "n_per_axis": self.grid.n_per_axis,
-                "half_width": self.grid.half_width,
-            },
-            "potential": {
-                "temporal": self.potential.temporal,
-                "spatial": self.potential.spatial,
-                "temporal_value": self.potential.temporal_value,
-                "well_depth": self.potential.well_depth,
-                "well_width": self.potential.well_width,
-                "lattice_amplitude": self.potential.lattice_amplitude,
-                "lattice_periods": self.potential.lattice_periods,
-                "analytic_mean": self.potential.analytic_mean,
-            },
-            "initial_state": {
-                "kind": self.initial_state.kind,
-                "center": list(self.initial_state.center),
-                "width": self.initial_state.width,
-                "momentum": list(self.initial_state.momentum),
-                "eps_perturbation": self.initial_state.eps_perturbation,
-            },
-            "solver": {
-                "steps_per_fast_period": self.solver.steps_per_fast_period,
-                "frames_per_fast_period": self.solver.frames_per_fast_period,
-                "dt_cap": self.solver.dt_cap,
-                "quad_order": self.solver.quad_order,
-            },
-            "sweep": {
-                "horizon": self.sweep.horizon,
-                "eps_list": list(self.sweep.eps_list),
-                "delta_list": list(self.sweep.delta_list),
-                "ensemble_size": self.sweep.ensemble_size,
-                "seed": self.sweep.seed,
-            },
-            "measure": {"dictionary_size": self.measure.dictionary_size},
-            "output": {"save_fields": self.output.save_fields},
-        }
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        sweep = SweepSpec(
-            horizon=self.sweep.horizon,
-            eps_list=self.sweep.eps_list,
-            delta_list=self.sweep.delta_list,
-            ensemble_size=self.sweep.ensemble_size,
-            seed=seed,
-        )
-        return ExperimentConfig(
-            grid=self.grid,
-            potential=self.potential,
-            initial_state=self.initial_state,
-            solver=self.solver,
-            sweep=sweep,
-            measure=self.measure,
-            output=self.output,
-        )
+        return dataclasses.replace(self, sweep=dataclasses.replace(self.sweep, seed=seed))
 
 
 _SECTION_TYPES = {
@@ -299,6 +247,10 @@ class SweepRow:
     valid: bool
     reason: str
     wall_time: float
+    # (oscillating, effective) states at the horizon; None for an invalid row
+    final_states: tuple[WaveFunction, WaveFunction] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def to_mapping(self) -> dict[str, Any]:
         return {
@@ -395,9 +347,7 @@ def build_initial_state(spec: InitialStateSpec, grid: Grid, eps: float | None = 
         r2 = sum(m * m for m in mesh)
         phase = sum(mesh)
         chi = np.exp(-r2 / 4.0) * np.exp(1j * phase)
-        values = psi.values + eps * chi
-        mass = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)
-        psi = WaveFunction(ComplexField(grid, values / math.sqrt(mass)), time=0.0)
+        psi = _finalize_initial(grid, psi.values + eps * chi)
     return psi
 
 
@@ -427,19 +377,12 @@ def run_single(config: ExperimentConfig, eps: float) -> SweepRow:
     """One epsilon row: paired propagation, metrics and trajectory statistics.
 
     Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
-    row invalid with a reason instead of raising.
+    row invalid with a reason instead of raising.  A valid row carries its
+    final states.
     """
     t_start = time.perf_counter()
     try:
-        metrics = _run_single_metrics(config, eps)
-        metrics.pop("_final_states", None)
-        return SweepRow(
-            eps=eps,
-            valid=True,
-            reason="",
-            wall_time=time.perf_counter() - t_start,
-            **metrics,
-        )
+        metrics, final_states = _run_single_metrics(config, eps)
     except MonitorAbort as exc:
         nan = float("nan")
         return SweepRow(
@@ -456,9 +399,19 @@ def run_single(config: ExperimentConfig, eps: float) -> SweepRow:
             reason=f"{type(exc).__name__}: {exc}",
             wall_time=time.perf_counter() - t_start,
         )
+    return SweepRow(
+        eps=eps,
+        valid=True,
+        reason="",
+        wall_time=time.perf_counter() - t_start,
+        final_states=final_states,
+        **metrics,
+    )
 
 
-def _run_single_metrics(config: ExperimentConfig, eps: float) -> dict[str, Any]:
+def _run_single_metrics(
+    config: ExperimentConfig, eps: float
+) -> tuple[dict[str, Any], tuple[WaveFunction, WaveFunction]]:
     grid = build_grid(config.grid)
     V = build_potential(config.potential, grid)
     Vstar = effective_potential(V, grid, config.solver.quad_order)
@@ -469,34 +422,29 @@ def _run_single_metrics(config: ExperimentConfig, eps: float) -> dict[str, Any]:
     solver_cfg = SolverConfig(dt=dt, steps_per_fast_period=config.solver.steps_per_fast_period)
     solver_cfg.check_fast_period(eps)
 
-    stepper_osc = StrangStepper(OscillatingSystem(V, eps), grid, dt)
-    stepper_eff = StrangStepper(EffectiveSystem(Vstar), grid, dt)
+    steppers = (
+        StrangStepper(OscillatingSystem(V, eps), grid, dt),
+        StrangStepper(EffectiveSystem(Vstar), grid, dt),
+    )
 
     n_frames = n_steps // stride
     frame_times = np.empty(n_frames + 1)
     u_osc = np.empty((n_frames + 1, grid.dim) + grid.shape)
     u_eff = np.empty((n_frames + 1, grid.dim) + grid.shape)
 
-    h1_limit = BLOWUP_FACTOR * norms(psi0.field).h1
+    h1_initial = norms(psi0.field).h1
     b_horizon = min(1.0, T) * (1.0 + 1e-12)
     boundary_max = 0.0
     b_vals: list[float] = []
     dens_osc = dens_eff = None
 
-    vals_osc = psi0.values
-    vals_eff = psi0.values
-
-    def record(frame: int, t: float) -> None:
+    def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         nonlocal boundary_max, dens_osc, dens_eff
-        wf_o = WaveFunction(ComplexField(grid, vals_osc), t)
-        wf_e = WaveFunction(ComplexField(grid, vals_eff), t)
+        wf_o, wf_e = (WaveFunction(ComplexField(grid, v), t) for v in states)
         for wf in (wf_o, wf_e):
             bmass = boundary_mass_fraction(wf.field)
             boundary_max = max(boundary_max, bmass)
-            if bmass > 1e-8:
-                raise BoundaryMassExceeded(f"boundary mass {bmass:.3e} above 1e-8 at t={t}")
-            if norms(wf.field).h1 > h1_limit:
-                raise WaveBlowUp(f"H1 norm above {BLOWUP_FACTOR}x initial at t={t}")
+            check_monitors(bmass, norms(wf.field).h1, h1_initial, t)
         d_o = densities(wf_o)
         d_e = densities(wf_e)
         frame_times[frame] = t
@@ -507,14 +455,7 @@ def _run_single_metrics(config: ExperimentConfig, eps: float) -> dict[str, Any]:
         if frame == n_frames:
             dens_osc, dens_eff = d_o, d_e
 
-    record(0, 0.0)
-    for step in range(n_steps):
-        t = step * dt
-        vals_osc = stepper_osc.advance(vals_osc, t)
-        vals_eff = stepper_eff.advance(vals_eff, t)
-        if (step + 1) % stride == 0:
-            record((step + 1) // stride, (step + 1) * dt)
-
+    vals_osc, vals_eff = lockstep(steppers, (psi0.values, psi0.values), 0.0, n_steps, stride, record)
     wf_osc = WaveFunction(ComplexField(grid, vals_osc), T)
     wf_eff = WaveFunction(ComplexField(grid, vals_eff), T)
     h1_wave = h1_distance(wf_osc, wf_eff)
@@ -547,7 +488,7 @@ def _run_single_metrics(config: ExperimentConfig, eps: float) -> dict[str, Any]:
         flow_injectivity_monitor(ens_eff).min_pair_separation_ratio,
     )
 
-    return {
+    metrics = {
         "h1_wave": h1_wave,
         "l1_rho": l1_rho,
         "l1_current": l1_current,
@@ -556,8 +497,8 @@ def _run_single_metrics(config: ExperimentConfig, eps: float) -> dict[str, Any]:
         "traj_dev": traj_dev,
         "boundary_mass": boundary_max,
         "injectivity_ratio": inj,
-        "_final_states": (wf_osc, wf_eff),
     }
+    return metrics, (wf_osc, wf_eff)
 
 
 def run_sweep(
@@ -568,7 +509,8 @@ def run_sweep(
     """Run every epsilon row (concurrently) and assemble the report.
 
     When ``out_dir`` is given, report.csv and report.json are written there,
-    plus final-state field snapshots when the config asks for them.
+    then, when the config asks for them, the final-state field snapshots of
+    every valid row (each row's own final states).
     """
     eps_list = config.sweep.eps_list
     workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
@@ -599,17 +541,12 @@ def run_sweep(
         emit_csv(report, out / "report.csv")
         emit_json(report, out / "report.json")
         if config.output.save_fields:
-            _save_final_fields(config, out)
+            for i, row in enumerate(rows):
+                if row.valid:
+                    wf_osc, wf_eff = row.final_states
+                    save_field(out / f"psi_eps{i}_oscillating.field", wf_osc)
+                    save_field(out / f"psi_eps{i}_effective.field", wf_eff)
     return report
-
-
-def _save_final_fields(config: ExperimentConfig, out: Path) -> None:
-    # re-propagates per row; snapshots are an opt-in extra, runs are cheap
-    for i, eps in enumerate(config.sweep.eps_list):
-        metrics = _run_single_metrics(config, eps)
-        wf_osc, wf_eff = metrics["_final_states"]
-        save_field(out / f"psi_eps{i}_oscillating.field", wf_osc)
-        save_field(out / f"psi_eps{i}_effective.field", wf_eff)
 
 
 # ---------------------------------------------------------------------------

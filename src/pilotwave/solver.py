@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 BOUNDARY_MASS_TOL = 1e-8
+BLOWUP_FACTOR = 10.0
 MIN_POINTS_PER_WIDTH = 8
 
 
@@ -200,28 +201,23 @@ def step_oscillating(
     """
     if enforce_resolution:
         cfg.check_fast_period(eps)
-    w = V.spatial_values(psi.grid)
-    scalar = V.temporal_integral(psi.time, psi.time + cfg.dt, eps)
-    return _strang_step(psi, w * scalar, cfg.dt)
+    return _single_step(psi, OscillatingSystem(V, eps), cfg.dt)
 
 
 def step_effective(psi: WaveFunction, Vstar: StaticPotential, cfg: SolverConfig) -> WaveFunction:
     """One Strang step with the static potential phase V*(x) * dt."""
-    if Vstar.grid != psi.grid:
-        raise UsageError("potential grid does not match wave function grid")
-    return _strang_step(psi, Vstar.values * cfg.dt, cfg.dt)
+    return _single_step(psi, EffectiveSystem(Vstar), cfg.dt)
 
 
-def _strang_step(psi: WaveFunction, potential_phase: np.ndarray, dt: float) -> WaveFunction:
-    kin = np.exp(-1j * psi.grid.k_squared() * dt / 4.0)
-    v = np.fft.ifftn(kin * np.fft.fftn(psi.values))
-    v = np.exp(-1j * potential_phase) * v
-    v = np.fft.ifftn(kin * np.fft.fftn(v))
-    return WaveFunction(field=ComplexField(psi.grid, v), time=psi.time + dt)
+def _single_step(
+    psi: WaveFunction, system: OscillatingSystem | EffectiveSystem, dt: float
+) -> WaveFunction:
+    values = StrangStepper(system, psi.grid, dt).advance(psi.values, psi.time)
+    return WaveFunction(field=ComplexField(psi.grid, values), time=psi.time + dt)
 
 
 class StrangStepper:
-    """Caches grid-dependent factors for repeated stepping at fixed dt."""
+    """The Strang step, with its grid-dependent factors cached for a fixed dt."""
 
     def __init__(self, system: OscillatingSystem | EffectiveSystem, grid: Grid, dt: float):
         self.dt = dt
@@ -247,6 +243,57 @@ class StrangStepper:
         return np.fft.ifftn(self.kin * np.fft.fftn(v))
 
 
+def lockstep(
+    steppers: Sequence[StrangStepper],
+    states: Sequence[np.ndarray],
+    t0: float,
+    n_steps: int,
+    stride: int,
+    on_frame: Callable[[int, float, tuple[np.ndarray, ...]], None],
+) -> list[np.ndarray]:
+    """March each state with its own stepper, side by side at a shared dt.
+
+    Calls ``on_frame(frame, t, states)`` for frame 0 at ``t0`` and then after
+    every ``stride`` steps, and returns the final states.  Within a step the
+    steppers advance in order, and each state is replaced as soon as it is
+    advanced, so only the current states stay alive.
+    """
+    dt = steppers[0].dt
+    states = list(states)
+    on_frame(0, t0, tuple(states))
+    for step in range(n_steps):
+        t = t0 + step * dt
+        for i, stepper in enumerate(steppers):
+            states[i] = stepper.advance(states[i], t)
+        if (step + 1) % stride == 0:
+            on_frame((step + 1) // stride, t0 + (step + 1) * dt, tuple(states))
+    return states
+
+
+def check_monitors(
+    boundary_mass: float,
+    h1: float,
+    h1_initial: float,
+    t: float,
+    *,
+    blow_up_factor: float = BLOWUP_FACTOR,
+    boundary_tol: float = BOUNDARY_MASS_TOL,
+) -> None:
+    """Validity policy for one measured state, boundary mass first.
+
+    Mass outside the inner half-box above ``boundary_tol`` raises
+    BoundaryMassExceeded; an H1 norm above ``blow_up_factor`` times the
+    initial one raises WaveBlowUp.
+    """
+    if boundary_mass > boundary_tol:
+        raise BoundaryMassExceeded(
+            f"boundary mass {boundary_mass:.3e} exceeds {boundary_tol} at t={t}"
+        )
+    h1_limit = blow_up_factor * h1_initial
+    if h1 > h1_limit:
+        raise WaveBlowUp(f"H1 norm {h1:.3e} exceeds blow-up threshold {h1_limit:.3e} at t={t}")
+
+
 def propagate(
     psi0: WaveFunction,
     system: OscillatingSystem | EffectiveSystem,
@@ -254,15 +301,13 @@ def propagate(
     cfg: SolverConfig,
     snapshot_times: Iterable[float],
     *,
-    blow_up_factor: float = 10.0,
+    blow_up_factor: float = BLOWUP_FACTOR,
     boundary_tol: float = BOUNDARY_MASS_TOL,
 ) -> list[WaveFunction]:
     """March to time T, returning snapshots at the requested times.
 
     Snapshot times are rounded to the nearest step.  At every snapshot the
-    boundary-mass and H1 monitors run: mass outside the inner half-box above
-    ``boundary_tol`` aborts with BoundaryMassExceeded, H1 growth beyond
-    ``blow_up_factor`` times the initial H1 norm aborts with WaveBlowUp.
+    monitors of ``check_monitors`` run with the given factor and tolerance.
     """
     if T < 0:
         raise ConfigError(f"horizon T must be nonnegative, got {T}")
@@ -277,25 +322,26 @@ def propagate(
     if n_steps < 1 or abs(n_steps * cfg.dt - T) > 1e-9 * max(1.0, T):
         raise ConfigError(f"dt={cfg.dt} does not divide the horizon T={T}")
 
-    wanted = sorted({_snap_index(t, cfg.dt, n_steps, T) for t in snapshot_times})
+    wanted = {_snap_index(t, cfg.dt, n_steps, T) for t in snapshot_times}
     stepper = StrangStepper(system, psi0.grid, cfg.dt)
-    h1_limit = blow_up_factor * norms(psi0.field).h1
+    h1_initial = norms(psi0.field).h1
 
     out: list[WaveFunction] = []
-    values = psi0.values
-    t0 = psi0.time
-    if wanted and wanted[0] == 0:
-        _check_monitors(psi0, h1_limit, boundary_tol)
-        out.append(psi0)
-        wanted = wanted[1:]
-    for step in range(n_steps):
-        values = stepper.advance(values, t0 + step * cfg.dt)
-        idx = step + 1
-        if wanted and wanted[0] == idx:
-            wf = WaveFunction(ComplexField(psi0.grid, values), t0 + idx * cfg.dt)
-            _check_monitors(wf, h1_limit, boundary_tol)
+
+    def snapshot(idx: int, t: float, states: tuple[np.ndarray, ...]) -> None:
+        if idx in wanted:
+            wf = psi0 if idx == 0 else WaveFunction(ComplexField(psi0.grid, states[0]), t)
+            check_monitors(
+                boundary_mass_fraction(wf.field),
+                norms(wf.field).h1,
+                h1_initial,
+                t,
+                blow_up_factor=blow_up_factor,
+                boundary_tol=boundary_tol,
+            )
             out.append(wf)
-            wanted = wanted[1:]
+
+    lockstep((stepper,), (psi0.values,), psi0.time, n_steps, 1, snapshot)
     return out
 
 
@@ -304,17 +350,6 @@ def _snap_index(t: float, dt: float, n_steps: int, T: float) -> int:
         raise ConfigError(f"snapshot time {t} outside [0, {T}]")
     idx = int(round(t / dt))
     return min(max(idx, 0), n_steps)
-
-
-def _check_monitors(wf: WaveFunction, h1_limit: float, boundary_tol: float = BOUNDARY_MASS_TOL) -> None:
-    bmass = boundary_mass_fraction(wf.field)
-    if bmass > boundary_tol:
-        raise BoundaryMassExceeded(
-            f"boundary mass {bmass:.3e} exceeds {boundary_tol} at t={wf.time}"
-        )
-    h1 = norms(wf.field).h1
-    if h1 > h1_limit:
-        raise WaveBlowUp(f"H1 norm {h1:.3e} exceeds blow-up threshold {h1_limit:.3e} at t={wf.time}")
 
 
 # ---------------------------------------------------------------------------

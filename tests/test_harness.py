@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from pilotwave.cli import main as cli_main
-from pilotwave.errors import ConfigError
+from pilotwave.errors import ConfigError, PlacementError
 from pilotwave.fieldio import load_field
 from pilotwave.harness import (
     ConvergenceReport,
@@ -17,6 +17,10 @@ from pilotwave.harness import (
     PotentialSpec,
     SweepRow,
     SweepSpec,
+    _step_plan,
+    build_grid,
+    build_initial_state,
+    build_potential,
     config_from_mapping,
     emit_csv,
     emit_json,
@@ -25,6 +29,8 @@ from pilotwave.harness import (
     run_single,
     run_sweep,
 )
+from pilotwave.potential import effective_potential
+from pilotwave.solver import EffectiveSystem, OscillatingSystem, SolverConfig, propagate
 
 BENCH_YAML = """
 grid:
@@ -153,6 +159,18 @@ class TestRunSingle:
         assert not row.valid
         assert "boundary" in row.reason.lower()
         assert math.isnan(row.h1_wave)
+        assert row.final_states is None
+
+    def test_perturbed_initial_state_is_placement_checked(self):
+        # the eps-scaled bump is much wider than the packet and leaks past |x| <= L/2
+        cfg = ExperimentConfig(
+            grid=GridSpec(dim=1, n_per_axis=512, half_width=4.0),
+            initial_state=InitialStateSpec(width=0.25, eps_perturbation=True),
+            sweep=SweepSpec(horizon=0.5, eps_list=(0.2,), delta_list=(0.05,),
+                            ensemble_size=200, seed=1),
+        )
+        with pytest.raises(PlacementError):
+            run_single(cfg, 0.2)
 
 
 class TestRunSweep:
@@ -290,6 +308,35 @@ class TestFieldSnapshots:
         assert eff.time == pytest.approx(0.5)
         # the two final states stay close for this configuration
         assert np.max(np.abs(osc.values - eff.values)) < 0.05
+
+        # the snapshots are the row's own states, marched by the propagate loop
+        grid = build_grid(cfg.grid)
+        V = build_potential(cfg.potential, grid)
+        Vstar = effective_potential(V, grid, cfg.solver.quad_order)
+        psi0 = build_initial_state(cfg.initial_state, grid, eps=0.2)
+        dt = _step_plan(cfg, 0.2)[1]
+        solver_cfg = SolverConfig(dt)
+        ref_eff = propagate(psi0, EffectiveSystem(Vstar), 0.5, solver_cfg, [0.5])[-1]
+        ref_osc = propagate(psi0, OscillatingSystem(V, 0.2), 0.5, solver_cfg, [0.5])[-1]
+        assert np.array_equal(eff.values, ref_eff.values)
+        assert np.array_equal(osc.values, ref_osc.values)
+
+    def test_invalid_row_saves_no_snapshot(self, tmp_path, capsys):
+        cfg_path = tmp_path / "leaky.yaml"
+        cfg_path.write_text(
+            "grid: {dim: 1, n_per_axis: 256, half_width: 12.0}\n"
+            "potential: {spatial: cosine_lattice, lattice_amplitude: 0.0}\n"
+            "initial_state: {momentum: [5.0]}\n"
+            "sweep: {horizon: 1.5, eps_list: [0.2]}\n"
+            "output: {save_fields: true}\n"
+        )
+        out = tmp_path / "out"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert (out / "report.csv").exists()
+        assert (out / "report.json").exists()
+        assert not list(out.glob("psi_eps0_*"))
+        assert json.loads((out / "report.json").read_text())["partial"] is True
 
 
 class TestCli:
