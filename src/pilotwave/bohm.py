@@ -353,13 +353,11 @@ def _interp_space(grid: Grid, field: np.ndarray, X: np.ndarray) -> np.ndarray:
     base = np.floor(g).astype(np.int64)
     frac = g - base
 
-    axis_weights = []  # per axis: (4, M)
-    axis_indices = []  # per axis: (4, M)
-    for axis in range(grid.dim):
-        w = _catmull_weights(frac[:, axis])
-        axis_weights.append(np.stack(w))
-        idx = np.stack([np.mod(base[:, axis] + o, n) for o in (-1, 0, 1, 2)])
-        axis_indices.append(idx)
+    # per axis: four weights and the (4, M) wrapped indices of the stencil;
+    # Grid requires a power-of-two n, so & (n - 1) wraps exactly as np.mod
+    axis_weights = [_catmull_weights(frac[:, axis]) for axis in range(grid.dim)]
+    offsets = np.arange(-1, 3)[:, None]
+    axis_indices = [(base[:, axis] + offsets) & (n - 1) for axis in range(grid.dim)]
 
     flat = field.reshape(ncomp, -1)
     strides = [n ** (grid.dim - 1 - a) for a in range(grid.dim)]

@@ -46,4 +46,4 @@ def load_field(path: str | Path) -> WaveFunction:
             f"{path}: payload holds {payload.size} floats, expected {2 * grid.size}"
         )
     values = (payload[0::2] + 1j * payload[1::2]).reshape(grid.shape)
-    return WaveFunction(field=ComplexField(grid, values), time=time)
+    return WaveFunction(field=ComplexField._adopt(grid, values), time=time)

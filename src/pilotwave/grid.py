@@ -42,6 +42,7 @@ class Grid:
     dx: float = field(init=False)
     axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
     wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _inner_box: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -59,6 +60,11 @@ class Grid:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "axes", (x,) * self.dim)
         object.__setattr__(self, "wavenumbers", (k,) * self.dim)
+        inner = np.ones(self.shape, dtype=bool)
+        for m in self.meshgrid():
+            inner &= np.abs(m) <= 0.5 * self.half_width
+        inner.setflags(write=False)
+        object.__setattr__(self, "_inner_box", inner)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,12 +100,8 @@ class Grid:
         return values.sum() * self.cell_volume
 
     def inner_box_mask(self) -> np.ndarray:
-        """Boolean mask of points with max-norm |x| <= half_width/2."""
-        mesh = self.meshgrid()
-        inner = np.ones(self.shape, dtype=bool)
-        for m in mesh:
-            inner &= np.abs(m) <= 0.5 * self.half_width
-        return inner
+        """Read-only boolean mask of points with max-norm |x| <= half_width/2."""
+        return self._inner_box
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
@@ -116,22 +118,40 @@ class Grid:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Immutable complex amplitude field on a Grid."""
+    """Immutable complex amplitude field on a Grid.
+
+    ``ComplexField(grid, values)`` copies a complex128 input, so a caller's
+    array can never change under a field.  Inside the package, ``_adopt``
+    wraps an array that was just computed and that nobody else holds.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape:
-            raise InputError(
-                f"field shape {v.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
-            raise InputError("field contains non-finite values")
+        v = _checked_values(self.grid, self.values)
         v = v.copy() if v is self.values else v
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "ComplexField":
+        """Wrap a freshly computed array without copying it; it becomes read-only."""
+        v = _checked_values(grid, values)
+        v.setflags(write=False)
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", v)
+        return f
+
+
+def _checked_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    v = np.asarray(values, dtype=np.complex128)
+    if v.shape != grid.shape:
+        raise InputError(f"field shape {v.shape} does not match grid shape {grid.shape}")
+    if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
+        raise InputError("field contains non-finite values")
+    return v
 
 
 class Norms(NamedTuple):
@@ -164,14 +184,14 @@ def spectral_gradient(f: ComplexField) -> list[ComplexField]:
     out = []
     for axis in range(f.grid.dim):
         k = _axis_multiplier(f.grid, axis)
-        out.append(ComplexField(f.grid, np.fft.ifftn(1j * k * fhat)))
+        out.append(ComplexField._adopt(f.grid, np.fft.ifftn(1j * k * fhat)))
     return out
 
 
 def spectral_laplacian(f: ComplexField) -> ComplexField:
     """Laplacian via the transform multiplier -|k|^2."""
     fhat = np.fft.fftn(f.values)
-    return ComplexField(f.grid, np.fft.ifftn(-f.grid.k_squared() * fhat))
+    return ComplexField._adopt(f.grid, np.fft.ifftn(-f.grid.k_squared() * fhat))
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:

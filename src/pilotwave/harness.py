@@ -440,7 +440,7 @@ def _run_single_metrics(
 
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         nonlocal boundary_max, dens_osc, dens_eff
-        wf_o, wf_e = (WaveFunction(ComplexField(grid, v), t) for v in states)
+        wf_o, wf_e = (WaveFunction(ComplexField._adopt(grid, v), t) for v in states)
         for wf in (wf_o, wf_e):
             bmass = boundary_mass_fraction(wf.field)
             boundary_max = max(boundary_max, bmass)
@@ -456,8 +456,8 @@ def _run_single_metrics(
             dens_osc, dens_eff = d_o, d_e
 
     vals_osc, vals_eff = lockstep(steppers, (psi0.values, psi0.values), 0.0, n_steps, stride, record)
-    wf_osc = WaveFunction(ComplexField(grid, vals_osc), T)
-    wf_eff = WaveFunction(ComplexField(grid, vals_eff), T)
+    wf_osc = WaveFunction(ComplexField._adopt(grid, vals_osc), T)
+    wf_eff = WaveFunction(ComplexField._adopt(grid, vals_eff), T)
     h1_wave = h1_distance(wf_osc, wf_eff)
     dv = grid.cell_volume
     l1_rho = float(np.sum(np.abs(dens_osc.rho - dens_eff.rho)) * dv)
@@ -501,6 +501,14 @@ def _run_single_metrics(
     return metrics, (wf_osc, wf_eff)
 
 
+def _default_workers() -> int:
+    """CPUs this process may run on; ``os.cpu_count()`` where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def run_sweep(
     config: ExperimentConfig,
     threads: int | None = None,
@@ -508,12 +516,14 @@ def run_sweep(
 ) -> ConvergenceReport:
     """Run every epsilon row (concurrently) and assemble the report.
 
+    ``threads`` defaults to the number of CPUs this process may run on.
+
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
     every valid row (each row's own final states).
     """
     eps_list = config.sweep.eps_list
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
+    workers = threads if threads and threads > 0 else _default_workers()
     workers = min(workers, len(eps_list))
 
     def worker(eps: float) -> SweepRow:

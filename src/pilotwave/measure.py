@@ -193,30 +193,39 @@ def flow_injectivity_monitor(
     """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
 
     Pairs are restricted to each sample's nearest initial neighbors, so the
-    cost stays O(M * n_neighbors).  A ratio below ``violation_ratio`` is the
-    proxy for trajectory crossing; the first time it happens is reported.
+    cost stays O(M * n_neighbors).  Each unordered pair is measured once,
+    whether one or both of its samples list the other as a neighbor.  A
+    ratio below ``violation_ratio`` is the proxy for trajectory crossing;
+    the first time it happens is reported.
     """
     valid = np.flatnonzero(ens.valid)
-    if valid.size < 2:
+    m = valid.size
+    if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
     x0 = ens.initial_points[valid]
-    k = min(n_neighbors + 1, valid.size)
+    k = min(n_neighbors + 1, m)
     _, nbr = cKDTree(x0).query(x0, k=k)
     nbr = np.atleast_2d(nbr)[:, 1:]  # drop self-match
 
-    rows = np.repeat(np.arange(valid.size), nbr.shape[1])
+    # the k-NN relation is not symmetric, so take the union of both
+    # directions; sorting beats np.unique's hashing at this size
+    rows = np.repeat(np.arange(m), nbr.shape[1])
     cols = nbr.ravel()
-    base = np.linalg.norm(x0[rows] - x0[cols], axis=1)
+    keys = np.sort(np.minimum(rows, cols) * m + np.maximum(rows, cols))
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    lo, hi = np.divmod(keys[first], m)
+    base = _pair_separation(x0.T, lo, hi)
     keep = base > 0  # coincident initial samples carry no ratio information
-    rows, cols, base = rows[keep], cols[keep], base[keep]
-    if rows.size == 0:
+    lo, hi, base = lo[keep], hi[keep], base[keep]
+    if lo.size == 0:
         raise UsageError("all neighbor pairs coincide at t=0")
 
+    positions = np.ascontiguousarray(ens.positions[:, valid, :].transpose(0, 2, 1))  # (K, dim, m)
     min_ratio = np.inf
     first_violation = None
     for k_t, t in enumerate(ens.times):
-        pos = ens.positions[k_t][valid]
-        sep = np.linalg.norm(pos[rows] - pos[cols], axis=1)
+        sep = _pair_separation(positions[k_t], lo, hi)
         ratio = float(np.min(sep / base))
         if ratio < min_ratio:
             min_ratio = ratio
@@ -225,3 +234,17 @@ def flow_injectivity_monitor(
     return InjectivityReport(
         min_pair_separation_ratio=min_ratio, first_violation_time=first_violation
     )
+
+
+def _pair_separation(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """|x_lo - x_hi| per pair from (dim, m) coordinates.
+
+    Squares are summed in axis order, as ``np.linalg.norm(..., axis=1)``
+    sums them, so the result matches it bit for bit.
+    """
+    d = np.take(coords[0], lo) - np.take(coords[0], hi)
+    sq = d * d
+    for c in coords[1:]:
+        d = np.take(c, lo) - np.take(c, hi)
+        sq += d * d
+    return np.sqrt(sq, out=sq)

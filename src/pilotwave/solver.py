@@ -23,7 +23,7 @@ from .errors import (
     WaveBlowUp,
 )
 from .grid import ComplexField, Grid, boundary_mass_fraction, norms, spectral_laplacian
-from .potential import StaticPotential, TimePeriodicPotential, evaluate
+from .potential import StaticPotential, TimePeriodicPotential
 
 __all__ = [
     "WaveFunction",
@@ -162,7 +162,7 @@ def _finalize_initial(grid: Grid, values: np.ndarray) -> WaveFunction:
     mass = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)
     if mass <= 0 or not np.isfinite(mass):
         raise ConfigError("initial state has no usable mass")
-    field = ComplexField(grid, values / math.sqrt(mass))
+    field = ComplexField._adopt(grid, values / math.sqrt(mass))
     bmass = boundary_mass_fraction(field)
     if bmass > BOUNDARY_MASS_TOL:
         raise PlacementError(
@@ -213,7 +213,7 @@ def _single_step(
     psi: WaveFunction, system: OscillatingSystem | EffectiveSystem, dt: float
 ) -> WaveFunction:
     values = StrangStepper(system, psi.grid, dt).advance(psi.values, psi.time)
-    return WaveFunction(field=ComplexField(psi.grid, values), time=psi.time + dt)
+    return WaveFunction(field=ComplexField._adopt(psi.grid, values), time=psi.time + dt)
 
 
 class StrangStepper:
@@ -330,7 +330,7 @@ def propagate(
 
     def snapshot(idx: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         if idx in wanted:
-            wf = psi0 if idx == 0 else WaveFunction(ComplexField(psi0.grid, states[0]), t)
+            wf = psi0 if idx == 0 else WaveFunction(ComplexField._adopt(psi0.grid, states[0]), t)
             check_monitors(
                 boundary_mass_fraction(wf.field),
                 norms(wf.field).h1,
@@ -364,7 +364,7 @@ def h1_distance(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
         raise UsageError(
             f"wave functions are stamped at different times: {psi_a.time} vs {psi_b.time}"
         )
-    diff = ComplexField(psi_a.grid, psi_a.values - psi_b.values)
+    diff = ComplexField._adopt(psi_a.grid, psi_a.values - psi_b.values)
     return norms(diff).h1
 
 
@@ -383,8 +383,10 @@ def gronwall_integrand(
     """
     if psi_eps.grid != psi_eff.grid:
         raise UsageError("wave functions live on different grids")
-    dV = evaluate(V, t / eps, psi_eps.grid).values - Vstar.values
-    diff = ComplexField(psi_eps.grid, psi_eps.values - psi_eff.values)
+    # the arithmetic of evaluate(V, t / eps, grid).values, without its gradient
+    a = float(V.temporal(np.asarray(t / eps, dtype=np.float64)))
+    dV = a * V.spatial_values(psi_eps.grid) - Vstar.values
+    diff = ComplexField._adopt(psi_eps.grid, psi_eps.values - psi_eff.values)
     lap = spectral_laplacian(diff).values
     inner = np.sum(dV * psi_eps.values * np.conj(lap)) * psi_eps.grid.cell_volume
     return float(abs(inner))

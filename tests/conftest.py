@@ -1,4 +1,3 @@
-import os
 import time
 
 import pytest
@@ -14,5 +13,5 @@ def benchmark_sweep():
     """
     cfg = harmonic_benchmark_config()
     t0 = time.perf_counter()
-    report = run_sweep(cfg, threads=os.cpu_count())
+    report = run_sweep(cfg)
     return report, time.perf_counter() - t0

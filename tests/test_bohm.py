@@ -181,7 +181,46 @@ class TestSampling:
         assert abs(pts[:, 1].mean() + 2.0) < 3.0 * 1.0 / np.sqrt(M)
 
 
+def interp_space_reference(grid, field, X):
+    """Catmull-Rom lookup with np.mod wrapping and stacked weights."""
+    from pilotwave.bohm import _catmull_weights
+
+    n = grid.n_per_axis
+    g = (X + grid.half_width) / grid.dx
+    base = np.floor(g).astype(np.int64)
+    frac = g - base
+    weights = [np.stack(_catmull_weights(frac[:, a])) for a in range(grid.dim)]
+    indices = [
+        np.stack([np.mod(base[:, a] + o, n) for o in (-1, 0, 1, 2)]) for a in range(grid.dim)
+    ]
+    flat = field.reshape(field.shape[0], -1)
+    strides = [n ** (grid.dim - 1 - a) for a in range(grid.dim)]
+    out = np.zeros((X.shape[0], field.shape[0]))
+    for combo in np.ndindex(*(4,) * grid.dim):
+        w = weights[0][combo[0]]
+        flat_idx = indices[0][combo[0]] * strides[0]
+        for a in range(1, grid.dim):
+            w = w * weights[a][combo[a]]
+            flat_idx = flat_idx + indices[a][combo[a]] * strides[a]
+        out += w[:, None] * flat[:, flat_idx].T
+    return out
+
+
 class TestTrajectories:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_interp_space_matches_mod_reference(self, dim):
+        # RK4 stages may probe points outside [-L, L) before escapes are frozen
+        from pilotwave.bohm import _interp_space
+
+        g = make_grid(dim, 16, 2.0)
+        L = g.half_width
+        rng = np.random.default_rng(dim)
+        X = rng.uniform(-3.0 * L, 3.0 * L, size=(300, dim))
+        X[0], X[1], X[2] = -L, L, np.nextafter(L, 0.0)
+        for ncomp in (1, dim):
+            field = rng.normal(size=(ncomp,) + g.shape)
+            assert np.array_equal(_interp_space(g, field, X), interp_space_reference(g, field, X))
+
     def test_constant_velocity_exact(self):
         g = make_grid(1, 64, 8.0)
         times = np.linspace(0.0, 1.0, 11)

@@ -54,6 +54,35 @@ class TestMakeGrid:
         with pytest.raises(InputError):
             ComplexField(g, bad)
 
+    def test_public_field_copies_and_private_field_adopts(self):
+        g = make_grid(1, 32, 8.0)
+        arr = np.exp(1j * g.axes[0])
+        public = ComplexField(g, arr)
+        assert not np.shares_memory(public.values, arr)
+        assert arr.flags.writeable
+        assert not public.values.flags.writeable
+        adopted = ComplexField._adopt(g, arr)
+        assert adopted.values is arr
+        assert not arr.flags.writeable
+        assert adopted.grid == g
+        bad = np.zeros(32, dtype=complex)
+        bad[3] = np.nan
+        with pytest.raises(InputError):
+            ComplexField._adopt(g, bad)
+        with pytest.raises(InputError):
+            ComplexField._adopt(g, np.zeros(16, dtype=complex))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inner_box_mask_cached_read_only(self, dim):
+        g = make_grid(dim, 16, 4.0)
+        mask = g.inner_box_mask()
+        assert mask is g.inner_box_mask()
+        assert not mask.flags.writeable
+        reference = np.ones(g.shape, dtype=bool)
+        for m in g.meshgrid():
+            reference &= np.abs(m) <= 0.5 * g.half_width
+        assert np.array_equal(mask, reference)
+
 
 class TestSpectralGradient:
     def test_constant_field(self):

@@ -212,6 +212,24 @@ class TestRunSweep:
                 r.pop("wall_time")
         assert a == b
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch, affinity):
+        import pilotwave.harness as harness
+
+        if affinity:
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep allowed one CPU started a thread pool")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        report = run_sweep(small_config())
+        assert [r.eps for r in report.rows] == [0.2, 0.1]
+        assert all(r.valid for r in report.rows)
+
     def test_eps_perturbation_mode(self):
         cfg = ExperimentConfig(
             grid=GridSpec(dim=1, n_per_axis=256, half_width=12.0),

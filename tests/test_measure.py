@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from pilotwave.bohm import FieldHistory, densities, integrate_trajectories, sample_initial_positions
+from pilotwave.bohm import (
+    FieldHistory,
+    TrajectoryEnsemble,
+    densities,
+    integrate_trajectories,
+    sample_initial_positions,
+)
 from pilotwave.errors import UsageError
 from pilotwave.grid import ComplexField, make_grid
 from pilotwave.measure import (
+    InjectivityReport,
     PhaseSpaceMeasure,
     bohmian_measure,
     flat_distance,
@@ -235,7 +243,75 @@ class TestTrajectoryDeviation:
         assert abs(f1 - f2) < 3.0 * sigma
 
 
+def directed_pair_monitor(ens, n_neighbors=64, violation_ratio=1e-3):
+    """Reference monitor: every directed neighbor pair (i, j), measured separately."""
+    valid = np.flatnonzero(ens.valid)
+    if valid.size < 2:
+        raise UsageError("need at least 2 valid samples to monitor injectivity")
+    x0 = ens.initial_points[valid]
+    k = min(n_neighbors + 1, valid.size)
+    _, nbr = cKDTree(x0).query(x0, k=k)
+    nbr = np.atleast_2d(nbr)[:, 1:]
+    rows = np.repeat(np.arange(valid.size), nbr.shape[1])
+    cols = nbr.ravel()
+    base = np.linalg.norm(x0[rows] - x0[cols], axis=1)
+    keep = base > 0
+    rows, cols, base = rows[keep], cols[keep], base[keep]
+    if rows.size == 0:
+        raise UsageError("all neighbor pairs coincide at t=0")
+    min_ratio = np.inf
+    first_violation = None
+    for k_t, t in enumerate(ens.times):
+        pos = ens.positions[k_t][valid]
+        sep = np.linalg.norm(pos[rows] - pos[cols], axis=1)
+        ratio = float(np.min(sep / base))
+        if ratio < min_ratio:
+            min_ratio = ratio
+        if first_violation is None and ratio < violation_ratio:
+            first_violation = float(t)
+    return InjectivityReport(min_ratio, first_violation)
+
+
+def random_ensemble(rng, dim, m, n_times=6):
+    """Ensemble of random, partly contracting paths, some samples invalid,
+    with samples 0 and 1 starting at the same point."""
+    g = make_grid(dim, 16, 4.0)
+    x0 = rng.normal(size=(m, dim))
+    x0[1] = x0[0]
+    scale = rng.uniform(1e-4, 2.0, size=(n_times, 1, 1))
+    scale[0] = 1.0
+    positions = scale * x0 + rng.normal(scale=0.05, size=(n_times, m, dim))
+    positions[0] = x0
+    valid = rng.random(m) > 0.2
+    valid[:3] = True
+    return TrajectoryEnsemble(
+        grid=g,
+        initial_points=x0,
+        times=np.linspace(0.0, 1.0, n_times),
+        positions=positions,
+        momenta=np.zeros_like(positions),
+        weights=np.full(m, 1.0 / m),
+        valid=valid,
+    )
+
+
 class TestInjectivityMonitor:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_directed_pair_reference(self, dim):
+        # k-NN is often asymmetric at small k, so pairs listed by only one
+        # end must still be measured
+        rng = np.random.default_rng(40 + dim)
+        violations = 0
+        for _ in range(8):
+            ens = random_ensemble(rng, dim, int(rng.integers(4, 80)))
+            for n_neighbors in (1, 2, 3, 4):
+                for violation_ratio in (1e-3, 0.2):
+                    got = flow_injectivity_monitor(ens, n_neighbors, violation_ratio)
+                    want = directed_pair_monitor(ens, n_neighbors, violation_ratio)
+                    assert got == want
+                    violations += got.first_violation_time is not None
+        assert violations > 0
+
     def test_rigid_translation(self):
         g = make_grid(1, 64, 8.0)
         times = np.linspace(0.0, 1.0, 41)

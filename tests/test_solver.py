@@ -290,6 +290,21 @@ class TestGronwallIntegrand:
         # V == V* makes the pairing weight vanish identically
         assert gronwall_integrand(psi, other, V, Vstar, 0.1, 0.33) < 1e-12
 
+    def test_matches_evaluated_potential_bit_for_bit(self):
+        from pilotwave.grid import spectral_laplacian
+        from pilotwave.potential import evaluate
+
+        g = make_grid(1, 256, 12.0)
+        V = harmonic_cos_potential()
+        Vstar = effective_potential(V, g)
+        a = gaussian_packet(g, width=1.0, momentum=0.5)
+        b = gaussian_packet(g, width=0.9)
+        eps, t = 0.1, 0.37
+        dV = evaluate(V, t / eps, g).values - Vstar.values
+        lap = spectral_laplacian(ComplexField(g, a.values - b.values)).values
+        want = float(abs(np.sum(dV * a.values * np.conj(lap)) * g.cell_volume))
+        assert gronwall_integrand(a, b, V, Vstar, eps, t) == want
+
     def test_equal_states_vanish(self):
         g = make_grid(1, 256, 12.0)
         V = harmonic_cos_potential()
