@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, SamplingError, TrajectoryEscape, UsageError
-from .grid import Grid, gradient_values, laplacian_values
+from .grid import Grid, _norms_from_gradient, gradient_values, laplacian_values
 from .potential import StaticPotential, TimePeriodicPotential, evaluate
 from .solver import WaveFunction
 
@@ -51,13 +51,15 @@ class QuantumPotential(NamedTuple):
 
 @dataclass(frozen=True)
 class DensityFields:
-    """Position density, current density and velocity at one instant."""
+    """Position density, current density and velocity at one instant,
+    with the state's H1 norm from the same gradient (equal to ``norms``)."""
 
     grid: Grid
     time: float
     rho: np.ndarray  # (*shape,) nonnegative
     current: np.ndarray  # (dim, *shape)
     velocity: np.ndarray  # (dim, *shape)
+    h1: float
     regularized_fraction: float = 0.0
 
 
@@ -142,7 +144,8 @@ class HydroResidual(NamedTuple):
 
 
 def densities(psi: WaveFunction, reg_floor: float | None = None) -> DensityFields:
-    """rho = |psi|^2, J = Im(conj(psi) grad psi), u = J/rho (floored)."""
+    """rho = |psi|^2, J = Im(conj(psi) grad psi), u = J/rho (floored), and
+    the H1 norm of psi; one forward transform serves them all."""
     rho = np.abs(psi.values) ** 2
     grad = gradient_values(psi.grid, psi.values)
     current = np.imag(np.conj(psi.values) * grad)
@@ -153,6 +156,7 @@ def densities(psi: WaveFunction, reg_floor: float | None = None) -> DensityField
         rho=rho,
         current=current,
         velocity=u,
+        h1=_norms_from_gradient(psi.grid, psi.values, grad).h1,
         regularized_fraction=frac,
     )
 

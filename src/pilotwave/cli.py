@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from pathlib import Path
 
-from . import __version__
 from .errors import PilotwaveError
-from .harness import ConvergenceReport, emit_csv, emit_json, load_config, run_single, run_sweep
+from .harness import load_config, run_sweep
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -24,7 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--eps", type=float, default=None, help="epsilon (default: sole eps_list entry)")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None, help="worker threads (unused for run)")
 
     sweep_p = sub.add_parser("sweep", help="run the full epsilon sweep and write reports")
     sweep_p.add_argument("--config", required=True, help="YAML experiment config")
@@ -48,33 +46,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             config = config.with_seed(args.seed)
 
+        threads = None
         if args.command == "run":
-            eps = args.eps
-            if eps is None:
-                if len(config.sweep.eps_list) != 1:
-                    print(
-                        "error: config lists several eps values; pass --eps to pick one",
-                        file=sys.stderr,
-                    )
-                    return 2
-                eps = config.sweep.eps_list[0]
-            row = run_single(config, eps)
-            report = ConvergenceReport(
-                rows=(row,),
-                metadata={
-                    "config_hash": config.config_hash(),
-                    "code_version": __version__,
-                    "config": config.to_mapping(),
-                },
-            )
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            emit_csv(report, out / "report.csv")
-            emit_json(report, out / "report.json")
-            print(f"wrote {out/'report.csv'} and {out/'report.json'}")
-            return 0 if row.valid else 1
+            if args.eps is None and len(config.sweep.eps_list) != 1:
+                print("error: config lists several eps values; pass --eps to pick one", file=sys.stderr)
+                return 2
+            eps = config.sweep.eps_list[0] if args.eps is None else args.eps
+            config = dataclasses.replace(config, sweep=dataclasses.replace(config.sweep, eps_list=(eps,)))
+        else:
+            threads = args.threads
 
-        report = run_sweep(config, threads=args.threads, out_dir=args.out)
+        report = run_sweep(config, threads=threads, out_dir=args.out)
         print(f"wrote reports to {args.out} ({len(report.rows)} rows, partial={report.partial})")
         return 0 if not report.partial else 1
     except PilotwaveError as exc:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InputError, UsageError
+from .errors import ConfigError, InputError
 
 __all__ = [
     "Grid",
@@ -43,6 +43,7 @@ class Grid:
     axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
     wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _inner_box: np.ndarray = field(init=False, repr=False)
+    _k_squared: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -65,6 +66,9 @@ class Grid:
             inner &= np.abs(m) <= 0.5 * self.half_width
         inner.setflags(write=False)
         object.__setattr__(self, "_inner_box", inner)
+        k2 = sum(k * k for k in self.wavenumber_mesh())
+        k2.setflags(write=False)
+        object.__setattr__(self, "_k_squared", k2)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,13 +95,8 @@ class Grid:
         return list(np.meshgrid(*self.wavenumbers, indexing="ij"))
 
     def k_squared(self) -> np.ndarray:
-        """|k|^2 on the full transform grid."""
-        ks = self.wavenumber_mesh()
-        return sum(k * k for k in ks)
-
-    def integrate(self, values: np.ndarray) -> complex | float:
-        """dx^N Riemann sum over the box."""
-        return values.sum() * self.cell_volume
+        """Read-only |k|^2 on the full transform grid."""
+        return self._k_squared
 
     def inner_box_mask(self) -> np.ndarray:
         """Read-only boolean mask of points with max-norm |x| <= half_width/2."""
@@ -180,18 +179,12 @@ def spectral_gradient(f: ComplexField) -> list[ComplexField]:
 
     Exact for band-limited fields; returns one field per axis.
     """
-    fhat = np.fft.fftn(f.values)
-    out = []
-    for axis in range(f.grid.dim):
-        k = _axis_multiplier(f.grid, axis)
-        out.append(ComplexField._adopt(f.grid, np.fft.ifftn(1j * k * fhat)))
-    return out
+    return [ComplexField._adopt(f.grid, g) for g in gradient_values(f.grid, f.values)]
 
 
 def spectral_laplacian(f: ComplexField) -> ComplexField:
     """Laplacian via the transform multiplier -|k|^2."""
-    fhat = np.fft.fftn(f.values)
-    return ComplexField._adopt(f.grid, np.fft.ifftn(-f.grid.k_squared() * fhat))
+    return ComplexField._adopt(f.grid, laplacian_values(f.grid, f.values))
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -215,22 +208,23 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def norms(f: ComplexField) -> Norms:
-    """L2 norm, H1 seminorm (via spectral_gradient) and full H1 norm."""
-    dv = f.grid.cell_volume
-    l2_sq = float(np.sum(np.abs(f.values) ** 2) * dv)
+    """L2 norm, H1 seminorm (via the spectral gradient) and full H1 norm."""
+    return _norms_from_gradient(f.grid, f.values, gradient_values(f.grid, f.values))
+
+
+def _norms_from_gradient(grid: Grid, values: np.ndarray, grad: np.ndarray) -> Norms:
+    """``norms`` from values and their spectral gradient, for callers that
+    already hold the gradient; one formula, so both give the same bits."""
+    dv = grid.cell_volume
+    l2_sq = float(np.sum(np.abs(values) ** 2) * dv)
     semi_sq = 0.0
-    for g in spectral_gradient(f):
-        semi_sq += float(np.sum(np.abs(g.values) ** 2) * dv)
+    for g in grad:
+        semi_sq += float(np.sum(np.abs(g) ** 2) * dv)
     return Norms(
         l2=np.sqrt(l2_sq),
         h1=np.sqrt(l2_sq + semi_sq),
         h1_semi=np.sqrt(semi_sq),
     )
-
-
-def require_same_grid(a: ComplexField, b: ComplexField) -> None:
-    if a.grid != b.grid:
-        raise UsageError("fields live on different grids")
 
 
 def _axis_multiplier(grid: Grid, axis: int) -> np.ndarray:

@@ -441,17 +441,17 @@ def _run_single_metrics(
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         nonlocal boundary_max, dens_osc, dens_eff
         wf_o, wf_e = (WaveFunction(ComplexField._adopt(grid, v), t) for v in states)
-        for wf in (wf_o, wf_e):
-            bmass = boundary_mass_fraction(wf.field)
-            boundary_max = max(boundary_max, bmass)
-            check_monitors(bmass, norms(wf.field).h1, h1_initial, t)
         d_o = densities(wf_o)
         d_e = densities(wf_e)
+        for wf, d in ((wf_o, d_o), (wf_e, d_e)):
+            bmass = boundary_mass_fraction(wf.field)
+            boundary_max = max(boundary_max, bmass)
+            check_monitors(bmass, d.h1, h1_initial, t)
         frame_times[frame] = t
         u_osc[frame] = d_o.velocity
         u_eff[frame] = d_e.velocity
         if t <= b_horizon:
-            b_vals.append(gronwall_integrand(wf_o, wf_e, V, Vstar, eps, t))
+            b_vals.append(gronwall_integrand(wf_o, wf_e, V, Vstar, eps, t, w=steppers[0].w))
         if frame == n_frames:
             dens_osc, dens_eff = d_o, d_e
 

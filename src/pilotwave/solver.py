@@ -375,18 +375,24 @@ def gronwall_integrand(
     Vstar: StaticPotential,
     eps: float,
     t: float,
+    *,
+    w: np.ndarray,
 ) -> float:
     """|<(V(t/eps,.) - V*) psi_eps, Lap(psi_eps - psi_eff)>| on the grid.
 
-    This is the forcing term whose vanishing drives the averaged system's
-    H1 error estimate to zero.
+    ``w`` is ``V.spatial_values(grid)``, which a caller evaluating the term
+    frame after frame builds once.  This is the forcing term whose
+    vanishing drives the averaged system's H1 error estimate to zero.
     """
-    if psi_eps.grid != psi_eff.grid:
+    grid = psi_eps.grid
+    if psi_eff.grid != grid:
         raise UsageError("wave functions live on different grids")
+    if w.shape != grid.shape:
+        raise UsageError(f"spatial values of shape {w.shape} do not match grid shape {grid.shape}")
     # the arithmetic of evaluate(V, t / eps, grid).values, without its gradient
     a = float(V.temporal(np.asarray(t / eps, dtype=np.float64)))
-    dV = a * V.spatial_values(psi_eps.grid) - Vstar.values
-    diff = ComplexField._adopt(psi_eps.grid, psi_eps.values - psi_eff.values)
+    dV = a * w - Vstar.values
+    diff = ComplexField._adopt(grid, psi_eps.values - psi_eff.values)
     lap = spectral_laplacian(diff).values
-    inner = np.sum(dV * psi_eps.values * np.conj(lap)) * psi_eps.grid.cell_volume
+    inner = np.sum(dV * psi_eps.values * np.conj(lap)) * grid.cell_volume
     return float(abs(inner))

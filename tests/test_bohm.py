@@ -12,7 +12,7 @@ from pilotwave.bohm import (
     velocity,
 )
 from pilotwave.errors import ConfigError, SamplingError, TrajectoryEscape, UsageError
-from pilotwave.grid import ComplexField, make_grid
+from pilotwave.grid import ComplexField, make_grid, norms
 from pilotwave.potential import (
     StaticPotential,
     TimePeriodicPotential,
@@ -72,6 +72,17 @@ class TestDensities:
         psi = gaussian_packet(g, width=1.0, momentum=2.0)
         d = densities(psi)
         assert abs(float(np.sum(d.current[0]) * g.dx) - 2.0) < 1e-8
+
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32), (3, 16)])
+    def test_h1_is_the_norms_h1_bit_for_bit(self, dim, n):
+        # the harness's blow-up monitor reads d.h1 in place of norms(...).h1
+        g = make_grid(dim, n, 6.0)
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            coeffs = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+            vals = np.fft.ifftn(coeffs * np.exp(-g.k_squared()))
+            psi = WaveFunction(ComplexField(g, vals), 0.25)
+            assert densities(psi).h1 == norms(psi.field).h1
 
 
 class TestVelocity:

@@ -173,6 +173,38 @@ class TestRunSingle:
             run_single(cfg, 0.2)
 
 
+class TestFrameDiagnostics:
+    def test_each_frame_transforms_each_state_once(self, monkeypatch):
+        # per frame and state: one forward and dim inverse transforms feed the
+        # densities and the H1 monitor together; the Gronwall Laplacian adds 2
+        import pilotwave.harness as harness
+
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _real=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+
+        per_frame = []
+        real_lockstep = harness.lockstep
+
+        def lockstep(steppers, states, t0, n_steps, stride, on_frame):
+            def counted_frame(*args):
+                before = len(calls)
+                on_frame(*args)
+                per_frame.append(len(calls) - before)
+
+            return real_lockstep(steppers, states, t0, n_steps, stride, counted_frame)
+
+        monkeypatch.setattr(harness, "lockstep", lockstep)
+        cfg = small_config(eps_list=(0.2,))
+        assert run_single(cfg, 0.2).valid
+        n_steps, _, stride = _step_plan(cfg, 0.2)
+        assert per_frame == [2 * (1 + cfg.grid.dim) + 2] * (n_steps // stride + 1)
+
+
 class TestRunSweep:
     def test_singleton_sweep(self):
         cfg = small_config(eps_list=(0.2,))
@@ -380,6 +412,31 @@ class TestCli:
         assert rc == 0
         parsed = json.loads((tmp_path / "o" / "report.json").read_text())
         assert parsed["rows"][0]["eps"] == 0.2
+        rc = cli_main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--eps", "1.5"]
+        )
+        assert rc == 2
+        assert "eps values must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_run_command_is_a_one_eps_sweep(self, tmp_path):
+        cfg_path = tmp_path / "bench.yaml"
+        cfg_path.write_text(BENCH_YAML + "output:\n  save_fields: true\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--eps", "0.1"]) == 0
+        assert (out / "psi_eps0_oscillating.field").exists()
+        assert (out / "psi_eps0_effective.field").exists()
+        metadata = json.loads((out / "report.json").read_text())["metadata"]
+        assert metadata["config"]["sweep"]["eps_list"] == [0.1]
+        assert list(metadata["dt_per_eps"]) == ["0.1"]
+
+    def test_run_command_has_no_threads_flag(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.yaml"
+        cfg_path.write_text(BENCH_YAML)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                      "--eps", "0.2", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg_path = tmp_path / "bench.yaml"

@@ -288,7 +288,7 @@ class TestGronwallIntegrand:
         psi = gaussian_packet(g, width=1.0)
         other = gaussian_packet(g, width=0.8)
         # V == V* makes the pairing weight vanish identically
-        assert gronwall_integrand(psi, other, V, Vstar, 0.1, 0.33) < 1e-12
+        assert gronwall_integrand(psi, other, V, Vstar, 0.1, 0.33, w=V.spatial_values(g)) < 1e-12
 
     def test_matches_evaluated_potential_bit_for_bit(self):
         from pilotwave.grid import spectral_laplacian
@@ -303,14 +303,23 @@ class TestGronwallIntegrand:
         dV = evaluate(V, t / eps, g).values - Vstar.values
         lap = spectral_laplacian(ComplexField(g, a.values - b.values)).values
         want = float(abs(np.sum(dV * a.values * np.conj(lap)) * g.cell_volume))
-        assert gronwall_integrand(a, b, V, Vstar, eps, t) == want
+        assert gronwall_integrand(a, b, V, Vstar, eps, t, w=V.spatial_values(g)) == want
 
     def test_equal_states_vanish(self):
         g = make_grid(1, 256, 12.0)
         V = harmonic_cos_potential()
         Vstar = effective_potential(V, g)
         psi = gaussian_packet(g, width=1.0)
-        assert gronwall_integrand(psi, psi, V, Vstar, 0.1, 0.0) == 0.0
+        assert gronwall_integrand(psi, psi, V, Vstar, 0.1, 0.0, w=V.spatial_values(g)) == 0.0
+
+    def test_mismatched_spatial_values_rejected(self):
+        g = make_grid(1, 256, 12.0)
+        V = harmonic_cos_potential()
+        Vstar = effective_potential(V, g)
+        psi = gaussian_packet(g, width=1.0)
+        w = V.spatial_values(make_grid(1, 128, 12.0))
+        with pytest.raises(UsageError):
+            gronwall_integrand(psi, psi, V, Vstar, 0.1, 0.0, w=w)
 
     def test_time_average_decays_along_eps(self):
         # sweep oracle: averaged forcing shrinks by >= 4x from eps=0.1 to 0.0125

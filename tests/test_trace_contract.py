@@ -1,10 +1,12 @@
 """The per-layer tracer in bench/spans.py wraps names inside the package.
 
-It stops a traced benchmark run when one of them is gone, so a refactor
-that renames or drops such a name fails here first.  The tracer module is
-loaded from its file and only inspected; nothing is installed or wrapped.
+It stops a traced benchmark run when one of them is gone or records no
+call, so a refactor that renames or stops calling such a name fails here
+first.  The tracer module is loaded from its file; its own wrappers are
+never installed.
 """
 
+import functools
 import importlib.util
 import inspect
 from pathlib import Path
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from pilotwave.bohm import integrate_trajectories
+from pilotwave.cli import main as cli_main
 from pilotwave.grid import make_grid
 from pilotwave.potential import TimePeriodicPotential, effective_potential, harmonic, one_plus_cos
 from pilotwave.solver import EffectiveSystem, OscillatingSystem, StrangStepper
@@ -50,3 +53,26 @@ def test_stepper_exposes_system_kind(spans):
 def test_trajectory_parameters_keep_their_names():
     params = list(inspect.signature(integrate_trajectories).parameters)
     assert params[:3] == ["history", "initial_points", "times"]
+
+
+def test_every_target_is_called_by_a_sweep(spans, monkeypatch, tmp_path):
+    counts = dict.fromkeys(spans.TARGETS, 0)
+    for name, (owner, attr) in spans.TARGETS.items():
+        obj = spans._resolve(owner)
+
+        def counted(*args, _name=name, _fn=getattr(obj, attr), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(obj, attr, functools.wraps(getattr(obj, attr))(counted))
+
+    cfg_path = tmp_path / "tiny.yaml"
+    cfg_path.write_text(
+        "grid: {dim: 1, n_per_axis: 256, half_width: 12.0}\n"
+        "sweep: {horizon: 0.25, eps_list: [0.2], ensemble_size: 100}\n"
+        "measure: {dictionary_size: 32}\n"
+        "output: {save_fields: true}\n"
+    )
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    silent = sorted(name for name, n in counts.items() if n == 0)
+    assert not silent, f"traced layers with no call: {silent}"
