@@ -25,11 +25,24 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bohm import FieldHistory, densities, integrate_trajectories, sample_initial_positions
+from .bohm import (
+    DensityFields,
+    FieldHistory,
+    TrajectoryEnsemble,
+    densities,
+    integrate_trajectories,
+    sample_initial_positions,
+)
 from .errors import ConfigError, MonitorAbort, UsageError
 from .fieldio import save_field
 from .grid import ComplexField, Grid, boundary_mass_fraction, make_grid, norms
-from .measure import bohmian_measure, flow_injectivity_monitor, monokinetic_deviation, trajectory_deviation_measure
+from .measure import (
+    bohmian_measure,
+    flow_injectivity_monitor,
+    injectivity_pairs,
+    monokinetic_deviation,
+    trajectory_deviation_measure,
+)
 from .potential import (
     SPATIAL_BUILTINS,
     TEMPORAL_BUILTINS,
@@ -247,6 +260,9 @@ class SweepRow:
     valid: bool
     reason: str
     wall_time: float
+    # largest share of floored velocity points over the recorded frames
+    regularized_fraction_osc: float = math.nan
+    regularized_fraction_eff: float = math.nan
     # (oscillating, effective) states at the horizon; None for an invalid row
     final_states: tuple[WaveFunction, WaveFunction] | None = field(
         default=None, compare=False, repr=False
@@ -263,6 +279,8 @@ class SweepRow:
             "traj_dev": {_format_delta(d): v for d, v in self.traj_dev},
             "boundary_mass": self.boundary_mass,
             "injectivity_ratio": self.injectivity_ratio,
+            "regularized_fraction_osc": self.regularized_fraction_osc,
+            "regularized_fraction_eff": self.regularized_fraction_eff,
             "valid": self.valid,
             "reason": self.reason,
             "wall_time": self.wall_time,
@@ -409,96 +427,180 @@ def run_single(config: ExperimentConfig, eps: float) -> SweepRow:
     )
 
 
+@dataclass(frozen=True)
+class _RowInputs:
+    """What one row is built from, before its effective potential."""
+
+    grid: Grid
+    potential: TimePeriodicPotential
+    psi0: WaveFunction
+    n_steps: int
+    dt: float
+    stride: int
+
+
+def _row_inputs(config: ExperimentConfig, eps: float) -> _RowInputs:
+    """Grid, potential, initial state and step plan of the ``eps`` row.
+
+    Raises the config's errors (resolution, placement, fast-period rule);
+    ``run_sweep`` calls it for every eps before any row starts.
+    """
+    grid = build_grid(config.grid)
+    V = build_potential(config.potential, grid)
+    psi0 = build_initial_state(config.initial_state, grid, eps=eps)
+    n_steps, dt, stride = _step_plan(config, eps)
+    SolverConfig(dt=dt, steps_per_fast_period=config.solver.steps_per_fast_period).check_fast_period(eps)
+    return _RowInputs(grid, V, psi0, n_steps, dt, stride)
+
+
+@dataclass(frozen=True)
+class _Recording:
+    """What propagation leaves besides the velocity histories."""
+
+    final_states: tuple[WaveFunction, WaveFunction]
+    final_densities: tuple[DensityFields, DensityFields]
+    b_eps_avg: float
+    boundary_mass: float
+    regularized_fraction: tuple[float, float]  # max over frames, per system
+
+
 def _run_single_metrics(
     config: ExperimentConfig, eps: float
 ) -> tuple[dict[str, Any], tuple[WaveFunction, WaveFunction]]:
-    grid = build_grid(config.grid)
-    V = build_potential(config.potential, grid)
+    """The row's stages in order: propagate and record, wave metrics,
+    trajectories, measures.
+
+    The velocity histories are the row's largest arrays; the trajectory
+    stage is their last user, so they are gone before the flat distance.
+    """
+    row = _row_inputs(config, eps)
+    recording, velocity_frames = _propagate_and_record(config, eps, row)
+    metrics = _wave_metrics(recording)
+    ensembles = _trajectories(config, row, *velocity_frames)
+    del velocity_frames
+    metrics.update(_measures(config, recording, ensembles))
+    return metrics, recording.final_states
+
+
+def _propagate_and_record(
+    config: ExperimentConfig, eps: float, row: _RowInputs
+) -> tuple[_Recording, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Step both systems side by side; at every frame run the monitors and
+    record the velocity fields.  Returns the recording and the velocity
+    frames (frame times, oscillating, effective)."""
+    grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
-    psi0 = build_initial_state(config.initial_state, grid, eps=eps)
-    T = config.sweep.horizon
-
-    n_steps, dt, stride = _step_plan(config, eps)
-    solver_cfg = SolverConfig(dt=dt, steps_per_fast_period=config.solver.steps_per_fast_period)
-    solver_cfg.check_fast_period(eps)
-
     steppers = (
-        StrangStepper(OscillatingSystem(V, eps), grid, dt),
-        StrangStepper(EffectiveSystem(Vstar), grid, dt),
+        StrangStepper(OscillatingSystem(V, eps), grid, row.dt),
+        StrangStepper(EffectiveSystem(Vstar), grid, row.dt),
     )
 
-    n_frames = n_steps // stride
+    n_frames = row.n_steps // row.stride
     frame_times = np.empty(n_frames + 1)
     u_osc = np.empty((n_frames + 1, grid.dim) + grid.shape)
     u_eff = np.empty((n_frames + 1, grid.dim) + grid.shape)
 
     h1_initial = norms(psi0.field).h1
-    b_horizon = min(1.0, T) * (1.0 + 1e-12)
+    b_horizon = min(1.0, config.sweep.horizon) * (1.0 + 1e-12)
     boundary_max = 0.0
+    reg_max = [0.0, 0.0]
     b_vals: list[float] = []
-    dens_osc = dens_eff = None
+    final_densities = None
 
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
-        nonlocal boundary_max, dens_osc, dens_eff
+        nonlocal boundary_max, final_densities
         wf_o, wf_e = (WaveFunction(ComplexField._adopt(grid, v), t) for v in states)
         d_o = densities(wf_o)
         d_e = densities(wf_e)
-        for wf, d in ((wf_o, d_o), (wf_e, d_e)):
+        for i, (wf, d) in enumerate(((wf_o, d_o), (wf_e, d_e))):
             bmass = boundary_mass_fraction(wf.field)
             boundary_max = max(boundary_max, bmass)
             check_monitors(bmass, d.h1, h1_initial, t)
+            reg_max[i] = max(reg_max[i], d.regularized_fraction)
         frame_times[frame] = t
         u_osc[frame] = d_o.velocity
         u_eff[frame] = d_e.velocity
         if t <= b_horizon:
             b_vals.append(gronwall_integrand(wf_o, wf_e, V, Vstar, eps, t, w=steppers[0].w))
         if frame == n_frames:
-            dens_osc, dens_eff = d_o, d_e
+            final_densities = (d_o, d_e)
 
-    vals_osc, vals_eff = lockstep(steppers, (psi0.values, psi0.values), 0.0, n_steps, stride, record)
-    wf_osc = WaveFunction(ComplexField._adopt(grid, vals_osc), T)
-    wf_eff = WaveFunction(ComplexField._adopt(grid, vals_eff), T)
-    h1_wave = h1_distance(wf_osc, wf_eff)
-    dv = grid.cell_volume
-    l1_rho = float(np.sum(np.abs(dens_osc.rho - dens_eff.rho)) * dv)
+    finals = lockstep(steppers, (psi0.values, psi0.values), 0.0, row.n_steps, row.stride, record)
+    T = config.sweep.horizon
+    recording = _Recording(
+        final_states=tuple(WaveFunction(ComplexField._adopt(grid, v), T) for v in finals),
+        final_densities=final_densities,
+        b_eps_avg=float(np.mean(b_vals)),
+        boundary_mass=boundary_max,
+        regularized_fraction=tuple(reg_max),
+    )
+    return recording, (frame_times, u_osc, u_eff)
+
+
+def _wave_metrics(recording: _Recording) -> dict[str, Any]:
+    """H1 distance of the final states, L1 distances of their densities."""
+    wf_osc, wf_eff = recording.final_states
+    dens_osc, dens_eff = recording.final_densities
+    dv = wf_osc.grid.cell_volume
     j_diff = dens_osc.current - dens_eff.current
-    l1_current = float(np.sum(np.sqrt(np.sum(j_diff * j_diff, axis=0))) * dv)
+    return {
+        "h1_wave": h1_distance(wf_osc, wf_eff),
+        "l1_rho": float(np.sum(np.abs(dens_osc.rho - dens_eff.rho)) * dv),
+        "l1_current": float(np.sum(np.sqrt(np.sum(j_diff * j_diff, axis=0))) * dv),
+        "b_eps_avg": recording.b_eps_avg,
+        "boundary_mass": recording.boundary_mass,
+        "regularized_fraction_osc": recording.regularized_fraction[0],
+        "regularized_fraction_eff": recording.regularized_fraction[1],
+    }
 
-    sampling_seed, dictionary_seed = _derived_seeds(config.sweep.seed)
-    beta_eps = bohmian_measure(dens_osc)
-    mono_dev = monokinetic_deviation(
-        beta_eps, dens_eff, dictionary_size=config.measure.dictionary_size, seed=dictionary_seed
-    )
 
+def _trajectories(
+    config: ExperimentConfig,
+    row: _RowInputs,
+    frame_times: np.ndarray,
+    u_osc: np.ndarray,
+    u_eff: np.ndarray,
+) -> tuple[TrajectoryEnsemble, TrajectoryEnsemble]:
+    """Paired ensembles from one seeded sample of the initial density, one
+    through each velocity history; the histories die with this stage."""
+    sampling_seed, _ = _derived_seeds(config.sweep.seed)
     x0 = sample_initial_positions(
-        np.abs(psi0.values) ** 2, grid, config.sweep.ensemble_size, sampling_seed
+        np.abs(row.psi0.values) ** 2, row.grid, config.sweep.ensemble_size, sampling_seed
     )
-    hist_osc = FieldHistory(grid, frame_times, u_osc)
-    hist_eff = FieldHistory(grid, frame_times, u_eff)
     out_times = frame_times[::4]
-    ens_osc = integrate_trajectories(hist_osc, x0, out_times)
-    ens_eff = integrate_trajectories(hist_eff, x0, out_times)
+    return (
+        integrate_trajectories(FieldHistory(row.grid, frame_times, u_osc), x0, out_times),
+        integrate_trajectories(FieldHistory(row.grid, frame_times, u_eff), x0, out_times),
+    )
 
+
+def _measures(
+    config: ExperimentConfig,
+    recording: _Recording,
+    ensembles: tuple[TrajectoryEnsemble, TrajectoryEnsemble],
+) -> dict[str, Any]:
+    """Mono-kinetic flat distance, deviation fractions and flow injectivity."""
+    _, dictionary_seed = _derived_seeds(config.sweep.seed)
+    dens_osc, dens_eff = recording.final_densities
+    mono_dev = monokinetic_deviation(
+        bohmian_measure(dens_osc),
+        dens_eff,
+        dictionary_size=config.measure.dictionary_size,
+        seed=dictionary_seed,
+    )
+    ens_osc, ens_eff = ensembles
     traj_dev = tuple(
         (d, trajectory_deviation_measure(ens_osc, ens_eff, d))
         for d in config.sweep.delta_list
     )
+    # both ensembles start from the same points: one pair list serves both
+    # unless a sample escaped from one and not the other
+    pairs = injectivity_pairs(ens_osc) if np.array_equal(ens_osc.valid, ens_eff.valid) else None
     inj = min(
-        flow_injectivity_monitor(ens_osc).min_pair_separation_ratio,
-        flow_injectivity_monitor(ens_eff).min_pair_separation_ratio,
+        flow_injectivity_monitor(ens, pairs=pairs).min_pair_separation_ratio
+        for ens in ensembles
     )
-
-    metrics = {
-        "h1_wave": h1_wave,
-        "l1_rho": l1_rho,
-        "l1_current": l1_current,
-        "b_eps_avg": float(np.mean(b_vals)),
-        "monokinetic_dev": mono_dev,
-        "traj_dev": traj_dev,
-        "boundary_mass": boundary_max,
-        "injectivity_ratio": inj,
-    }
-    return metrics, (wf_osc, wf_eff)
+    return {"monokinetic_dev": mono_dev, "traj_dev": traj_dev, "injectivity_ratio": inj}
 
 
 def _default_workers() -> int:
@@ -518,11 +620,17 @@ def run_sweep(
 
     ``threads`` defaults to the number of CPUs this process may run on.
 
+    Every row's grid, potential, initial state and step plan are built and
+    checked first, so a config error raises before any row starts and
+    before anything is written.
+
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
     every valid row (each row's own final states).
     """
     eps_list = config.sweep.eps_list
+    for eps in eps_list:  # config errors surface here, before any row starts
+        _row_inputs(config, eps)
     workers = threads if threads and threads > 0 else _default_workers()
     workers = min(workers, len(eps_list))
 
@@ -571,7 +679,14 @@ def emit_csv(report: ConvergenceReport, path: str | Path) -> None:
     deltas = report.rows[0].traj_dev if report.rows else ()
     header = ["eps", "h1_wave", "l1_rho", "l1_current", "b_eps_avg", "monokinetic_dev"]
     header += [f"traj_dev_delta_{_format_delta(d)}" for d, _ in deltas]
-    header += ["boundary_mass", "injectivity_ratio", "valid", "reason"]
+    header += [
+        "boundary_mass",
+        "injectivity_ratio",
+        "regularized_fraction_osc",
+        "regularized_fraction_eff",
+        "valid",
+        "reason",
+    ]
     lines = [",".join(header)]
     for r in report.rows:
         cells = [
@@ -584,6 +699,7 @@ def emit_csv(report: ConvergenceReport, path: str | Path) -> None:
         ]
         cells += [_fmt(v) for _, v in r.traj_dev]
         cells += [_fmt(r.boundary_mass), _fmt(r.injectivity_ratio)]
+        cells += [_fmt(r.regularized_fraction_osc), _fmt(r.regularized_fraction_eff)]
         cells += ["true" if r.valid else "false", r.reason.replace(",", ";")]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

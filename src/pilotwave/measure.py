@@ -22,16 +22,19 @@ __all__ = [
     "PhaseSpaceMeasure",
     "FeatureDictionary",
     "InjectivityReport",
+    "NeighbourPairs",
     "bohmian_measure",
     "pair_with_test_function",
     "flat_distance",
     "monokinetic_deviation",
     "trajectory_deviation_measure",
+    "injectivity_pairs",
     "flow_injectivity_monitor",
 ]
 
 DROP_FLOOR_SCALE = 1e-14
 MASS_MATCH_TOL = 1e-8
+FEATURE_BLOCK = 16  # features evaluated together by FeatureDictionary.integrate
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,25 @@ class FeatureDictionary:
         return cls(omega=omega, offset=offset, norm=norm)
 
     def integrate(self, beta: PhaseSpaceMeasure) -> np.ndarray:
-        """<beta, phi_j> for every feature; returns (size,)."""
+        """<beta, phi_j> for every feature; returns (size,).
+
+        Features are evaluated ``FEATURE_BLOCK`` at a time, so the largest
+        temporary is (points x FEATURE_BLOCK), never (points x size).  Each
+        block makes the same products as the whole matrix would; when the
+        block divides the size, the values equal the whole-matrix ones bit
+        for bit.  Otherwise the last block may round differently in the
+        last digits, because BLAS treats a partial tile of columns apart.
+        """
         z = np.concatenate([beta.points_x, beta.points_p], axis=1)
-        feats = np.cos(z @ self.omega.T + self.offset) / self.norm
-        return beta.weights @ feats
+        out = np.empty(len(self.offset))
+        for start in range(0, out.size, FEATURE_BLOCK):
+            block = slice(start, start + FEATURE_BLOCK)
+            feats = z @ self.omega[block].T
+            feats += self.offset[block]
+            np.cos(feats, out=feats)
+            feats /= self.norm[block]
+            out[block] = beta.weights @ feats
+        return out
 
 
 def flat_distance(
@@ -185,48 +203,92 @@ class InjectivityReport(NamedTuple):
     first_violation_time: float | None
 
 
-def flow_injectivity_monitor(
-    ens: TrajectoryEnsemble,
-    n_neighbors: int = 64,
-    violation_ratio: float = 1e-3,
-) -> InjectivityReport:
-    """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
+@dataclass(frozen=True, eq=False)
+class NeighbourPairs:
+    """Unordered pairs of k-nearest initial neighbours among valid samples.
 
-    Pairs are restricted to each sample's nearest initial neighbors, so the
-    cost stays O(M * n_neighbors).  Each unordered pair is measured once,
-    whether one or both of its samples list the other as a neighbor.  A
-    ratio below ``violation_ratio`` is the proxy for trajectory crossing;
-    the first time it happens is reported.
+    ``lo``/``hi`` index the valid samples (``np.flatnonzero(valid)``);
+    ``base`` is each pair's initial separation, always positive.
     """
+
+    initial_points: np.ndarray  # (M, dim), the ensemble's own array
+    valid: np.ndarray  # (M,) bool
+    lo: np.ndarray
+    hi: np.ndarray
+    base: np.ndarray
+
+    def fits(self, ens: TrajectoryEnsemble) -> bool:
+        """Whether the pairs were built from ``ens``'s initial points and valid samples."""
+        return np.array_equal(self.valid, ens.valid) and np.array_equal(
+            self.initial_points, ens.initial_points
+        )
+
+
+def injectivity_pairs(ens: TrajectoryEnsemble, n_neighbors: int = 64) -> NeighbourPairs:
+    """Each unordered pair of ``n_neighbors``-nearest initial neighbours once.
+
+    The k-NN relation is not symmetric, so a pair counts whether one or
+    both of its samples list the other.  Ensembles that share initial
+    points and valid samples share the list.
+    """
+    if n_neighbors < 1:
+        raise UsageError(f"n_neighbors must be >= 1, got {n_neighbors}")
     valid = np.flatnonzero(ens.valid)
     m = valid.size
     if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
     x0 = ens.initial_points[valid]
-    k = min(n_neighbors + 1, m)
-    _, nbr = cKDTree(x0).query(x0, k=k)
-    nbr = np.atleast_2d(nbr)[:, 1:]  # drop self-match
+    nbr = cKDTree(x0).query(x0, k=min(n_neighbors + 1, m))[1]  # distances dropped at once
 
-    # the k-NN relation is not symmetric, so take the union of both
-    # directions; sorting beats np.unique's hashing at this size
-    rows = np.repeat(np.arange(m), nbr.shape[1])
-    cols = nbr.ravel()
-    keys = np.sort(np.minimum(rows, cols) * m + np.maximum(rows, cols))
+    # key = min(i, j) * m + max(i, j) per (sample, neighbour), self-match
+    # dropped; formed in place and sorted in place, which beats np.unique's
+    # hashing at this size
+    cols = nbr[:, 1:]
+    rows = np.arange(m)[:, None]
+    keys = np.minimum(cols, rows)
+    np.maximum(cols, rows, out=cols)
+    keys *= m
+    keys += cols
+    del nbr, cols
+    keys = keys.ravel()
+    keys.sort()
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     lo, hi = np.divmod(keys[first], m)
+    del keys, first
     base = _pair_separation(x0.T, lo, hi)
     keep = base > 0  # coincident initial samples carry no ratio information
-    lo, hi, base = lo[keep], hi[keep], base[keep]
-    if lo.size == 0:
+    if not keep.any():
         raise UsageError("all neighbor pairs coincide at t=0")
+    return NeighbourPairs(ens.initial_points, ens.valid, lo[keep], hi[keep], base[keep])
 
+
+def flow_injectivity_monitor(
+    ens: TrajectoryEnsemble,
+    n_neighbors: int = 64,
+    violation_ratio: float = 1e-3,
+    pairs: NeighbourPairs | None = None,
+) -> InjectivityReport:
+    """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
+
+    Pairs are restricted to each sample's nearest initial neighbors, so the
+    cost stays O(M * n_neighbors); each unordered pair is measured once
+    (see ``injectivity_pairs``).  ``pairs`` passes a list already built for
+    an ensemble with the same initial points and valid samples, and then
+    ``n_neighbors`` is not used.  A ratio below ``violation_ratio`` is the
+    proxy for trajectory crossing; the first time it happens is reported.
+    """
+    if pairs is None:
+        pairs = injectivity_pairs(ens, n_neighbors)
+    elif not pairs.fits(ens):
+        raise UsageError("pair list was built for other initial points or valid samples")
+    valid = np.flatnonzero(ens.valid)
     positions = np.ascontiguousarray(ens.positions[:, valid, :].transpose(0, 2, 1))  # (K, dim, m)
     min_ratio = np.inf
     first_violation = None
     for k_t, t in enumerate(ens.times):
-        sep = _pair_separation(positions[k_t], lo, hi)
-        ratio = float(np.min(sep / base))
+        sep = _pair_separation(positions[k_t], pairs.lo, pairs.hi)
+        ratio = float(np.min(sep / pairs.base))
         if ratio < min_ratio:
             min_ratio = ratio
         if first_violation is None and ratio < violation_ratio:

@@ -1,9 +1,13 @@
+import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 import yaml
+from scipy.spatial import cKDTree
 
 from pilotwave.cli import main as cli_main
 from pilotwave.errors import ConfigError, PlacementError
@@ -13,6 +17,7 @@ from pilotwave.harness import (
     ExperimentConfig,
     GridSpec,
     InitialStateSpec,
+    MeasureSpec,
     OutputSpec,
     PotentialSpec,
     SweepRow,
@@ -29,6 +34,7 @@ from pilotwave.harness import (
     run_single,
     run_sweep,
 )
+from pilotwave.measure import flow_injectivity_monitor
 from pilotwave.potential import effective_potential
 from pilotwave.solver import EffectiveSystem, OscillatingSystem, SolverConfig, propagate
 
@@ -205,6 +211,111 @@ class TestFrameDiagnostics:
         assert per_frame == [2 * (1 + cfg.grid.dim) + 2] * (n_steps // stride + 1)
 
 
+class TestRowStages:
+    def test_velocity_histories_are_freed_before_the_flat_distance(self, monkeypatch):
+        import pilotwave.harness as harness
+
+        histories = []
+        real_history = harness.FieldHistory
+
+        def tracked_history(*args, **kwargs):
+            history = real_history(*args, **kwargs)
+            histories.append((weakref.ref(history), weakref.ref(history.values)))
+            return history
+
+        seen = []
+        real_mono = harness.monokinetic_deviation
+
+        def checked_mono(*args, **kwargs):
+            gc.collect()
+            seen.append([(h() is None, values() is None) for h, values in histories])
+            return real_mono(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "FieldHistory", tracked_history)
+        monkeypatch.setattr(harness, "monokinetic_deviation", checked_mono)
+        cfg = ExperimentConfig(
+            grid=GridSpec(dim=2, n_per_axis=256, half_width=12.0),
+            initial_state=InitialStateSpec(center=(0.0, 0.0), momentum=(0.0, 0.0)),
+            sweep=SweepSpec(horizon=0.25, eps_list=(0.2,), delta_list=(0.05,),
+                            ensemble_size=100, seed=4),
+            measure=MeasureSpec(dictionary_size=32),
+        )
+        assert run_single(cfg, 0.2).valid
+        # both histories were built (trajectories ran first) and neither they
+        # nor their velocity arrays were reachable when the flat distance ran
+        assert seen == [[(True, True), (True, True)]]
+
+    @pytest.mark.parametrize("escape", [False, True])
+    def test_pair_list_is_built_once_per_row(self, monkeypatch, escape):
+        import pilotwave.harness as harness
+        import pilotwave.measure as measure
+
+        queries = []
+
+        class CountingTree(cKDTree):
+            def query(self, *args, **kwargs):
+                queries.append(1)
+                return super().query(*args, **kwargs)
+
+        ensembles = []
+        real_integrate = harness.integrate_trajectories
+
+        def integrate(*args, **kwargs):
+            ens = real_integrate(*args, **kwargs)
+            if escape and ensembles:  # one sample of the second ensemble escaped
+                valid = ens.valid.copy()
+                valid[7] = False
+                ens = dataclasses.replace(ens, valid=valid)
+            ensembles.append(ens)
+            return ens
+
+        monkeypatch.setattr(measure, "cKDTree", CountingTree)
+        monkeypatch.setattr(harness, "integrate_trajectories", integrate)
+        row = run_single(small_config(eps_list=(0.2,)), 0.2)
+        assert row.valid
+        assert len(queries) == (2 if escape else 1)
+        # the ratio is the one each ensemble gets from a pair list of its own
+        want = min(flow_injectivity_monitor(e).min_pair_separation_ratio for e in ensembles)
+        assert row.injectivity_ratio == want
+
+    def test_regularized_fraction_is_the_largest_over_frames(self, monkeypatch):
+        import pilotwave.harness as harness
+
+        fractions = []
+        real_densities = harness.densities
+
+        def tracked(*args, **kwargs):
+            d = real_densities(*args, **kwargs)
+            fractions.append(d.regularized_fraction)
+            return d
+
+        monkeypatch.setattr(harness, "densities", tracked)
+        cfg = small_config(eps_list=(0.2,))
+        row = run_single(cfg, 0.2)
+        n_steps, _, stride = _step_plan(cfg, 0.2)
+        assert len(fractions) == 2 * (n_steps // stride + 1)  # per frame: oscillating, effective
+        assert row.regularized_fraction_osc == max(fractions[0::2])
+        assert row.regularized_fraction_eff == max(fractions[1::2])
+        assert 0.0 < row.regularized_fraction_osc < 1.0
+        mapping = row.to_mapping()
+        assert mapping["regularized_fraction_osc"] == row.regularized_fraction_osc
+        assert mapping["regularized_fraction_eff"] == row.regularized_fraction_eff
+
+    def test_invalid_row_has_no_regularized_fraction(self):
+        cfg = ExperimentConfig(
+            grid=GridSpec(dim=1, n_per_axis=256, half_width=12.0),
+            potential=PotentialSpec(temporal="one_plus_cos", spatial="cosine_lattice",
+                                    lattice_amplitude=0.0),
+            initial_state=InitialStateSpec(kind="gaussian", momentum=(5.0,)),
+            sweep=SweepSpec(horizon=1.5, eps_list=(0.2,), delta_list=(0.05,),
+                            ensemble_size=200, seed=1),
+        )
+        row = run_single(cfg, 0.2)
+        assert not row.valid
+        assert math.isnan(row.regularized_fraction_osc)
+        assert math.isnan(row.regularized_fraction_eff)
+
+
 class TestRunSweep:
     def test_singleton_sweep(self):
         cfg = small_config(eps_list=(0.2,))
@@ -309,7 +420,8 @@ class TestEmitters:
         header = lines[0].split(",")
         assert header == [
             "eps", "h1_wave", "l1_rho", "l1_current", "b_eps_avg", "monokinetic_dev",
-            "traj_dev_delta_0.05", "boundary_mass", "injectivity_ratio", "valid", "reason",
+            "traj_dev_delta_0.05", "boundary_mass", "injectivity_ratio",
+            "regularized_fraction_osc", "regularized_fraction_eff", "valid", "reason",
         ]
         cells = lines[1].split(",")
         assert cells[0] == "0.20000000000000001"  # 17 significant digits
@@ -400,6 +512,31 @@ class TestCli:
         assert (out / "report.json").exists()
         parsed = json.loads((out / "report.json").read_text())
         assert len(parsed["rows"]) == 2
+
+    def test_config_error_stops_the_sweep_before_any_row(self, tmp_path, monkeypatch, capsys):
+        # the eps-scaled bump pushes the eps=1 state past |x| <= L/2; the
+        # eps=1e-4 row is fine and would take 320,000 steps
+        import pilotwave.harness as harness
+
+        started = []
+
+        def no_lockstep(*args, **kwargs):
+            started.append(1)
+            raise AssertionError("a row started propagating")
+
+        monkeypatch.setattr(harness, "lockstep", no_lockstep)
+        cfg_path = tmp_path / "narrow.yaml"
+        cfg_path.write_text(
+            "grid: {dim: 1, n_per_axis: 512, half_width: 6.0}\n"
+            "initial_state: {width: 0.5, eps_perturbation: true}\n"
+            "sweep: {eps_list: [1.0, 0.0001]}\n"
+        )
+        out = tmp_path / "out"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--threads", "2"])
+        assert rc == 2
+        assert "outside |x| <= L/2" in capsys.readouterr().err
+        assert started == []
+        assert not out.exists() or not any(out.iterdir())
 
     def test_run_command_requires_unambiguous_eps(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.yaml"

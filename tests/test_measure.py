@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -12,11 +14,14 @@ from pilotwave.bohm import (
 from pilotwave.errors import UsageError
 from pilotwave.grid import ComplexField, make_grid
 from pilotwave.measure import (
+    FEATURE_BLOCK,
+    FeatureDictionary,
     InjectivityReport,
     PhaseSpaceMeasure,
     bohmian_measure,
     flat_distance,
     flow_injectivity_monitor,
+    injectivity_pairs,
     monokinetic_deviation,
     pair_with_test_function,
     trajectory_deviation_measure,
@@ -155,6 +160,61 @@ class TestFlatDistance:
             worst_tri = max(worst_tri, d13 - (d12 + d23))
         assert worst_sym <= 1e-12
         assert worst_tri <= 1e-12
+
+
+def random_cloud(rng, dim, m):
+    x = rng.normal(size=(m, dim))
+    p = rng.normal(size=(m, dim))
+    w = rng.random(m)
+    w /= w.sum()
+    return PhaseSpaceMeasure(x, p, w, float(w.sum()))
+
+
+def whole_matrix_integral(dictionary, beta):
+    """The dictionary pairing with every feature evaluated at once."""
+    z = np.concatenate([beta.points_x, beta.points_p], axis=1)
+    feats = np.cos(z @ dictionary.omega.T + dictionary.offset) / dictionary.norm
+    return beta.weights @ feats
+
+
+class TestFeatureDictionary:
+    @pytest.mark.parametrize("dim, points", [(1, 512), (2, 15000), (3, 4000)])
+    def test_blocked_integral_equals_the_whole_matrix(self, dim, points):
+        rng = np.random.default_rng(dim)
+        beta = random_cloud(rng, dim, points)
+        for size in (1, FEATURE_BLOCK, 3 * FEATURE_BLOCK, 256):
+            dictionary = FeatureDictionary.make(dim, size, seed=size)
+            got = dictionary.integrate(beta)
+            assert got.shape == (size,)
+            assert np.array_equal(got, whole_matrix_integral(dictionary, beta)), size
+
+    @pytest.mark.parametrize("dim, points", [(1, 512), (2, 15000), (3, 4000)])
+    def test_partial_last_block_agrees_to_rounding(self, dim, points):
+        # a partial tile of columns takes its own BLAS path, so only the
+        # last digits of a feature may move
+        rng = np.random.default_rng(10 + dim)
+        beta = random_cloud(rng, dim, points)
+        for size in (17, 250):
+            dictionary = FeatureDictionary.make(dim, size, seed=size)
+            got = dictionary.integrate(beta)
+            want = whole_matrix_integral(dictionary, beta)
+            tol = 256 * np.finfo(np.float64).eps * beta.total_mass  # |phi| <= 1
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_no_matrix_of_every_feature_is_built(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        beta = random_cloud(rng, 2, 1000)
+        dictionary = FeatureDictionary.make(2, 256, seed=1)
+        widths = []
+        real_cos = np.cos
+
+        def cos(x, *args, **kwargs):
+            widths.append(np.shape(x)[-1])
+            return real_cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", cos)
+        dictionary.integrate(beta)
+        assert widths == [FEATURE_BLOCK] * (256 // FEATURE_BLOCK)
 
 
 class TestMonokineticDeviation:
@@ -311,6 +371,36 @@ class TestInjectivityMonitor:
                     assert got == want
                     violations += got.first_violation_time is not None
         assert violations > 0
+
+    def test_positional_arguments(self):
+        rng = np.random.default_rng(3)
+        ens = random_ensemble(rng, 2, 60)
+        assert flow_injectivity_monitor(ens, 4, 0.2) == flow_injectivity_monitor(
+            ens, n_neighbors=4, violation_ratio=0.2
+        )
+        assert flow_injectivity_monitor(ens, 4, 0.2) == directed_pair_monitor(ens, 4, 0.2)
+
+    def test_shared_pair_list(self):
+        rng = np.random.default_rng(4)
+        ens = random_ensemble(rng, 2, 60)
+        twin = dataclasses.replace(ens, positions=ens.positions[::-1].copy())
+        pairs = injectivity_pairs(ens, 4)
+        for e in (ens, twin):
+            assert flow_injectivity_monitor(e, pairs=pairs) == flow_injectivity_monitor(e, 4)
+
+    def test_pair_list_of_other_samples_rejected(self):
+        rng = np.random.default_rng(5)
+        ens = random_ensemble(rng, 1, 40)
+        pairs = injectivity_pairs(ens)
+        valid = ens.valid.copy()
+        valid[0] = False
+        with pytest.raises(UsageError, match="pair list"):
+            flow_injectivity_monitor(dataclasses.replace(ens, valid=valid), pairs=pairs)
+        moved = dataclasses.replace(ens, initial_points=ens.initial_points + 1.0)
+        with pytest.raises(UsageError, match="pair list"):
+            flow_injectivity_monitor(moved, pairs=pairs)
+        with pytest.raises(UsageError, match="n_neighbors"):
+            injectivity_pairs(ens, 0)
 
     def test_rigid_translation(self):
         g = make_grid(1, 64, 8.0)

@@ -2,13 +2,18 @@
 
 It stops a traced benchmark run when one of them is gone or records no
 call, so a refactor that renames or stops calling such a name fails here
-first.  The tracer module is loaded from its file; its own wrappers are
-never installed.
+first.  The tracer module is loaded from its file.  One test installs its
+wrappers around a tiny sweep and turns the spans into the per-layer
+metrics, as a traced benchmark call does; every name it wraps is restored
+afterwards.
 """
 
 import functools
+import importlib
 import importlib.util
 import inspect
+import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +60,17 @@ def test_trajectory_parameters_keep_their_names():
     assert params[:3] == ["history", "initial_points", "times"]
 
 
+def tiny_config(tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(
+        "grid: {dim: 1, n_per_axis: 256, half_width: 12.0}\n"
+        "sweep: {horizon: 0.25, eps_list: [0.2], ensemble_size: 100}\n"
+        "measure: {dictionary_size: 32}\n"
+        "output: {save_fields: true}\n"
+    )
+    return path
+
+
 def test_every_target_is_called_by_a_sweep(spans, monkeypatch, tmp_path):
     counts = dict.fromkeys(spans.TARGETS, 0)
     for name, (owner, attr) in spans.TARGETS.items():
@@ -66,13 +82,42 @@ def test_every_target_is_called_by_a_sweep(spans, monkeypatch, tmp_path):
 
         monkeypatch.setattr(obj, attr, functools.wraps(getattr(obj, attr))(counted))
 
-    cfg_path = tmp_path / "tiny.yaml"
-    cfg_path.write_text(
-        "grid: {dim: 1, n_per_axis: 256, half_width: 12.0}\n"
-        "sweep: {horizon: 0.25, eps_list: [0.2], ensemble_size: 100}\n"
-        "measure: {dictionary_size: 32}\n"
-        "output: {save_fields: true}\n"
-    )
+    cfg_path = tiny_config(tmp_path)
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     silent = sorted(name for name, n in counts.items() if n == 0)
     assert not silent, f"traced layers with no call: {silent}"
+
+
+def test_traced_sweep_yields_every_layer_metric(spans, monkeypatch, tmp_path):
+    # monkeypatch snapshots each name the tracer replaces, so teardown puts
+    # the originals back
+    for module_name in spans.FFT_MODULES:
+        module = importlib.import_module(module_name)
+        for fn in spans.FFT_FUNCTIONS:
+            monkeypatch.setattr(module, fn, getattr(module, fn))
+    for owner, attr in spans.TARGETS.values():
+        obj = spans._resolve(owner)
+        monkeypatch.setattr(obj, attr, getattr(obj, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+
+    cfg_path = tiny_config(tmp_path)
+    t0 = time.perf_counter()
+    rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    t1 = time.perf_counter()
+    assert rc == 0
+    tracer.dump(str(tmp_path / "spans.json"), (t0, t1))
+    trace = json.loads((tmp_path / "spans.json").read_text())
+
+    metrics = spans.layer_metrics(trace, set(spans.TARGETS) | {spans.FFT_SPAN})
+    assert set(metrics) == {name for name, _ in spans.PER_LAYER} - {"trace.overhead_frac"}
+    # 1D n=256, T=0.25, eps=0.2: 40 steps per system, 21 velocity frames
+    assert metrics["harness.rows"] == 1
+    assert metrics["harness.row_computations"] == 1
+    assert metrics["harness.invalid_rows"] == 0
+    assert metrics["solver.steps"] == 80
+    assert metrics["bohm.history_bytes"] == 2 * 21 * 256 * 8
+    assert metrics["bohm.traj_velocity_evals"] == 2 * 100 * (5 * 6 - 4)
+    assert metrics["measure.injectivity_calls"] == 2
+    assert metrics["fieldio.save_calls"] == 2
+    assert 0 < metrics["measure.feature_matrix_bytes"] <= 256 * 32 * 8
