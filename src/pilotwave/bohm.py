@@ -1,9 +1,11 @@
 """Bohmian hydrodynamics: densities, velocity, quantum potential,
 ensemble sampling, trajectory integration and residual checks.
 
-Velocity fields are u = J / rho with a relative density floor active only
-near nodes; trajectory samples are drawn from rho0, which keeps them away
-from nodes almost surely.  Trajectories are integrated with classical RK4
+Velocity fields are u = J / rho with a relative density floor (1e-12 of
+the density maximum), active near nodes and in the far tails of a
+localized state.  The floored share counts grid points, so a packet that
+fills a small part of its box floors most of the box.  Trajectory samples
+are drawn from rho0, which keeps them away from nodes almost surely.  Trajectories are integrated with classical RK4
 on top of cubic (Catmull-Rom) interpolation in both space and time.
 """
 
@@ -166,8 +168,9 @@ def velocity(
 ) -> VelocityField:
     """u = J / max(rho, floor); the floor defaults to 1e-12 * max(rho).
 
-    The floor only acts near density nodes; the returned fraction counts
-    the floored grid points.
+    The floor acts near density nodes and in the far tails of a localized
+    state.  The returned fraction counts the floored grid points, so it
+    mostly measures how much of the box the state leaves empty.
     """
     if reg_floor is None:
         reg_floor = DEFAULT_REG_SCALE * float(rho.max())

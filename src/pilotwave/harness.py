@@ -173,6 +173,10 @@ class ExperimentConfig:
             )
         if not (self.solver.dt_cap > 0):
             raise ConfigError("dt_cap must be positive")
+        if s.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {s.seed}")
+        if self.measure.dictionary_size < 1:
+            raise ConfigError(f"dictionary_size must be >= 1, got {self.measure.dictionary_size}")
 
     def to_mapping(self) -> dict[str, Any]:
         """Resolved config as plain nested dicts (defaults included)."""
@@ -186,41 +190,33 @@ class ExperimentConfig:
         return dataclasses.replace(self, sweep=dataclasses.replace(self.sweep, seed=seed))
 
 
-_SECTION_TYPES = {
-    "grid": GridSpec,
-    "potential": PotentialSpec,
-    "initial_state": InitialStateSpec,
-    "solver": SolverSpec,
-    "sweep": SweepSpec,
-    "measure": MeasureSpec,
-    "output": OutputSpec,
-}
-
-_LIST_KEYS = {"center", "momentum", "eps_list", "delta_list"}
-
-
 def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
-    """Build a config from nested mappings; unknown keys are errors."""
+    """Build a config from nested mappings; unknown keys are errors.
+
+    The sections are ``ExperimentConfig``'s fields; a key whose default is
+    a tuple takes a YAML list.
+    """
     if not isinstance(data, Mapping):
         raise ConfigError("config root must be a mapping of sections")
-    unknown = set(data) - set(_SECTION_TYPES)
+    sections = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(data) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     kwargs: dict[str, Any] = {}
-    for name, cls in _SECTION_TYPES.items():
+    for name, cls in sections.items():
         section = data.get(name, {})
         if section is None:
             section = {}
         if not isinstance(section, Mapping):
             raise ConfigError(f"config section '{name}' must be a mapping")
-        allowed = set(cls.__dataclass_fields__)
-        bad = set(section) - allowed
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        bad = set(section) - set(defaults)
         if bad:
             raise ConfigError(
-                f"unknown keys in section '{name}': {sorted(bad)} (allowed: {sorted(allowed)})"
+                f"unknown keys in section '{name}': {sorted(bad)} (allowed: {sorted(defaults)})"
             )
         coerced = {
-            k: tuple(v) if k in _LIST_KEYS and isinstance(v, (list, tuple)) else v
+            k: tuple(v) if isinstance(defaults[k], tuple) and isinstance(v, (list, tuple)) else v
             for k, v in section.items()
         }
         kwargs[name] = cls(**coerced)
@@ -246,45 +242,50 @@ def harmonic_benchmark_config(seed: int = 20240811) -> ExperimentConfig:
 # report types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepRow:
+    """One eps row of a report.
+
+    The fields before ``final_states`` are the report's columns, in the
+    order of ``report.json`` and ``report.csv``.  Every metric defaults to
+    NaN, which is what an invalid row reports.  A field with a tuple
+    default holds (delta, value) pairs: one mapping in JSON, one
+    ``<name>_delta_<delta>`` column per delta in CSV.
+    """
+
     eps: float
-    h1_wave: float
-    l1_rho: float
-    l1_current: float
-    b_eps_avg: float
-    monokinetic_dev: float
-    traj_dev: tuple[tuple[float, float], ...]  # (delta, fraction) pairs
-    boundary_mass: float
-    injectivity_ratio: float
-    valid: bool
-    reason: str
-    wall_time: float
+    h1_wave: float = math.nan
+    l1_rho: float = math.nan
+    l1_current: float = math.nan
+    b_eps_avg: float = math.nan
+    monokinetic_dev: float = math.nan
+    traj_dev: tuple[tuple[float, float], ...] = ()  # (delta, fraction) pairs
+    boundary_mass: float = math.nan
+    injectivity_ratio: float = math.nan
     # largest share of floored velocity points over the recorded frames
     regularized_fraction_osc: float = math.nan
     regularized_fraction_eff: float = math.nan
+    valid: bool
+    reason: str
+    wall_time: float = field(metadata={"csv": False})  # not deterministic
     # (oscillating, effective) states at the horizon; None for an invalid row
     final_states: tuple[WaveFunction, WaveFunction] | None = field(
         default=None, compare=False, repr=False
     )
 
     def to_mapping(self) -> dict[str, Any]:
-        return {
-            "eps": self.eps,
-            "h1_wave": self.h1_wave,
-            "l1_rho": self.l1_rho,
-            "l1_current": self.l1_current,
-            "b_eps_avg": self.b_eps_avg,
-            "monokinetic_dev": self.monokinetic_dev,
-            "traj_dev": {_format_delta(d): v for d, v in self.traj_dev},
-            "boundary_mass": self.boundary_mass,
-            "injectivity_ratio": self.injectivity_ratio,
-            "regularized_fraction_osc": self.regularized_fraction_osc,
-            "regularized_fraction_eff": self.regularized_fraction_eff,
-            "valid": self.valid,
-            "reason": self.reason,
-            "wall_time": self.wall_time,
-        }
+        """The ``report.json`` row."""
+        out: dict[str, Any] = {}
+        for f in _COLUMNS:
+            value = getattr(self, f.name)
+            out[f.name] = (
+                {_format_delta(d): v for d, v in value} if isinstance(f.default, tuple) else value
+            )
+        return out
+
+
+_COLUMNS = tuple(f for f in dataclasses.fields(SweepRow) if f.compare)
+_CSV_COLUMNS = tuple(f for f in _COLUMNS if f.metadata.get("csv", True))
 
 
 _RATIO_METRICS = ("h1_wave", "l1_rho", "l1_current", "b_eps_avg", "monokinetic_dev")
@@ -402,17 +403,9 @@ def run_single(config: ExperimentConfig, eps: float) -> SweepRow:
     try:
         metrics, final_states = _run_single_metrics(config, eps)
     except MonitorAbort as exc:
-        nan = float("nan")
         return SweepRow(
             eps=eps,
-            h1_wave=nan,
-            l1_rho=nan,
-            l1_current=nan,
-            b_eps_avg=nan,
-            monokinetic_dev=nan,
-            traj_dev=tuple((d, nan) for d in config.sweep.delta_list),
-            boundary_mass=nan,
-            injectivity_ratio=nan,
+            traj_dev=tuple((d, math.nan) for d in config.sweep.delta_list),
             valid=False,
             reason=f"{type(exc).__name__}: {exc}",
             wall_time=time.perf_counter() - t_start,
@@ -595,9 +588,10 @@ def _measures(
     )
     # both ensembles start from the same points: one pair list serves both
     # unless a sample escaped from one and not the other
-    pairs = injectivity_pairs(ens_osc) if np.array_equal(ens_osc.valid, ens_eff.valid) else None
+    pairs = injectivity_pairs(ens_osc)
     inj = min(
-        flow_injectivity_monitor(ens, pairs=pairs).min_pair_separation_ratio
+        flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None)
+        .min_pair_separation_ratio
         for ens in ensembles
     )
     return {"monokinetic_dev": mono_dev, "traj_dev": traj_dev, "injectivity_ratio": inj}
@@ -675,33 +669,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_cells(row: SweepRow) -> dict[str, str]:
+    """The ``report.json`` row without its JSON-only columns, each per-delta
+    mapping spread over ``<name>_delta_<delta>`` cells."""
+    mapping = row.to_mapping()
+    cells: dict[str, str] = {}
+    for f in _CSV_COLUMNS:
+        value = mapping[f.name]
+        if isinstance(value, Mapping):
+            cells.update((f"{f.name}_delta_{d}", _fmt(v)) for d, v in value.items())
+        elif isinstance(value, bool):
+            cells[f.name] = "true" if value else "false"
+        elif isinstance(value, str):
+            cells[f.name] = value.replace(",", ";")
+        else:
+            cells[f.name] = _fmt(value)
+    return cells
+
+
 def emit_csv(report: ConvergenceReport, path: str | Path) -> None:
-    deltas = report.rows[0].traj_dev if report.rows else ()
-    header = ["eps", "h1_wave", "l1_rho", "l1_current", "b_eps_avg", "monokinetic_dev"]
-    header += [f"traj_dev_delta_{_format_delta(d)}" for d, _ in deltas]
-    header += [
-        "boundary_mass",
-        "injectivity_ratio",
-        "regularized_fraction_osc",
-        "regularized_fraction_eff",
-        "valid",
-        "reason",
+    rows = [_csv_cells(r) for r in report.rows]
+    # the per-delta columns follow the rows' deltas; an empty report has none
+    header = list(rows[0]) if rows else [
+        f.name for f in _CSV_COLUMNS if not isinstance(f.default, tuple)
     ]
-    lines = [",".join(header)]
-    for r in report.rows:
-        cells = [
-            _fmt(r.eps),
-            _fmt(r.h1_wave),
-            _fmt(r.l1_rho),
-            _fmt(r.l1_current),
-            _fmt(r.b_eps_avg),
-            _fmt(r.monokinetic_dev),
-        ]
-        cells += [_fmt(v) for _, v in r.traj_dev]
-        cells += [_fmt(r.boundary_mass), _fmt(r.injectivity_ratio)]
-        cells += [_fmt(r.regularized_fraction_osc), _fmt(r.regularized_fraction_eff)]
-        cells += ["true" if r.valid else "false", r.reason.replace(",", ";")]
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(cells.values()) for cells in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import json
 import math
+import typing
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,12 +62,13 @@ sweep:
 """
 
 
-def small_config(**sweep_kwargs) -> ExperimentConfig:
+def small_config(measure: MeasureSpec = MeasureSpec(), **sweep_kwargs) -> ExperimentConfig:
     sweep = dict(horizon=0.5, eps_list=(0.2, 0.1), delta_list=(0.05,), ensemble_size=200, seed=99)
     sweep.update(sweep_kwargs)
     return ExperimentConfig(
         grid=GridSpec(dim=1, n_per_axis=256, half_width=12.0),
         sweep=SweepSpec(**sweep),
+        measure=measure,
     )
 
 
@@ -99,6 +102,8 @@ class TestConfig:
             {"ensemble_size": 50},  # below measure-statistics floor
             {"horizon": 0.0},
             {"delta_list": (0.05, -0.1)},
+            {"seed": -1},  # SeedSequence rejects it only once a row has propagated
+            {"measure": MeasureSpec(dictionary_size=0)},  # no feature to take the max over
         ],
     )
     def test_invalid_sweeps_rejected(self, patch):
@@ -146,9 +151,11 @@ class TestRunSingle:
     def test_benchmark_row_is_finite_and_valid(self):
         row = run_single(harmonic_benchmark_config(), 0.1)
         assert row.valid and row.reason == ""
-        for name in ("h1_wave", "l1_rho", "l1_current", "b_eps_avg", "monokinetic_dev",
-                     "boundary_mass", "injectivity_ratio"):
-            assert math.isfinite(getattr(row, name))
+        # every float column, so a metric a stage forgets keeps its NaN default and fails
+        floats = [name for name, t in typing.get_type_hints(SweepRow).items() if t is float]
+        assert "regularized_fraction_eff" in floats and "wall_time" in floats
+        for name in floats:
+            assert math.isfinite(getattr(row, name)), name
         assert all(math.isfinite(v) for _, v in row.traj_dev)
 
     def test_monitor_abort_marks_row_invalid(self):
@@ -454,6 +461,33 @@ class TestEmitters:
         assert parsed["partial"] is True
 
 
+class TestReadmeContract:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def _block(self, after: str) -> str:
+        """The first fenced block after the line ``after``."""
+        text = self.README.read_text(encoding="utf-8")
+        rest = text[text.index(after + "\n") :]
+        start = rest.index("```")
+        body = rest[rest.index("\n", start) + 1 :]
+        return body[: body.index("```")]
+
+    def test_schema_block_is_the_default_config(self):
+        block = self._block("## Configuration schema (YAML)")
+        assert config_from_mapping(yaml.safe_load(block)) == ExperimentConfig()
+
+    def test_csv_column_block_is_the_emitted_header(self, tmp_path):
+        block = self._block("`report.csv` columns:")
+        documented = [c.strip() for c in block.replace("\n", " ").split(",")]
+        path = tmp_path / "one.csv"
+        row = SweepRow(eps=0.1, traj_dev=((0.05, 0.0),), valid=True, reason="", wall_time=0.0)
+        emit_csv(ConvergenceReport(rows=(row,), metadata={}), path)
+        header = path.read_text().split("\n")[0].split(",")
+        placeholder = ["traj_dev_delta_<delta>..." if c == "traj_dev_delta_0.05" else c
+                       for c in header]
+        assert documented == placeholder
+
+
 class TestFieldSnapshots:
     def test_save_fields_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
@@ -537,6 +571,19 @@ class TestCli:
         assert "outside |x| <= L/2" in capsys.readouterr().err
         assert started == []
         assert not out.exists() or not any(out.iterdir())
+
+        # a negative seed or an empty feature dictionary fails here too, not
+        # after the rows have propagated
+        for extra, yaml_tail, message in (
+            (["--seed", "-1"], "", "seed must be >= 0"),
+            ([], "measure: {dictionary_size: 0}\n", "dictionary_size must be >= 1"),
+        ):
+            cfg_path.write_text(BENCH_YAML + yaml_tail)
+            rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)] + extra)
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            assert started == []
+            assert not out.exists() or not any(out.iterdir())
 
     def test_run_command_requires_unambiguous_eps(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.yaml"
