@@ -193,8 +193,9 @@ class ExperimentConfig:
 def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
     """Build a config from nested mappings; unknown keys are errors.
 
-    The sections are ``ExperimentConfig``'s fields; a key whose default is
-    a tuple takes a YAML list.
+    The sections are ``ExperimentConfig``'s fields.  Each value must have
+    its field default's type (see ``_expected_type``); a key whose default
+    is a tuple takes a YAML list.
     """
     if not isinstance(data, Mapping):
         raise ConfigError("config root must be a mapping of sections")
@@ -215,12 +216,39 @@ def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown keys in section '{name}': {sorted(bad)} (allowed: {sorted(defaults)})"
             )
-        coerced = {
-            k: tuple(v) if isinstance(defaults[k], tuple) and isinstance(v, (list, tuple)) else v
-            for k, v in section.items()
-        }
+        for k, v in section.items():
+            expected = _expected_type(defaults[k], v)
+            if expected is not None:
+                raise ConfigError(f"config key '{name}.{k}' must be {expected}, got {v!r}")
+        coerced = {k: tuple(v) if isinstance(defaults[k], tuple) else v for k, v in section.items()}
         kwargs[name] = cls(**coerced)
     return ExperimentConfig(**kwargs)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _expected_type(default: Any, value: Any) -> str | None:
+    """What ``value`` should be in place of ``default``, or None if it fits.
+
+    An int fits where a float belongs and is kept as it is, so the config
+    hash does not move; a ``None`` default is an optional number; a tuple
+    default takes a list of numbers.  A bool is not a number, and a string
+    is never converted.
+    """
+    if isinstance(default, tuple):
+        fits = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        return None if fits else "a list of numbers"
+    if default is None:
+        return None if value is None or _is_number(value) else "a number or null"
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, int):
+        return None if _is_number(value) and isinstance(value, int) else "an integer"
+    if isinstance(default, float):
+        return None if _is_number(value) else "a number"
+    return None if isinstance(value, type(default)) else f"a {type(default).__name__}"
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -262,6 +290,8 @@ class SweepRow:
     traj_dev: tuple[tuple[float, float], ...] = ()  # (delta, fraction) pairs
     boundary_mass: float = math.nan
     injectivity_ratio: float = math.nan
+    # earliest time either ensemble's injectivity proxy tripped; NaN if never
+    injectivity_first_violation: float = math.nan
     # largest share of floored velocity points over the recorded frames
     regularized_fraction_osc: float = math.nan
     regularized_fraction_eff: float = math.nan
@@ -589,12 +619,17 @@ def _measures(
     # both ensembles start from the same points: one pair list serves both
     # unless a sample escaped from one and not the other
     pairs = injectivity_pairs(ens_osc)
-    inj = min(
+    reports = [
         flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None)
-        .min_pair_separation_ratio
         for ens in ensembles
-    )
-    return {"monokinetic_dev": mono_dev, "traj_dev": traj_dev, "injectivity_ratio": inj}
+    ]
+    violations = [r.first_violation_time for r in reports if r.first_violation_time is not None]
+    return {
+        "monokinetic_dev": mono_dev,
+        "traj_dev": traj_dev,
+        "injectivity_ratio": min(r.min_pair_separation_ratio for r in reports),
+        "injectivity_first_violation": min(violations, default=math.nan),
+    }
 
 
 def _default_workers() -> int:

@@ -35,6 +35,8 @@ __all__ = [
 DROP_FLOOR_SCALE = 1e-14
 MASS_MATCH_TOL = 1e-8
 FEATURE_BLOCK = 16  # features evaluated together by FeatureDictionary.integrate
+QUERY_BLOCK = 2048  # samples per k-d tree query in injectivity_pairs
+PAIR_BLOCK = 65536  # neighbour pairs measured together
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,9 @@ def trajectory_deviation_measure(
     Monte-Carlo estimate of the normalized product measure of the deviation
     set over [0,T] x supp(rho0); requires paired ensembles (same initial
     points and times).  At delta = 0 only strictly positive deviations
-    count, so identical ensembles give 0.
+    count, so identical ensembles give 0.  Exceedances are counted one
+    output time at a time; the count is exact, so the fraction equals the
+    mean over the whole (times x samples) array bit for bit.
     """
     if delta < 0:
         raise UsageError(f"delta must be nonnegative, got {delta}")
@@ -188,14 +192,16 @@ def trajectory_deviation_measure(
         raise UsageError("ensembles are not paired: snapshot times differ")
     if not np.array_equal(ens_eps.initial_points, ens_eff.initial_points):
         raise UsageError("ensembles are not paired: initial points differ")
-    both = ens_eps.valid & ens_eff.valid
-    if not both.any():
+    both = np.flatnonzero(ens_eps.valid & ens_eff.valid)
+    if both.size == 0:
         raise UsageError("no valid samples shared by the two ensembles")
-    dx = ens_eps.positions[:, both, :] - ens_eff.positions[:, both, :]
-    dp = ens_eps.momenta[:, both, :] - ens_eff.momenta[:, both, :]
-    dev = np.sqrt(np.sum(dx * dx, axis=2) + np.sum(dp * dp, axis=2))
-    exceed = dev >= delta if delta > 0 else dev > 0.0
-    return float(exceed.mean())
+    count = 0
+    for k_t in range(ens_eps.times.size):
+        dx = ens_eps.positions[k_t, both] - ens_eff.positions[k_t, both]
+        dp = ens_eps.momenta[k_t, both] - ens_eff.momenta[k_t, both]
+        dev = np.sqrt(np.sum(dx * dx, axis=1) + np.sum(dp * dp, axis=1))
+        count += int(np.count_nonzero(dev >= delta if delta > 0 else dev > 0.0))
+    return count / (ens_eps.times.size * both.size)
 
 
 class InjectivityReport(NamedTuple):
@@ -238,29 +244,43 @@ def injectivity_pairs(ens: TrajectoryEnsemble, n_neighbors: int = 64) -> Neighbo
     if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
     x0 = ens.initial_points[valid]
-    nbr = cKDTree(x0).query(x0, k=min(n_neighbors + 1, m))[1]  # distances dropped at once
+    tree = cKDTree(x0)
+    k = min(n_neighbors + 1, m)
 
     # key = min(i, j) * m + max(i, j) per (sample, neighbour), self-match
-    # dropped; formed in place and sorted in place, which beats np.unique's
-    # hashing at this size
-    cols = nbr[:, 1:]
-    rows = np.arange(m)[:, None]
-    keys = np.minimum(cols, rows)
-    np.maximum(cols, rows, out=cols)
-    keys *= m
-    keys += cols
-    del nbr, cols
+    # dropped; the tree is queried QUERY_BLOCK samples at a time and each
+    # block's keys are formed in place in one preallocated array, which is
+    # then sorted in place: that beats np.unique's hashing at this size
+    keys = np.empty((m, k - 1), dtype=np.int64)
+    for start in range(0, m, QUERY_BLOCK):
+        stop = min(start + QUERY_BLOCK, m)
+        cols = tree.query(x0[start:stop], k=k)[1][:, 1:]  # distances dropped at once
+        rows = np.arange(start, stop)[:, None]
+        block = keys[start:stop]
+        np.minimum(cols, rows, out=block)
+        np.maximum(cols, rows, out=cols)
+        block *= m
+        block += cols
+    del cols, block  # a leftover view would keep ``keys`` alive
     keys = keys.ravel()
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    lo, hi = np.divmod(keys[first], m)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    lo = keys[first]
     del keys, first
-    base = _pair_separation(x0.T, lo, hi)
+    hi = lo % m
+    lo //= m
+    coords = x0.T
+    base = np.empty(lo.size)
+    for start in range(0, lo.size, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        base[block] = _pair_separation(coords, lo[block], hi[block])
     keep = base > 0  # coincident initial samples carry no ratio information
-    if not keep.any():
-        raise UsageError("all neighbor pairs coincide at t=0")
-    return NeighbourPairs(ens.initial_points, ens.valid, lo[keep], hi[keep], base[keep])
+    if not keep.all():
+        if not keep.any():
+            raise UsageError("all neighbor pairs coincide at t=0")
+        lo, hi, base = lo[keep], hi[keep], base[keep]
+    return NeighbourPairs(ens.initial_points, ens.valid, lo, hi, base)
 
 
 def flow_injectivity_monitor(
@@ -277,18 +297,25 @@ def flow_injectivity_monitor(
     an ensemble with the same initial points and valid samples, and then
     ``n_neighbors`` is not used.  A ratio below ``violation_ratio`` is the
     proxy for trajectory crossing; the first time it happens is reported.
+    Each output time is measured ``PAIR_BLOCK`` pairs at a time; a min is
+    exact under any blocking.
     """
     if pairs is None:
         pairs = injectivity_pairs(ens, n_neighbors)
     elif not pairs.fits(ens):
         raise UsageError("pair list was built for other initial points or valid samples")
     valid = np.flatnonzero(ens.valid)
-    positions = np.ascontiguousarray(ens.positions[:, valid, :].transpose(0, 2, 1))  # (K, dim, m)
+    starts = range(0, pairs.base.size, PAIR_BLOCK)
+    block_min = np.empty(len(starts))
     min_ratio = np.inf
     first_violation = None
     for k_t, t in enumerate(ens.times):
-        sep = _pair_separation(positions[k_t], pairs.lo, pairs.hi)
-        ratio = float(np.min(sep / pairs.base))
+        coords = np.ascontiguousarray(ens.positions[k_t, valid].T)  # (dim, m)
+        for i, start in enumerate(starts):
+            block = slice(start, start + PAIR_BLOCK)
+            sep = _pair_separation(coords, pairs.lo[block], pairs.hi[block])
+            block_min[i] = np.min(sep / pairs.base[block])
+        ratio = float(block_min.min())
         if ratio < min_ratio:
             min_ratio = ratio
         if first_violation is None and ratio < violation_ratio:

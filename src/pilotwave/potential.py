@@ -8,6 +8,7 @@ mean when one is known.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -311,10 +312,14 @@ def check_subquadratic(
 # helpers
 
 
+@functools.cache
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [0, 1]."""
+    """Gauss-Legendre nodes/weights mapped to [0, 1]; cached per order, read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _period_mean(profile: TemporalProfile, quad_order: int) -> float:

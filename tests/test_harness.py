@@ -110,6 +110,43 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(**patch)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sweep", "seed", "abc"),
+            ("sweep", "ensemble_size", "2000"),
+            ("sweep", "ensemble_size", 2000.0),
+            ("grid", "n_per_axis", "512"),  # once accepted through int()
+            ("grid", "dim", True),
+            ("solver", "dt_cap", "1e-3"),  # YAML reads 1e-3 without a dot as a string
+            ("potential", "analytic_mean", "1"),
+            ("potential", "temporal", 3),
+            ("sweep", "eps_list", 0.2),
+            ("sweep", "eps_list", [0.2, "0.1"]),
+            ("initial_state", "center", [True]),
+            ("output", "save_fields", 1),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, section, key, value):
+        data = yaml.safe_load(BENCH_YAML)
+        data.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            config_from_mapping(data)
+
+    def test_int_for_a_float_is_kept_as_given(self):
+        data = yaml.safe_load(BENCH_YAML)
+        data["grid"]["half_width"] = 12
+        data["sweep"]["eps_list"] = [1, 0.5]
+        data["potential"]["analytic_mean"] = 1
+        cfg = config_from_mapping(data)
+        assert type(cfg.grid.half_width) is int and cfg.grid.half_width == 12
+        assert cfg.sweep.eps_list == (1, 0.5) and type(cfg.sweep.eps_list[0]) is int
+        assert type(cfg.potential.analytic_mean) is int
+        # not converted, so the hash is the one an unchecked config had
+        assert '"half_width":12}' in json.dumps(cfg.to_mapping(), separators=(",", ":"))
+        data["potential"]["analytic_mean"] = None
+        assert config_from_mapping(data).potential.analytic_mean is None
+
     def test_hash_tracks_content(self):
         a = small_config()
         b = small_config(seed=100)
@@ -154,6 +191,10 @@ class TestRunSingle:
         # every float column, so a metric a stage forgets keeps its NaN default and fails
         floats = [name for name, t in typing.get_type_hints(SweepRow).items() if t is float]
         assert "regularized_fraction_eff" in floats and "wall_time" in floats
+        # the one float that is NaN on a valid row: the injectivity proxy never tripped
+        floats.remove("injectivity_first_violation")
+        assert math.isnan(row.injectivity_first_violation)
+        assert row.injectivity_ratio > 1e-3
         for name in floats:
             assert math.isfinite(getattr(row, name)), name
         assert all(math.isfinite(v) for _, v in row.traj_dev)
@@ -257,12 +298,12 @@ class TestRowStages:
         import pilotwave.harness as harness
         import pilotwave.measure as measure
 
-        queries = []
+        queried = []  # points per query; a blocked query makes several calls per list
 
         class CountingTree(cKDTree):
-            def query(self, *args, **kwargs):
-                queries.append(1)
-                return super().query(*args, **kwargs)
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
 
         ensembles = []
         real_integrate = harness.integrate_trajectories
@@ -277,13 +318,41 @@ class TestRowStages:
             return ens
 
         monkeypatch.setattr(measure, "cKDTree", CountingTree)
+        monkeypatch.setattr(measure, "QUERY_BLOCK", 64)
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
         row = run_single(small_config(eps_list=(0.2,)), 0.2)
         assert row.valid
-        assert len(queries) == (2 if escape else 1)
+        m = 200  # ensemble_size, every sample valid
+        assert ensembles[0].valid.all()
+        assert len(queried) > 1
+        # each sample is queried once per pair list: m points for the shared
+        # list, and m - 1 more when the second ensemble lost a sample
+        assert sum(queried) == (2 * m - 1 if escape else m)
         # the ratio is the one each ensemble gets from a pair list of its own
         want = min(flow_injectivity_monitor(e).min_pair_separation_ratio for e in ensembles)
         assert row.injectivity_ratio == want
+
+    @pytest.mark.parametrize(
+        "times, want",
+        [((0.3, 0.2), 0.2), ((None, 0.25), 0.25), ((0.15, None), 0.15), ((None, None), None)],
+    )
+    def test_first_violation_is_the_earlier_of_both_ensembles(self, monkeypatch, times, want):
+        import pilotwave.harness as harness
+
+        reports = iter(times)
+        real_monitor = harness.flow_injectivity_monitor
+
+        def monitor(*args, **kwargs):
+            rep = real_monitor(*args, **kwargs)
+            return rep._replace(first_violation_time=next(reports))
+
+        monkeypatch.setattr(harness, "flow_injectivity_monitor", monitor)
+        row = run_single(small_config(eps_list=(0.2,)), 0.2)
+        assert row.valid
+        if want is None:
+            assert math.isnan(row.injectivity_first_violation)
+        else:
+            assert row.injectivity_first_violation == want
 
     def test_regularized_fraction_is_the_largest_over_frames(self, monkeypatch):
         import pilotwave.harness as harness
@@ -428,7 +497,8 @@ class TestEmitters:
         assert header == [
             "eps", "h1_wave", "l1_rho", "l1_current", "b_eps_avg", "monokinetic_dev",
             "traj_dev_delta_0.05", "boundary_mass", "injectivity_ratio",
-            "regularized_fraction_osc", "regularized_fraction_eff", "valid", "reason",
+            "injectivity_first_violation", "regularized_fraction_osc", "regularized_fraction_eff",
+            "valid", "reason",
         ]
         cells = lines[1].split(",")
         assert cells[0] == "0.20000000000000001"  # 17 significant digits
@@ -574,11 +644,17 @@ class TestCli:
 
         # a negative seed or an empty feature dictionary fails here too, not
         # after the rows have propagated
-        for extra, yaml_tail, message in (
-            (["--seed", "-1"], "", "seed must be >= 0"),
-            ([], "measure: {dictionary_size: 0}\n", "dictionary_size must be >= 1"),
+        for extra, text, message in (
+            (["--seed", "-1"], BENCH_YAML, "seed must be >= 0"),
+            ([], BENCH_YAML + "measure: {dictionary_size: 0}\n", "dictionary_size must be >= 1"),
+            # a value of the wrong type too, not a TypeError halfway
+            ([], BENCH_YAML.replace("seed: 99", "seed: abc"), "'sweep.seed' must be an integer"),
+            ([], BENCH_YAML.replace("ensemble_size: 200", 'ensemble_size: "2000"'),
+             "'sweep.ensemble_size' must be an integer"),
+            ([], BENCH_YAML.replace("n_per_axis: 256", 'n_per_axis: "256"'),
+             "'grid.n_per_axis' must be an integer"),
         ):
-            cfg_path.write_text(BENCH_YAML + yaml_tail)
+            cfg_path.write_text(text)
             rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)] + extra)
             assert rc == 2
             assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pilotwave.bohm import (
     integrate_trajectories,
     sample_initial_positions,
 )
+import pilotwave.measure as measure
 from pilotwave.errors import UsageError
 from pilotwave.grid import ComplexField, make_grid
 from pilotwave.measure import (
@@ -449,3 +451,105 @@ class TestInjectivityMonitor:
         ens = integrate_trajectories(hist, np.array([[0.0]]), times[::4])
         with pytest.raises(UsageError):
             flow_injectivity_monitor(ens)
+
+
+def whole_array_deviation(a, b, delta):
+    """Reference deviation fraction: the mean over the whole (times x samples) array."""
+    both = a.valid & b.valid
+    dx = a.positions[:, both, :] - b.positions[:, both, :]
+    dp = a.momenta[:, both, :] - b.momenta[:, both, :]
+    dev = np.sqrt(np.sum(dx * dx, axis=2) + np.sum(dp * dp, axis=2))
+    exceed = dev >= delta if delta > 0 else dev > 0.0
+    return float(exceed.mean())
+
+
+def perturbed_twin(rng, ens):
+    """Paired ensemble: half of the samples moved, the rest identical, its own escapes."""
+    m = ens.valid.size
+    moved = rng.random(m) < 0.5
+    positions = ens.positions.copy()
+    positions[:, moved] += rng.normal(scale=0.05, size=positions[:, moved].shape)
+    valid = rng.random(m) > 0.2
+    valid[:3] = True
+    momenta = rng.normal(scale=0.02, size=ens.momenta.shape) * moved[:, None]
+    return dataclasses.replace(ens, positions=positions, momenta=momenta, valid=valid)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Block sizes that put block boundaries in the middle of every array."""
+    monkeypatch.setattr(measure, "QUERY_BLOCK", 7)
+    monkeypatch.setattr(measure, "PAIR_BLOCK", 5)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBlockedMeasures:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_deviation_equals_the_whole_array_formula(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(6):
+            a = random_ensemble(rng, dim, int(rng.integers(4, 300)), n_times=int(rng.integers(1, 9)))
+            b = perturbed_twin(rng, a)
+            assert not (a.valid == b.valid).all()
+            for delta in (0.0, 0.01, 0.05, 0.3):
+                got = trajectory_deviation_measure(a, b, delta)
+                assert got == whole_array_deviation(a, b, delta), delta
+            assert 0.0 < trajectory_deviation_measure(a, b, 0.0) < 1.0  # unmoved samples count 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_monitor_equals_the_directed_pair_reference(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        violations = 0
+        for _ in range(6):
+            ens = random_ensemble(rng, dim, int(rng.integers(4, 120)))
+            for n_neighbors in (1, 3, 9):
+                pairs = injectivity_pairs(ens, n_neighbors)
+                # samples 0 and 1 start at the same point: their pair is dropped
+                assert not ((pairs.lo == 0) & (pairs.hi == 1)).any()
+                for violation_ratio in (1e-3, 0.2):
+                    got = flow_injectivity_monitor(ens, n_neighbors, violation_ratio)
+                    assert got == directed_pair_monitor(ens, n_neighbors, violation_ratio)
+                    assert got == flow_injectivity_monitor(ens, violation_ratio=violation_ratio, pairs=pairs)
+                    violations += got.first_violation_time is not None
+        assert violations > 0
+
+    def test_pair_list_does_not_depend_on_the_blocks(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        ens = random_ensemble(rng, 2, 500)
+        small = injectivity_pairs(ens, 8)
+        monkeypatch.setattr(measure, "QUERY_BLOCK", 1 << 20)
+        monkeypatch.setattr(measure, "PAIR_BLOCK", 1 << 20)
+        whole = injectivity_pairs(ens, 8)
+        for name in ("lo", "hi", "base"):
+            assert np.array_equal(getattr(small, name), getattr(whole, name)), name
+
+
+class TestMeasureMemory:
+    """The ensemble statistics need a few MB beyond their inputs at M = 20000."""
+
+    def _traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_transient_peaks_are_bounded(self):
+        rng = np.random.default_rng(9)
+        m, n_times = 20000, 41  # the bohm_ensemble row: 41 output times
+        ens = random_ensemble(rng, 1, m, n_times=n_times)
+        x0 = ens.initial_points.copy()
+        x0[1] += 1e-6  # no coincident pair, so the list is not compacted
+        ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
+        twin = perturbed_twin(rng, ens)
+        pairs = injectivity_pairs(ens)
+        limit = 4e6  # bytes; the whole-array versions took about 31 MB and 22 MB
+        peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, twin, 0.05))
+        assert peak < limit
+        peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens, pairs=pairs))
+        assert peak < limit
+        # building the list needs little beyond the list and its sorted keys
+        peak, built = self._traced_peak(lambda: injectivity_pairs(ens))
+        list_bytes = built.lo.nbytes + built.hi.nbytes + built.base.nbytes
+        assert peak < 1.3 * list_bytes

@@ -18,6 +18,7 @@ from pilotwave.potential import (
     one_plus_cos,
     one_plus_half_sin,
 )
+from pilotwave.potential import _gauss_nodes
 
 
 def bessel_i0_series(x, terms=30):
@@ -192,3 +193,16 @@ class TestProperties:
         star_base = effective_potential(TimePeriodicPotential(base, harmonic()), g)
         star_shift = effective_potential(TimePeriodicPotential(shifted, harmonic()), g)
         assert np.max(np.abs(star_base.values - star_shift.values)) < 1e-12
+
+
+class TestGaussNodes:
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_cached_read_only_and_unchanged(self, order):
+        nodes, weights = _gauss_nodes(order)
+        assert _gauss_nodes(order)[0] is nodes  # computed once per order
+        x, w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, 0.5 * (x + 1.0)) and np.array_equal(weights, 0.5 * w)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
