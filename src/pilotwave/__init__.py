@@ -75,10 +75,7 @@ from .solver import (
     gaussian_packet,
     gronwall_integrand,
     h1_distance,
-    initialize,
     propagate,
-    step_effective,
-    step_oscillating,
     wkb_state,
 )
 from .verify import run_suite

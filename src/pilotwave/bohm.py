@@ -1,12 +1,14 @@
 """Bohmian hydrodynamics: densities, velocity, quantum potential,
 ensemble sampling, trajectory integration and residual checks.
 
-Velocity fields are u = J / rho with a relative density floor (1e-12 of
-the density maximum), active near nodes and in the far tails of a
+Velocity and quantum-potential fields hold the density above a fixed floor,
+1e-12 of its maximum, which acts near nodes and in the far tails of a
 localized state.  The floored share counts grid points, so a packet that
-fills a small part of its box floors most of the box.  Trajectory samples
-are drawn from rho0, which keeps them away from nodes almost surely.  Trajectories are integrated with classical RK4
-on top of cubic (Catmull-Rom) interpolation in both space and time.
+fills a small part of its box floors most of the box.  A density with no
+positive value has no floor and raises InputError.  Trajectory samples are
+drawn from rho0, which keeps them away from nodes almost surely.
+Trajectories are integrated with classical RK4 on top of cubic
+(Catmull-Rom) interpolation in both space and time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError, TrajectoryEscape, UsageError
+from .errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
 from .grid import Grid, _norms_from_gradient, gradient_values, laplacian_values
 from .potential import StaticPotential, TimePeriodicPotential, evaluate
 from .solver import WaveFunction
@@ -37,7 +39,7 @@ __all__ = [
     "newton_residual",
 ]
 
-DEFAULT_REG_SCALE = 1e-12
+DENSITY_FLOOR_SCALE = 1e-12
 ESCAPE_FRACTION_CAP = 0.05
 
 
@@ -79,7 +81,6 @@ class TrajectoryEnsemble:
     times: np.ndarray  # (K,)
     positions: np.ndarray  # (K, M, dim)
     momenta: np.ndarray  # (K, M, dim)
-    weights: np.ndarray  # (M,)
     valid: np.ndarray  # (M,) bool
 
     @property
@@ -145,13 +146,13 @@ class HydroResidual(NamedTuple):
 # densities and derived fields
 
 
-def densities(psi: WaveFunction, reg_floor: float | None = None) -> DensityFields:
-    """rho = |psi|^2, J = Im(conj(psi) grad psi), u = J/rho (floored), and
-    the H1 norm of psi; one forward transform serves them all."""
+def densities(psi: WaveFunction) -> DensityFields:
+    """rho = |psi|^2, J = Im(conj(psi) grad psi), u = J/rho (``velocity``,
+    fixed floor), and the H1 norm of psi; one forward transform serves all."""
     rho = np.abs(psi.values) ** 2
     grad = gradient_values(psi.grid, psi.values)
     current = np.imag(np.conj(psi.values) * grad)
-    u, frac = velocity(rho, current, reg_floor)
+    u, frac = velocity(rho, current)
     return DensityFields(
         grid=psi.grid,
         time=psi.time,
@@ -163,40 +164,36 @@ def densities(psi: WaveFunction, reg_floor: float | None = None) -> DensityField
     )
 
 
-def velocity(
-    rho: np.ndarray, current: np.ndarray, reg_floor: float | None = None
-) -> VelocityField:
-    """u = J / max(rho, floor); the floor defaults to 1e-12 * max(rho).
+def velocity(rho: np.ndarray, current: np.ndarray) -> VelocityField:
+    """u = J / max(rho, floor) with the fixed floor 1e-12 * max(rho).
 
     The floor acts near density nodes and in the far tails of a localized
     state.  The returned fraction counts the floored grid points, so it
     mostly measures how much of the box the state leaves empty.
     """
-    if reg_floor is None:
-        reg_floor = DEFAULT_REG_SCALE * float(rho.max())
-    if not (reg_floor > 0):
-        raise ConfigError(f"reg_floor must be positive, got {reg_floor}")
-    floored = rho < reg_floor
-    u = current / np.maximum(rho, reg_floor)
-    return VelocityField(values=u, regularized_fraction=float(floored.mean()))
+    floor = _density_floor(rho)
+    u = current / np.maximum(rho, floor)
+    return VelocityField(values=u, regularized_fraction=float((rho < floor).mean()))
 
 
-def quantum_potential(
-    rho: np.ndarray, grid: Grid, reg_floor: float | None = None
-) -> QuantumPotential:
-    """Q = 0.5 * Lap(sqrt(max(rho, floor))) / sqrt(max(rho, floor)).
+def quantum_potential(rho: np.ndarray, grid: Grid) -> QuantumPotential:
+    """Q = 0.5 * Lap(s) / s with s = sqrt(max(rho, 1e-12 * max(rho))).
 
     Q depends on the shape of rho only (invariant under rho -> c*rho,
     because the floor is relative to max(rho)).
     """
-    if reg_floor is None:
-        reg_floor = DEFAULT_REG_SCALE * float(rho.max())
-    if not (reg_floor > 0):
-        raise ConfigError(f"reg_floor must be positive, got {reg_floor}")
-    floored = rho < reg_floor
-    s = np.sqrt(np.maximum(rho, reg_floor))
+    floor = _density_floor(rho)
+    s = np.sqrt(np.maximum(rho, floor))
     q = 0.5 * laplacian_values(grid, s) / s
-    return QuantumPotential(values=q, regularized_fraction=float(floored.mean()))
+    return QuantumPotential(values=q, regularized_fraction=float((rho < floor).mean()))
+
+
+def _density_floor(rho: np.ndarray) -> float:
+    """The fixed floor, 1e-12 * max(rho), of every division by the density."""
+    floor = DENSITY_FLOOR_SCALE * float(rho.max())
+    if not (floor > 0):
+        raise InputError("density has no positive value to set a floor from")
+    return floor
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,6 @@ def integrate_trajectories(
         times=t_out,
         positions=positions,
         momenta=momenta,
-        weights=np.full(M, 1.0 / M),
         valid=alive,
     )
 
@@ -386,14 +382,13 @@ def _interp_space(grid: Grid, field: np.ndarray, X: np.ndarray) -> np.ndarray:
 def hydrodynamic_residual(
     snapshots: list[DensityFields],
     potential: StaticPotential | tuple[TimePeriodicPotential, float],
-    region_floor_scale: float = 1e-6,
 ) -> HydroResidual:
     """L1 residuals of the quantum hydrodynamic system.
 
     continuity: ||d rho/dt + div J||_L1 with centred time differencing and
     spectral divergence, averaged over interior snapshots.
     momentum: L1 norm of d J/dt + div(J (x) J / rho) + rho grad V
-    - rho grad Q, restricted to the region rho > region_floor_scale * max(rho).
+    - rho grad Q, restricted to the region rho > 1e-6 * max(rho).
     """
     if len(snapshots) < 3:
         raise UsageError("need at least 3 consecutive snapshots for centred differencing")
@@ -413,15 +408,14 @@ def hydrodynamic_residual(
         cont_vals.append(float(np.sum(np.abs(drho_dt + div_j)) * dv))
 
         dj_dt = (nxt.current - prev.current) / (2.0 * dt)
-        floor = DEFAULT_REG_SCALE * float(cur.rho.max())
-        rho_safe = np.maximum(cur.rho, floor)
+        rho_safe = np.maximum(cur.rho, _density_floor(cur.rho))
         stress_div = np.empty_like(cur.current)
         for i in range(grid.dim):
             flux = cur.current[i] * cur.current / rho_safe  # (dim, *shape)
             stress_div[i] = _divergence(grid, flux)
         grad_v = _potential_gradient(potential, cur.time, grid)
         resid = dj_dt + stress_div + cur.rho * grad_v - _quantum_force_density(grid, cur.rho)
-        region = cur.rho > region_floor_scale * cur.rho.max()
+        region = cur.rho > 1e-6 * cur.rho.max()
         mom_vals.append(float(np.sum(np.abs(resid[:, region])) * dv))
 
     return HydroResidual(
@@ -462,7 +456,7 @@ def newton_residual(
     resid_sum = np.zeros(valid.sum())
     for k in range(1, t.size - 1):
         dP_dt = (P[k + 1] - P[k - 1]) / (2.0 * h)
-        grad_v = _potential_gradient_at(potential, t[k], grid, X[k])
+        grad_v = _interp_space(grid, _potential_gradient(potential, t[k], grid), X[k])
         grad_q = _interp_space(grid, grad_q_hist.field_at(t[k]), X[k])
         resid_sum += np.linalg.norm(dP_dt + grad_v - grad_q, axis=1)
     return float(np.mean(resid_sum / (t.size - 2)))
@@ -509,12 +503,3 @@ def _potential_gradient(
     V, eps = potential
     return evaluate(V, t / eps, grid).gradient()
 
-
-def _potential_gradient_at(
-    potential: StaticPotential | tuple[TimePeriodicPotential, float],
-    t: float,
-    grid: Grid,
-    X: np.ndarray,
-) -> np.ndarray:
-    grad = _potential_gradient(potential, t, grid)
-    return _interp_space(grid, grad, X)

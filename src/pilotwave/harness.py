@@ -165,6 +165,10 @@ class ExperimentConfig:
             )
         if any(d <= 0 for d in s.delta_list):
             raise ConfigError(f"delta values must be positive, got {s.delta_list}")
+        for name, values in (("eps", eps), ("delta", s.delta_list)):
+            keys = [_format_delta(v) for v in values]
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name} values {values} share a report key: {keys}")
         if self.solver.frames_per_fast_period < 1:
             raise ConfigError("frames_per_fast_period must be >= 1")
         if self.solver.steps_per_fast_period % self.solver.frames_per_fast_period != 0:
@@ -351,6 +355,7 @@ class ConvergenceReport:
 
 
 def _format_delta(delta: float) -> str:
+    """The report key of an eps or delta value; configs reject shared keys."""
     return f"{delta:g}"
 
 
@@ -647,7 +652,8 @@ def run_sweep(
 ) -> ConvergenceReport:
     """Run every epsilon row (concurrently) and assemble the report.
 
-    ``threads`` defaults to the number of CPUs this process may run on.
+    ``threads`` defaults to the number of CPUs this process may run on; a
+    count below 1 raises ConfigError.
 
     Every row's grid, potential, initial state and step plan are built and
     checked first, so a config error raises before any row starts and
@@ -657,11 +663,12 @@ def run_sweep(
     then, when the config asks for them, the final-state field snapshots of
     every valid row (each row's own final states).
     """
+    if threads is not None and threads < 1:
+        raise ConfigError(f"the worker count must be >= 1, got {threads}")
     eps_list = config.sweep.eps_list
     for eps in eps_list:  # config errors surface here, before any row starts
         _row_inputs(config, eps)
-    workers = threads if threads and threads > 0 else _default_workers()
-    workers = min(workers, len(eps_list))
+    workers = min(threads or _default_workers(), len(eps_list))
 
     def worker(eps: float) -> SweepRow:
         return run_single(config, eps)

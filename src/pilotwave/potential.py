@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _QUAD_PANELS = 4  # composite panels over one period
+SUBQUADRATIC_PHASE_SAMPLES = 64  # phases of a sampled over [0, 1)
+SUBQUADRATIC_BOUND = 1e6  # largest accepted second derivative of V
 
 
 @dataclass(frozen=True)
@@ -231,12 +233,7 @@ def cosine_lattice(amplitude: float, periods: int, half_width: float) -> Spatial
 
 def evaluate(V: TimePeriodicPotential, s: float, grid: Grid) -> StaticPotential:
     """Pointwise a(s) * W(x_i) on the grid."""
-    a = float(V.temporal(np.asarray(s, dtype=np.float64)))
-    w = V.spatial_values(grid)
-    grad = None
-    if V.spatial.gradient is not None:
-        grad = a * np.stack(V.spatial.gradient(grid.meshgrid()))
-    return StaticPotential(grid, a * w, grad)
+    return _scaled_spatial(V, float(V.temporal(np.asarray(s, dtype=np.float64))), grid)
 
 
 def effective_potential(
@@ -259,19 +256,10 @@ def effective_potential(
                 f"quadrature mean {mean!r} disagrees with analytic mean "
                 f"{V.analytic_mean!r} beyond 1e-10 relative"
             )
-    w = V.spatial_values(grid)
-    grad = None
-    if V.spatial.gradient is not None:
-        grad = mean * np.stack(V.spatial.gradient(grid.meshgrid()))
-    return StaticPotential(grid, mean * w, grad)
+    return _scaled_spatial(V, mean, grid)
 
 
-def check_subquadratic(
-    V: TimePeriodicPotential,
-    grid: Grid,
-    samples_s: int = 64,
-    bound: float = 1e6,
-) -> SubquadraticReport:
+def check_subquadratic(V: TimePeriodicPotential, grid: Grid) -> SubquadraticReport:
     """Report min V over sampled phases and the largest per-axis second
     derivative of V, as a bounded-below / subquadratic validity check.
 
@@ -281,9 +269,7 @@ def check_subquadratic(
     box-periodic, so wrap-around stencils and global spectral derivatives
     would corrupt the estimate near the boundary).
     """
-    if samples_s < 1:
-        raise ConfigError("samples_s must be >= 1")
-    s = np.linspace(0.0, 1.0, samples_s, endpoint=False)
+    s = np.linspace(0.0, 1.0, SUBQUADRATIC_PHASE_SAMPLES, endpoint=False)
     a_vals = np.asarray(V.temporal(s), dtype=np.float64)
     if not np.isfinite(a_vals).all():
         raise InputError("temporal profile is non-finite on [0, 1)")
@@ -304,12 +290,21 @@ def check_subquadratic(
     w_min, w_max = float(w.min()), float(w.max())
     min_value = float(np.min(np.minimum(a_vals * w_min, a_vals * w_max)))
 
-    ok = bool(np.isfinite(min_value) and max_second <= bound)
+    ok = bool(np.isfinite(min_value) and max_second <= SUBQUADRATIC_BOUND)
     return SubquadraticReport(min_value=min_value, max_second_derivative=max_second, ok=ok)
 
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _scaled_spatial(V: TimePeriodicPotential, a: float, grid: Grid) -> StaticPotential:
+    """a * W on the grid, with a * grad W when the profile has a gradient."""
+    w = V.spatial_values(grid)
+    grad = None
+    if V.spatial.gradient is not None:
+        grad = a * np.stack(V.spatial.gradient(grid.meshgrid()))
+    return StaticPotential(grid, a * w, grad)
 
 
 @functools.cache

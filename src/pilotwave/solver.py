@@ -30,11 +30,10 @@ __all__ = [
     "SolverConfig",
     "OscillatingSystem",
     "EffectiveSystem",
-    "initialize",
     "gaussian_packet",
     "wkb_state",
-    "step_oscillating",
-    "step_effective",
+    "StrangStepper",
+    "lockstep",
     "propagate",
     "h1_distance",
     "gronwall_integrand",
@@ -66,18 +65,16 @@ class SolverConfig:
     """Time step and fast-scale resolution rule.
 
     For the oscillating system the step must satisfy
-    |dt| <= eps / steps_per_fast_period so the unit-period oscillation is
-    sampled at least that many times per fast period.  A negative dt steps
-    backwards in time (used by reversibility checks); propagation over a
-    horizon requires dt > 0.
+    dt <= eps / steps_per_fast_period so the unit-period oscillation is
+    sampled at least that many times per fast period.
     """
 
     dt: float
     steps_per_fast_period: int = 32
 
     def __post_init__(self) -> None:
-        if self.dt == 0 or not np.isfinite(self.dt):
-            raise ConfigError(f"dt must be a nonzero finite step, got {self.dt}")
+        if not (self.dt > 0) or not np.isfinite(self.dt):
+            raise ConfigError(f"dt must be a positive finite step, got {self.dt}")
         if self.steps_per_fast_period < 32:
             raise ConfigError(
                 f"steps_per_fast_period must be >= 32, got {self.steps_per_fast_period}"
@@ -85,10 +82,10 @@ class SolverConfig:
 
     def check_fast_period(self, eps: float) -> None:
         limit = eps / self.steps_per_fast_period
-        if abs(self.dt) > limit * (1.0 + 1e-12):
+        if self.dt > limit * (1.0 + 1e-12):
             raise ConfigError(
                 f"dt={self.dt} violates the fast-period rule: need "
-                f"|dt| <= eps/steps_per_fast_period = {limit}"
+                f"dt <= eps/steps_per_fast_period = {limit}"
             )
 
 
@@ -149,15 +146,6 @@ def wkb_state(
     return _finalize_initial(grid, amp * np.exp(1j * s0))
 
 
-def initialize(kind: str, params: dict, grid: Grid) -> WaveFunction:
-    """Dispatch on state kind; see gaussian_packet and wkb_state."""
-    if kind in ("gaussian", "gaussian_packet"):
-        return gaussian_packet(grid, **params)
-    if kind == "wkb":
-        return wkb_state(grid, **params)
-    raise ConfigError(f"unknown initial state kind '{kind}'")
-
-
 def _finalize_initial(grid: Grid, values: np.ndarray) -> WaveFunction:
     mass = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)
     if mass <= 0 or not np.isfinite(mass):
@@ -185,37 +173,6 @@ def _as_vector(grid: Grid, value, name: str) -> np.ndarray:
 # stepping
 
 
-def step_oscillating(
-    psi: WaveFunction,
-    V: TimePeriodicPotential,
-    eps: float,
-    cfg: SolverConfig,
-    *,
-    enforce_resolution: bool = True,
-) -> WaveFunction:
-    """One Strang step of i dpsi/dt = -0.5 Lap psi + a(t/eps) W(x) psi.
-
-    The potential phase uses the exact integral of a(s/eps) over the step.
-    ``enforce_resolution=False`` lifts the fast-period rule for diagnostic
-    single steps (e.g. stepping across exactly one fast period).
-    """
-    if enforce_resolution:
-        cfg.check_fast_period(eps)
-    return _single_step(psi, OscillatingSystem(V, eps), cfg.dt)
-
-
-def step_effective(psi: WaveFunction, Vstar: StaticPotential, cfg: SolverConfig) -> WaveFunction:
-    """One Strang step with the static potential phase V*(x) * dt."""
-    return _single_step(psi, EffectiveSystem(Vstar), cfg.dt)
-
-
-def _single_step(
-    psi: WaveFunction, system: OscillatingSystem | EffectiveSystem, dt: float
-) -> WaveFunction:
-    values = StrangStepper(system, psi.grid, dt).advance(psi.values, psi.time)
-    return WaveFunction(field=ComplexField._adopt(psi.grid, values), time=psi.time + dt)
-
-
 class StrangStepper:
     """The Strang step, with its grid-dependent factors cached for a fixed dt."""
 
@@ -233,6 +190,7 @@ class StrangStepper:
             self.static_phase = np.exp(-1j * system.potential.values * dt)
 
     def advance(self, values: np.ndarray, t: float) -> np.ndarray:
+        """The state one step of ``dt`` after ``values`` at time ``t``."""
         if self.static_phase is None:
             scalar = self.V.temporal_integral(t, t + self.dt, self.eps)
             phase = np.exp(-1j * self.w * scalar)
@@ -311,8 +269,6 @@ def propagate(
     """
     if T < 0:
         raise ConfigError(f"horizon T must be nonnegative, got {T}")
-    if cfg.dt < 0:
-        raise ConfigError("propagation over a horizon needs dt > 0")
     if isinstance(system, OscillatingSystem):
         cfg.check_fast_period(system.eps)
     if T == 0:

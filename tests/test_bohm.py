@@ -11,7 +11,7 @@ from pilotwave.bohm import (
     sample_initial_positions,
     velocity,
 )
-from pilotwave.errors import ConfigError, SamplingError, TrajectoryEscape, UsageError
+from pilotwave.errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
 from pilotwave.grid import ComplexField, make_grid, norms
 from pilotwave.potential import (
     StaticPotential,
@@ -107,6 +107,15 @@ class TestVelocity:
         d = densities(WaveFunction(ComplexField(g, vals), 0.0))
         assert d.regularized_fraction > 0.0
         assert np.all(np.isfinite(d.velocity))
+
+    def test_density_without_a_positive_value_rejected(self):
+        # the floor is relative to max(rho), so there is none to set
+        g = make_grid(1, 64, 8.0)
+        for rho in (np.zeros(g.shape), np.full(g.shape, np.nan)):
+            with pytest.raises(InputError, match="no positive value"):
+                velocity(rho, np.zeros((1,) + g.shape))
+            with pytest.raises(InputError, match="no positive value"):
+                quantum_potential(rho, g)
 
 
 class TestQuantumPotential:

@@ -102,6 +102,8 @@ class TestConfig:
             {"ensemble_size": 50},  # below measure-statistics floor
             {"horizon": 0.0},
             {"delta_list": (0.05, -0.1)},
+            {"eps_list": (0.2000001, 0.2)},  # both rows would report under '0.2'
+            {"delta_list": (0.05, 0.05, 0.0500001)},  # three deltas, one report key
             {"seed": -1},  # SeedSequence rejects it only once a row has propagated
             {"measure": MeasureSpec(dictionary_size=0)},  # no feature to take the max over
         ],
@@ -558,6 +560,10 @@ class TestReadmeContract:
         assert documented == placeholder
 
 
+    def test_library_sketch_runs(self):
+        exec(self._block("## Library sketch"), {})
+
+
 class TestFieldSnapshots:
     def test_save_fields_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
@@ -653,6 +659,11 @@ class TestCli:
              "'sweep.ensemble_size' must be an integer"),
             ([], BENCH_YAML.replace("n_per_axis: 256", 'n_per_axis: "256"'),
              "'grid.n_per_axis' must be an integer"),
+            ([], BENCH_YAML.replace("eps_list: [0.2, 0.1]", "eps_list: [0.2000001, 0.2]"),
+             "share a report key"),
+            ([], BENCH_YAML.replace("kind: gaussian", "kind: wkb"), "got 'wkb'"),
+            (["--threads", "0"], BENCH_YAML, "worker count must be >= 1, got 0"),
+            (["--threads", "-3"], BENCH_YAML, "worker count must be >= 1, got -3"),
         ):
             cfg_path.write_text(text)
             rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)] + extra)

@@ -279,7 +279,6 @@ class TestTrajectoryDeviation:
             times=b.times,
             positions=b.positions,
             momenta=b.momenta,
-            weights=b.weights,
             valid=b.valid,
         )
         with pytest.raises(UsageError):
@@ -352,7 +351,6 @@ def random_ensemble(rng, dim, m, n_times=6):
         times=np.linspace(0.0, 1.0, n_times),
         positions=positions,
         momenta=np.zeros_like(positions),
-        weights=np.full(m, 1.0 / m),
         valid=valid,
     )
 

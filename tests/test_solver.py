@@ -21,14 +21,12 @@ from pilotwave.solver import (
     EffectiveSystem,
     OscillatingSystem,
     SolverConfig,
+    StrangStepper,
     WaveFunction,
     gaussian_packet,
     gronwall_integrand,
     h1_distance,
-    initialize,
     propagate,
-    step_effective,
-    step_oscillating,
     wkb_state,
 )
 
@@ -44,6 +42,12 @@ def harmonic_cos_potential():
 def zero_potential():
     # a == 0 makes V vanish identically regardless of the spatial factor
     return TimePeriodicPotential(constant_profile(0.0), harmonic())
+
+
+def step(psi, system, dt):
+    """One Strang step of ``system`` from ``psi``; any dt, even negative."""
+    values = StrangStepper(system, psi.grid, dt).advance(psi.values, psi.time)
+    return WaveFunction(ComplexField(psi.grid, values), psi.time + dt)
 
 
 class TestInitialize:
@@ -79,13 +83,6 @@ class TestInitialize:
         mean_p_fd = float(np.sum(np.imag(np.conj(v) * dpsi_fd)) * g.dx)
         assert abs(mean_p_fd - 2.0) < 1e-4
 
-    def test_dispatcher(self):
-        g = make_grid(1, 256, 16.0)
-        psi = initialize("gaussian", {"center": 1.0, "width": 1.0, "momentum": 0.5}, g)
-        assert abs(l2(g, psi.values) - 1.0) < 1e-12
-        with pytest.raises(ConfigError):
-            initialize("squeezed", {}, g)
-
     def test_width_resolution_error(self):
         g = make_grid(1, 64, 16.0)  # dx = 0.5, so width 1 has only 2 points
         with pytest.raises(ResolutionError):
@@ -104,7 +101,7 @@ class TestStepOscillating:
         vals = np.exp(1j * k * g.axes[0]) / np.sqrt(2 * g.half_width)
         psi = WaveFunction(ComplexField(g, vals), 0.0)
         dt = 1e-3
-        out = step_oscillating(psi, zero_potential(), eps=0.5, cfg=SolverConfig(dt=dt))
+        out = step(psi, OscillatingSystem(zero_potential(), eps=0.5), dt)
         expected = np.exp(-1j * k * k * dt / 2.0) * vals
         assert np.max(np.abs(out.values - expected)) < 1e-13
         assert np.max(np.abs(np.abs(out.values) - np.abs(vals))) < 1e-13
@@ -118,16 +115,16 @@ class TestStepOscillating:
 
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
-        cfg = SolverConfig(dt=eps)
-        out_osc = step_oscillating(psi, V, eps, cfg, enforce_resolution=False)
-        out_eff = step_effective(psi, effective_potential(V, g), cfg)
+        out_osc = step(psi, OscillatingSystem(V, eps), eps)
+        out_eff = step(psi, EffectiveSystem(effective_potential(V, g)), eps)
         assert np.max(np.abs(out_osc.values - out_eff.values)) < 1e-12
 
     def test_fast_period_rule_enforced(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
-        with pytest.raises(ConfigError):
-            step_oscillating(psi, harmonic_cos_potential(), eps=0.05, cfg=SolverConfig(dt=0.05))
+        system = OscillatingSystem(harmonic_cos_potential(), eps=0.05)
+        with pytest.raises(ConfigError, match="fast-period rule"):
+            propagate(psi, system, 0.05, SolverConfig(dt=0.05), [0.05])
 
     def test_norm_conserved_over_run(self):
         g = make_grid(1, 512, 16.0)
@@ -155,13 +152,12 @@ class TestStepEffective:
     def test_constant_potential_is_pure_gauge(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0, momentum=1.0)
-        cfg = SolverConfig(dt=1e-3)
         from pilotwave.potential import StaticPotential
 
         free = StaticPotential(g, np.zeros(g.shape))
         const = StaticPotential(g, np.full(g.shape, 2.7))
-        a = step_effective(psi, free, cfg)
-        b = step_effective(psi, const, cfg)
+        a = step(psi, EffectiveSystem(free), 1e-3)
+        b = step(psi, EffectiveSystem(const), 1e-3)
         assert np.max(np.abs(np.abs(a.values) - np.abs(b.values))) < 1e-12
         # and the phase offset is exactly the constant times dt
         assert np.max(np.abs(a.values * np.exp(-1j * 2.7 * 1e-3) - b.values)) < 1e-12
@@ -235,6 +231,11 @@ class TestPropagate:
             propagate(psi, EffectiveSystem(Vstar), 1.5, SolverConfig(dt=1.5 / 1024),
                       np.linspace(0.3, 1.5, 5))
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ConfigError, match="positive finite step"):
+            SolverConfig(dt=dt)
+
     def test_dt_must_divide_horizon(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
@@ -263,8 +264,8 @@ class TestH1Distance:
         psi = gaussian_packet(g, width=1.0)
         V = harmonic_cos_potential()
         eps = 0.5
-        fwd = step_oscillating(psi, V, eps, SolverConfig(dt=1e-2))
-        back = step_oscillating(fwd, V, eps, SolverConfig(dt=-1e-2))
+        fwd = step(psi, OscillatingSystem(V, eps), 1e-2)
+        back = step(fwd, OscillatingSystem(V, eps), -1e-2)
         assert l2(g, back.values - psi.values) < 1e-10
         assert back.time == pytest.approx(0.0, abs=1e-15)
 
@@ -338,5 +339,5 @@ class TestUnitarityInvariant:
     def test_single_step_preserves_l2(self):
         g = make_grid(1, 512, 16.0)
         psi = gaussian_packet(g, width=1.0)
-        out = step_oscillating(psi, harmonic_cos_potential(), 0.1, SolverConfig(dt=0.1 / 32))
+        out = step(psi, OscillatingSystem(harmonic_cos_potential(), 0.1), 0.1 / 32)
         assert abs(l2(g, out.values) - 1.0) < 1e-12
