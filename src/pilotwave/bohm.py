@@ -151,7 +151,9 @@ def densities(psi: WaveFunction) -> DensityFields:
     fixed floor), and the H1 norm of psi; one forward transform serves all."""
     rho = np.abs(psi.values) ** 2
     grad = gradient_values(psi.grid, psi.values)
-    current = np.imag(np.conj(psi.values) * grad)
+    # a real copy: the imaginary part is a view that would pin the complex
+    # product, twice its size, for as long as the fields are kept
+    current = np.imag(np.conj(psi.values) * grad).copy()
     u, frac = velocity(rho, current)
     return DensityFields(
         grid=psi.grid,

@@ -4,8 +4,11 @@ A sweep propagates the oscillating and averaged systems side by side from
 the same initial state, records velocity fields on a fast-scale-resolving
 mesh, integrates paired trajectory ensembles from a shared seed, and
 reports every convergence metric per epsilon.  Rows are computed
-concurrently; all randomness comes from per-purpose streams derived from
-the master seed before fan-out, so thread count cannot affect results.
+concurrently; a row with a spare worker on a large grid also steps and
+measures its averaged system on a lane thread of its own.  All randomness
+comes from per-purpose streams derived from the master seed before
+fan-out, and a lane only moves whole calls between threads, so thread
+count cannot affect results.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -64,6 +68,7 @@ from .solver import (
     gronwall_integrand,
     h1_distance,
     lockstep,
+    side_by_side,
 )
 
 __all__ = [
@@ -427,16 +432,18 @@ def _step_plan(cfg: ExperimentConfig, eps: float) -> tuple[int, float, int]:
 # run drivers
 
 
-def run_single(config: ExperimentConfig, eps: float) -> SweepRow:
+def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = None) -> SweepRow:
     """One epsilon row: paired propagation, metrics and trajectory statistics.
 
     Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
     row invalid with a reason instead of raising.  A valid row carries its
-    final states.
+    final states.  With a ``lane`` executor the averaged system is stepped
+    and measured there, beside the oscillating one (see ``lockstep``); the
+    row is the same with or without it.
     """
     t_start = time.perf_counter()
     try:
-        metrics, final_states = _run_single_metrics(config, eps)
+        metrics, final_states = _run_single_metrics(config, eps, lane)
     except MonitorAbort as exc:
         return SweepRow(
             eps=eps,
@@ -493,7 +500,7 @@ class _Recording:
 
 
 def _run_single_metrics(
-    config: ExperimentConfig, eps: float
+    config: ExperimentConfig, eps: float, lane: Executor | None
 ) -> tuple[dict[str, Any], tuple[WaveFunction, WaveFunction]]:
     """The row's stages in order: propagate and record, wave metrics,
     trajectories, measures.
@@ -502,7 +509,7 @@ def _run_single_metrics(
     stage is their last user, so they are gone before the flat distance.
     """
     row = _row_inputs(config, eps)
-    recording, velocity_frames = _propagate_and_record(config, eps, row)
+    recording, velocity_frames = _propagate_and_record(config, eps, row, lane)
     metrics = _wave_metrics(recording)
     ensembles = _trajectories(config, row, *velocity_frames)
     del velocity_frames
@@ -511,11 +518,15 @@ def _run_single_metrics(
 
 
 def _propagate_and_record(
-    config: ExperimentConfig, eps: float, row: _RowInputs
+    config: ExperimentConfig, eps: float, row: _RowInputs, lane: Executor | None
 ) -> tuple[_Recording, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Step both systems side by side; at every frame run the monitors and
     record the velocity fields.  Returns the recording and the velocity
-    frames (frame times, oscillating, effective)."""
+    frames (frame times, oscillating, effective).
+
+    With a ``lane``, the effective system's steps and frame densities run
+    on it; the monitors, the Gronwall term and the history writes stay on
+    the calling thread."""
     grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
     steppers = (
@@ -538,8 +549,7 @@ def _propagate_and_record(
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         nonlocal boundary_max, final_densities
         wf_o, wf_e = (WaveFunction(ComplexField._adopt(grid, v), t) for v in states)
-        d_o = densities(wf_o)
-        d_e = densities(wf_e)
+        d_o, d_e = side_by_side(lane, densities, (wf_o, wf_e))
         for i, (wf, d) in enumerate(((wf_o, d_o), (wf_e, d_e))):
             bmass = boundary_mass_fraction(wf.field)
             boundary_max = max(boundary_max, bmass)
@@ -553,7 +563,9 @@ def _propagate_and_record(
         if frame == n_frames:
             final_densities = (d_o, d_e)
 
-    finals = lockstep(steppers, (psi0.values, psi0.values), 0.0, row.n_steps, row.stride, record)
+    finals = lockstep(
+        steppers, (psi0.values, psi0.values), 0.0, row.n_steps, row.stride, record, lane=lane
+    )
     T = config.sweep.horizon
     recording = _Recording(
         final_states=tuple(WaveFunction(ComplexField._adopt(grid, v), T) for v in finals),
@@ -637,6 +649,13 @@ def _measures(
     }
 
 
+# Grids below this many points step too fast for a lane to pay for its
+# hand-offs.  The placement and resolution rules admit no Gaussian row
+# below n = 256 per axis, so every 2D and 3D row has a lane to spare and no
+# 1D row takes one.
+LANE_MIN_POINTS = 2**16
+
+
 def _default_workers() -> int:
     """CPUs this process may run on; ``os.cpu_count()`` where affinity is unknown."""
     try:
@@ -653,7 +672,11 @@ def run_sweep(
     """Run every epsilon row (concurrently) and assemble the report.
 
     ``threads`` defaults to the number of CPUs this process may run on; a
-    count below 1 raises ConfigError.
+    count below 1 raises ConfigError.  The rows take up to ``threads``
+    workers, one per row.  When there are two workers per row and the grid
+    has at least ``LANE_MIN_POINTS`` points, each row also gets a lane, one
+    helper thread that steps and measures its averaged system (see
+    ``run_single``).  Neither changes a result.
 
     Every row's grid, potential, initial state and step plan are built and
     checked first, so a config error raises before any row starts and
@@ -668,16 +691,24 @@ def run_sweep(
     eps_list = config.sweep.eps_list
     for eps in eps_list:  # config errors surface here, before any row starts
         _row_inputs(config, eps)
-    workers = min(threads or _default_workers(), len(eps_list))
+    n_workers = threads or _default_workers()
+    workers = min(n_workers, len(eps_list))
+    lanes = (
+        n_workers >= 2 * len(eps_list)
+        and config.grid.n_per_axis**config.grid.dim >= LANE_MIN_POINTS
+    )
 
-    def worker(eps: float) -> SweepRow:
-        return run_single(config, eps)
+    # the lane pool is shut down, its threads joined, on every way out
+    with ThreadPoolExecutor(max_workers=len(eps_list)) if lanes else nullcontext() as lane:
 
-    if workers == 1:
-        rows = [worker(e) for e in eps_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(worker, eps_list))
+        def worker(eps: float) -> SweepRow:
+            return run_single(config, eps, lane)
+
+        if workers == 1:
+            rows = [worker(e) for e in eps_list]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(worker, eps_list))
 
     metadata = {
         "config_hash": config.config_hash(),

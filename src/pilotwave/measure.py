@@ -266,10 +266,13 @@ def injectivity_pairs(ens: TrajectoryEnsemble, n_neighbors: int = 64) -> Neighbo
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    lo = keys[first]
+    pair_keys = keys[first]
     del keys, first
-    hi = lo % m
-    lo //= m
+    # the keys need int64 (m**2 outgrows int32), but one sample index fits
+    # int32 at any ensemble size, which halves the kept pair list
+    lo = np.floor_divide(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
+    hi = np.remainder(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
+    del pair_keys
     coords = x0.T
     base = np.empty(lo.size)
     for start in range(0, lo.size, PAIR_BLOCK):
@@ -297,31 +300,28 @@ def flow_injectivity_monitor(
     an ensemble with the same initial points and valid samples, and then
     ``n_neighbors`` is not used.  A ratio below ``violation_ratio`` is the
     proxy for trajectory crossing; the first time it happens is reported.
-    Each output time is measured ``PAIR_BLOCK`` pairs at a time; a min is
-    exact under any blocking.
+    The pairs are measured ``PAIR_BLOCK`` at a time, each block at every
+    output time; a min is exact under any blocking.
     """
     if pairs is None:
         pairs = injectivity_pairs(ens, n_neighbors)
     elif not pairs.fits(ens):
         raise UsageError("pair list was built for other initial points or valid samples")
     valid = np.flatnonzero(ens.valid)
-    starts = range(0, pairs.base.size, PAIR_BLOCK)
-    block_min = np.empty(len(starts))
-    min_ratio = np.inf
-    first_violation = None
-    for k_t, t in enumerate(ens.times):
-        coords = np.ascontiguousarray(ens.positions[k_t, valid].T)  # (dim, m)
-        for i, start in enumerate(starts):
-            block = slice(start, start + PAIR_BLOCK)
-            sep = _pair_separation(coords, pairs.lo[block], pairs.hi[block])
-            block_min[i] = np.min(sep / pairs.base[block])
-        ratio = float(block_min.min())
-        if ratio < min_ratio:
-            min_ratio = ratio
-        if first_violation is None and ratio < violation_ratio:
-            first_violation = float(t)
+    ratio = np.full(ens.times.size, np.inf)  # smallest ratio per output time
+    for start in range(0, pairs.base.size, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        # the block's sample indices, translated once for every output time
+        lo, hi = valid[pairs.lo[block]], valid[pairs.hi[block]]
+        base = pairs.base[block]
+        for k_t in range(ens.times.size):
+            sep = _pair_separation(ens.positions[k_t].T, lo, hi)
+            ratio[k_t] = np.minimum(ratio[k_t], np.min(sep / base))
+    violations = ens.times[ratio < violation_ratio]
     return InjectivityReport(
-        min_pair_separation_ratio=min_ratio, first_violation_time=first_violation
+        # a time whose ratio is NaN is skipped, as ``<`` skips it
+        min_pair_separation_ratio=float(np.fmin.reduce(ratio, initial=np.inf)),
+        first_violation_time=float(violations[0]) if violations.size else None,
     )
 
 

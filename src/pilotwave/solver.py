@@ -9,8 +9,9 @@ factor over the step, so the oscillation is never aliased regardless of dt.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "wkb_state",
     "StrangStepper",
     "lockstep",
+    "side_by_side",
     "propagate",
     "h1_distance",
     "gronwall_integrand",
@@ -42,6 +44,9 @@ __all__ = [
 BOUNDARY_MASS_TOL = 1e-8
 BLOWUP_FACTOR = 10.0
 MIN_POINTS_PER_WIDTH = 8
+
+_In = TypeVar("_In")
+_Out = TypeVar("_Out")
 
 
 @dataclass(frozen=True)
@@ -208,24 +213,55 @@ def lockstep(
     n_steps: int,
     stride: int,
     on_frame: Callable[[int, float, tuple[np.ndarray, ...]], None],
+    lane: Executor | None = None,
 ) -> list[np.ndarray]:
     """March each state with its own stepper, side by side at a shared dt.
 
     Calls ``on_frame(frame, t, states)`` for frame 0 at ``t0`` and then after
-    every ``stride`` steps, and returns the final states.  Within a step the
-    steppers advance in order, and each state is replaced as soon as it is
-    advanced, so only the current states stay alive.
+    every ``stride`` steps, and returns the final states.  Between two frames
+    each state marches its ``stride`` steps on its own (see ``side_by_side``:
+    with a ``lane`` executor, every state but the first marches there while
+    the calling thread marches the first), so besides the states being
+    advanced only those of the last frame stay alive.  Step ``k``
+    starts at ``t0 + k*dt`` whichever thread takes it, so a lane never
+    changes a result.
     """
     dt = steppers[0].dt
     states = list(states)
     on_frame(0, t0, tuple(states))
-    for step in range(n_steps):
-        t = t0 + step * dt
-        for i, stepper in enumerate(steppers):
-            states[i] = stepper.advance(states[i], t)
-        if (step + 1) % stride == 0:
-            on_frame((step + 1) // stride, t0 + (step + 1) * dt, tuple(states))
+    for start in range(0, n_steps, stride):
+        stop = min(start + stride, n_steps)
+
+        def march(i: int) -> np.ndarray:
+            values = states[i]
+            for step in range(start, stop):
+                values = steppers[i].advance(values, t0 + step * dt)
+            return values
+
+        states = side_by_side(lane, march, range(len(steppers)))
+        if stop % stride == 0:
+            on_frame(stop // stride, t0 + stop * dt, tuple(states))
     return states
+
+
+def side_by_side(lane: Executor | None, fn: Callable[[_In], _Out], items: Sequence[_In]) -> list[_Out]:
+    """``[fn(x) for x in items]``, the calls spread over the calling thread
+    and an optional ``lane`` executor.
+
+    With a lane, every item but the first is submitted to it and the
+    calling thread runs the first meanwhile; the call returns only when
+    every lane task has ended, even when the first call raises (its
+    exception then propagates and the lane results are dropped), so no
+    lane task outlives it.
+    """
+    if lane is None:
+        return [fn(x) for x in items]
+    rest = [lane.submit(fn, x) for x in items[1:]]
+    try:
+        first = fn(items[0])
+    finally:
+        wait(rest)
+    return [first] + [f.result() for f in rest]
 
 
 def check_monitors(

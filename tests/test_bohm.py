@@ -12,7 +12,7 @@ from pilotwave.bohm import (
     velocity,
 )
 from pilotwave.errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
-from pilotwave.grid import ComplexField, make_grid, norms
+from pilotwave.grid import ComplexField, gradient_values, make_grid, norms
 from pilotwave.potential import (
     StaticPotential,
     TimePeriodicPotential,
@@ -83,6 +83,19 @@ class TestDensities:
             vals = np.fft.ifftn(coeffs * np.exp(-g.k_squared()))
             psi = WaveFunction(ComplexField(g, vals), 0.25)
             assert densities(psi).h1 == norms(psi.field).h1
+
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32), (3, 16)])
+    def test_current_owns_its_data(self, dim, n):
+        # a view of Im(conj(psi) grad psi) would keep the complex product alive
+        g = make_grid(dim, n, 6.0)
+        rng = np.random.default_rng(10 + dim)
+        coeffs = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        vals = np.fft.ifftn(coeffs * np.exp(-g.k_squared()))
+        d = densities(WaveFunction(ComplexField(g, vals), 0.0))
+        view = np.imag(np.conj(vals) * gradient_values(g, vals))
+        assert d.current.flags.owndata
+        assert d.current.dtype == np.float64
+        assert (d.current == view).all()
 
 
 class TestVelocity:

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import threading
 import typing
 import weakref
 from pathlib import Path
@@ -38,7 +39,13 @@ from pilotwave.harness import (
 )
 from pilotwave.measure import flow_injectivity_monitor
 from pilotwave.potential import effective_potential
-from pilotwave.solver import EffectiveSystem, OscillatingSystem, SolverConfig, propagate
+from pilotwave.solver import (
+    EffectiveSystem,
+    OscillatingSystem,
+    SolverConfig,
+    StrangStepper,
+    propagate,
+)
 
 BENCH_YAML = """
 grid:
@@ -246,13 +253,13 @@ class TestFrameDiagnostics:
         per_frame = []
         real_lockstep = harness.lockstep
 
-        def lockstep(steppers, states, t0, n_steps, stride, on_frame):
+        def lockstep(steppers, states, t0, n_steps, stride, on_frame, lane=None):
             def counted_frame(*args):
                 before = len(calls)
                 on_frame(*args)
                 per_frame.append(len(calls) - before)
 
-            return real_lockstep(steppers, states, t0, n_steps, stride, counted_frame)
+            return real_lockstep(steppers, states, t0, n_steps, stride, counted_frame, lane=lane)
 
         monkeypatch.setattr(harness, "lockstep", lockstep)
         cfg = small_config(eps_list=(0.2,))
@@ -462,6 +469,123 @@ class TestRunSweep:
         assert not report.partial
         # the perturbed initial data still homogenizes: distances decrease
         assert report.rows[1].h1_wave < report.rows[0].h1_wave
+
+
+def tiny_2d_config(**sweep_kwargs) -> ExperimentConfig:
+    """The smallest 2D row the placement and resolution rules admit: 256**2 points."""
+    sweep = dict(horizon=0.25, eps_list=(0.2,), delta_list=(0.05,), ensemble_size=100, seed=4)
+    sweep.update(sweep_kwargs)
+    return ExperimentConfig(
+        grid=GridSpec(dim=2, n_per_axis=256, half_width=12.0),
+        initial_state=InitialStateSpec(center=(0.0, 0.0), momentum=(0.0, 0.0)),
+        sweep=SweepSpec(**sweep),
+        measure=MeasureSpec(dictionary_size=32),
+    )
+
+
+def report_without_wall_time(path: Path) -> str:
+    return "\n".join(line for line in path.read_text().splitlines() if '"wall_time"' not in line)
+
+
+class TestLanes:
+    """A 2D row with a spare worker steps and measures its averaged system on
+    a lane thread; nothing it reports may change."""
+
+    @pytest.mark.parametrize(
+        "eps_list, threads",
+        [((0.2,), 2), ((0.2, 0.1), 4)],  # the second: four threads on two rows, one lane each
+    )
+    def test_lane_row_equals_the_serial_row(self, tmp_path, eps_list, threads):
+        cfg = tiny_2d_config(eps_list=eps_list)
+        serial = run_sweep(cfg, threads=1, out_dir=tmp_path / "serial")
+        laned = run_sweep(cfg, threads=threads, out_dir=tmp_path / "laned")
+        assert [dataclasses.replace(r, wall_time=0.0) for r in laned.rows] == [
+            dataclasses.replace(r, wall_time=0.0) for r in serial.rows
+        ]
+        assert all(r.valid for r in laned.rows)
+        assert (tmp_path / "laned" / "report.csv").read_bytes() == (
+            tmp_path / "serial" / "report.csv"
+        ).read_bytes()
+        assert report_without_wall_time(tmp_path / "laned" / "report.json") == (
+            report_without_wall_time(tmp_path / "serial" / "report.json")
+        )
+        for laned_row, serial_row in zip(laned.rows, serial.rows):
+            for a, b in zip(laned_row.final_states, serial_row.final_states):
+                assert a.time == b.time
+                assert (a.values == b.values).all()
+
+    def test_lane_steps_and_measures_on_a_second_thread(self, monkeypatch):
+        import pilotwave.harness as harness
+
+        threads = {"advance": set(), "densities": set()}
+        real_advance = StrangStepper.advance
+        real_densities = harness.densities
+
+        def advance(self, values, t):
+            threads["advance"].add(threading.get_ident())
+            return real_advance(self, values, t)
+
+        def densities(psi):
+            threads["densities"].add(threading.get_ident())
+            return real_densities(psi)
+
+        monkeypatch.setattr(StrangStepper, "advance", advance)
+        monkeypatch.setattr(harness, "densities", densities)
+        assert run_sweep(tiny_2d_config(), threads=2).rows[0].valid
+        assert len(threads["advance"]) == 2
+        assert threads["densities"] == threads["advance"]
+        assert threading.get_ident() in threads["advance"]  # the row thread runs one half
+
+    @pytest.mark.parametrize(
+        "cfg, threads, lanes",
+        [
+            (small_config(eps_list=(0.2,)), 2, False),  # 1D: below the lane size
+            (small_config(eps_list=(0.2,)), 8, False),
+            (tiny_2d_config(), 1, False),
+            (tiny_2d_config(eps_list=(0.2, 0.1)), 3, False),  # workers < 2 x rows
+            (tiny_2d_config(), 2, True),
+            (tiny_2d_config(eps_list=(0.2, 0.1)), 4, True),
+        ],
+    )
+    def test_lane_needs_a_spare_worker_and_a_large_grid(self, monkeypatch, cfg, threads, lanes):
+        import pilotwave.harness as harness
+
+        seen = []
+        pools = []
+        real_pool = harness.ThreadPoolExecutor
+
+        def run_single(config, eps, lane=None):
+            seen.append(lane)
+            return SweepRow(eps=eps, valid=False, reason="not run", wall_time=0.0)
+
+        def pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers", args[0] if args else None))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_single", run_single)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+        run_sweep(cfg, threads=threads)
+        rows = len(cfg.sweep.eps_list)
+        assert len(seen) == rows
+        assert all((lane is not None) == lanes for lane in seen)
+        # one lane per row, in one pool besides the rows' own
+        row_pools = [rows] if min(threads, rows) > 1 else []
+        assert pools == ([rows] if lanes else []) + row_pools
+
+    def test_monitor_abort_under_a_lane(self):
+        cfg = dataclasses.replace(
+            tiny_2d_config(horizon=1.5),
+            potential=PotentialSpec(temporal="one_plus_cos", spatial="cosine_lattice",
+                                    lattice_amplitude=0.0),
+            initial_state=InitialStateSpec(center=(0.0, 0.0), momentum=(5.0, 0.0)),
+        )
+        baseline = threading.active_count()
+        serial = run_sweep(cfg, threads=1).rows[0]
+        laned = run_sweep(cfg, threads=2).rows[0]
+        assert not laned.valid
+        assert "BoundaryMassExceeded" in laned.reason
+        assert laned.reason == serial.reason
+        assert threading.active_count() == baseline
 
 
 class TestEmitters:

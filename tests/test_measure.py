@@ -388,6 +388,16 @@ class TestInjectivityMonitor:
         for e in (ens, twin):
             assert flow_injectivity_monitor(e, pairs=pairs) == flow_injectivity_monitor(e, 4)
 
+    def test_pair_indices_are_int32(self):
+        rng = np.random.default_rng(6)
+        ens = random_ensemble(rng, 2, 300)
+        pairs = injectivity_pairs(ens, 8)
+        assert pairs.lo.dtype == pairs.hi.dtype == np.int32
+        wide = dataclasses.replace(pairs, lo=pairs.lo.astype(np.int64), hi=pairs.hi.astype(np.int64))
+        for violation_ratio in (1e-3, 0.2):
+            got = flow_injectivity_monitor(ens, violation_ratio=violation_ratio, pairs=pairs)
+            assert got == flow_injectivity_monitor(ens, violation_ratio=violation_ratio, pairs=wide)
+
     def test_pair_list_of_other_samples_rejected(self):
         rng = np.random.default_rng(5)
         ens = random_ensemble(rng, 1, 40)
@@ -547,7 +557,9 @@ class TestMeasureMemory:
         assert peak < limit
         peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens, pairs=pairs))
         assert peak < limit
-        # building the list needs little beyond the list and its sorted keys
+        # building the list needs little beyond the list and its sorted keys,
+        # one int64 per (sample, neighbour)
         peak, built = self._traced_peak(lambda: injectivity_pairs(ens))
         list_bytes = built.lo.nbytes + built.hi.nbytes + built.base.nbytes
-        assert peak < 1.3 * list_bytes
+        keys_bytes = m * 64 * 8
+        assert peak < list_bytes + keys_bytes

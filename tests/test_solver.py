@@ -1,3 +1,6 @@
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,9 @@ from pilotwave.solver import (
     gaussian_packet,
     gronwall_integrand,
     h1_distance,
+    lockstep,
     propagate,
+    side_by_side,
     wkb_state,
 )
 
@@ -242,6 +247,61 @@ class TestPropagate:
         Vstar = effective_potential(zero_potential(), g)
         with pytest.raises(ConfigError):
             propagate(psi, EffectiveSystem(Vstar), 1.0, SolverConfig(dt=3e-4), [1.0])
+
+
+class TestLockstep:
+    def _steppers(self, g, dt):
+        V = harmonic_cos_potential()
+        return (
+            StrangStepper(OscillatingSystem(V, 0.2), g, dt),
+            StrangStepper(EffectiveSystem(effective_potential(V, g)), g, dt),
+        )
+
+    @pytest.mark.parametrize("n_steps, stride", [(12, 4), (14, 4), (3, 1)])
+    def test_lane_changes_no_state_or_frame(self, n_steps, stride):
+        g = make_grid(1, 256, 16.0)
+        psi = gaussian_packet(g, width=1.0).values
+        t0, dt = 0.5, 0.2 / 32
+
+        def run(lane):
+            frames = []
+            finals = lockstep(
+                self._steppers(g, dt), (psi, psi), t0, n_steps, stride,
+                lambda k, t, states: frames.append((k, t, [v.copy() for v in states])),
+                lane=lane,
+            )
+            return frames, finals
+
+        frames_a, finals_a = run(None)
+        with ThreadPoolExecutor(1) as lane:
+            frames_b, finals_b = run(lane)
+        assert [(k, t) for k, t, _ in frames_a] == [(k, t) for k, t, _ in frames_b]
+        assert [k for k, _, _ in frames_a] == list(range(n_steps // stride + 1))
+        for (_, _, a), (_, _, b) in zip(frames_a, frames_b):
+            assert all((x == y).all() for x, y in zip(a, b))
+        # each state as its own stepper alone takes it, step k at t0 + k*dt
+        for stepper, final_a, final_b in zip(self._steppers(g, dt), finals_a, finals_b):
+            v = psi
+            for k in range(n_steps):
+                v = stepper.advance(v, t0 + k * dt)
+            assert (final_a == v).all() and (final_b == v).all()
+
+    def test_side_by_side_waits_for_the_lane_when_the_first_call_raises(self):
+        finished = []
+
+        def fn(x):
+            if x == 0:
+                raise ValueError("first")
+            time.sleep(0.05)
+            finished.append(x)
+            return x
+
+        with ThreadPoolExecutor(1) as lane:
+            with pytest.raises(ValueError, match="first"):
+                side_by_side(lane, fn, [0, 1])
+            assert finished == [1]
+            assert side_by_side(lane, lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
+        assert side_by_side(None, lambda x: 2 * x, [1, 2]) == [2, 4]
 
 
 class TestH1Distance:
