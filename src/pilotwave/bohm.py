@@ -8,7 +8,8 @@ fills a small part of its box floors most of the box.  A density with no
 positive value has no floor and raises InputError.  Trajectory samples are
 drawn from rho0, which keeps them away from nodes almost surely.
 Trajectories are integrated with classical RK4 on top of cubic
-(Catmull-Rom) interpolation in both space and time.
+(Catmull-Rom) interpolation in space; in time every RK4 stage reads a
+stored velocity frame as it is, so its time must lie on the history mesh.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
 
 DENSITY_FLOOR_SCALE = 1e-12
 ESCAPE_FRACTION_CAP = 0.05
+MESH_TOL = 1e-9  # in history steps: how far a read may sit from a stored frame
 
 
 class VelocityField(NamedTuple):
@@ -121,20 +123,20 @@ class FieldHistory:
         return float(self.times[1] - self.times[0])
 
     def field_at(self, t: float) -> np.ndarray:
-        """Catmull-Rom blend of the stored fields at time t (clamped ends)."""
+        """The stored field at time t, which must lie on the history mesh.
+
+        Nothing is blended in time: t selects the frame ``round(g)`` with
+        ``g = (t - times[0]) / dt``.  A time more than 1e-9 steps off the
+        mesh, or outside the history, raises ConfigError.
+        """
         g = (t - self.times[0]) / self.dt
-        j = int(np.floor(g))
-        j = min(max(j, 0), len(self.times) - 2)
-        f = g - j
-        w = _catmull_weights(np.asarray(f))
-        jm = max(j - 1, 0)
-        jp = min(j + 2, len(self.times) - 1)
-        return (
-            w[0] * self.values[jm]
-            + w[1] * self.values[j]
-            + w[2] * self.values[j + 1]
-            + w[3] * self.values[jp]
-        )
+        j = int(np.rint(g)) if np.isfinite(g) else -1
+        if not 0 <= j < len(self.times) or abs(g - j) > MESH_TOL:
+            raise ConfigError(
+                f"time {float(t)!r} is not a stored frame of the history "
+                f"({float(self.times[0])!r} to {float(self.times[-1])!r} in steps of {self.dt!r})"
+            )
+        return self.values[j]
 
 
 class HydroResidual(NamedTuple):
@@ -266,10 +268,13 @@ def integrate_trajectories(
     """RK4 integration of dX/dt = u(t, X) along the stored velocity fields.
 
     ``times`` is the (uniform) output mesh; integration takes one RK4 step
-    per output interval, so the velocity history must be at least four
-    times finer than that step.  Momenta are recorded as P(t) = u(t, X(t)).
-    Samples leaving the box are frozen, marked invalid, and the run fails
-    if more than 5% escape.
+    of size h per output interval.  The stages read stored frames as they
+    are, never blended in time: every stage time t, t + h/2 and t + h must
+    lie on the history mesh (and so inside the history), so the history
+    step divides h/2; ConfigError is raised before any step when one does
+    not.  Momenta are recorded as P(t) = u(t, X(t)), and each step's end
+    velocity is the next step's first stage.  Samples leaving the box are
+    frozen, marked invalid, and the run fails if more than 5% escape.
     """
     x0 = np.atleast_2d(np.asarray(initial_points, dtype=np.float64))
     if x0.shape[1] != history.grid.dim:
@@ -280,13 +285,16 @@ def integrate_trajectories(
     h = float(t_out[1] - t_out[0])
     if not np.allclose(np.diff(t_out), h, rtol=1e-9, atol=1e-12):
         raise UsageError("output times must be uniformly spaced")
-    if history.dt > h / 4.0 * (1.0 + 1e-9):
+    try:  # the frames each step reads at t + h/2 and t + h
+        u_first = history.field_at(t_out[0])
+        stage_fields = [
+            (history.field_at(t + 0.5 * h), history.field_at(t + h)) for t in t_out[:-1]
+        ]
+    except ConfigError as exc:
         raise ConfigError(
-            f"velocity history (dt={history.dt}) must be at least 4x finer "
-            f"than the trajectory step (h={h})"
-        )
-    if t_out[0] < history.times[0] - 1e-12 or t_out[-1] > history.times[-1] + 1e-12:
-        raise UsageError("output times extend beyond the stored velocity history")
+            f"RK4 stage times must lie on the velocity history mesh "
+            f"(history dt={history.dt}, trajectory step h={h}): {exc}"
+        ) from None
 
     M = x0.shape[0]
     K = t_out.size
@@ -297,18 +305,14 @@ def integrate_trajectories(
     momenta = np.empty((K, M, grid.dim))
     alive = np.ones(M, dtype=bool)
 
-    def u_at(t: float, X: np.ndarray) -> np.ndarray:
-        return _interp_space(grid, history.field_at(t), X)
-
     X = x0.copy()
     positions[0] = X
-    momenta[0] = u_at(t_out[0], X)
-    for k in range(K - 1):
-        t = t_out[k]
-        k1 = u_at(t, X)
-        k2 = u_at(t + 0.5 * h, X + 0.5 * h * k1)
-        k3 = u_at(t + 0.5 * h, X + 0.5 * h * k2)
-        k4 = u_at(t + h, X + h * k3)
+    momenta[0] = _interp_space(grid, u_first, X)
+    for k, (u_mid, u_end) in enumerate(stage_fields):
+        k1 = momenta[k]  # u(t, X), recorded when the last step ended
+        k2 = _interp_space(grid, u_mid, X + 0.5 * h * k1)
+        k3 = _interp_space(grid, u_mid, X + 0.5 * h * k2)
+        k4 = _interp_space(grid, u_end, X + h * k3)
         X_new = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         escaped = np.abs(X_new).max(axis=1) > L
         if escaped.any():
@@ -316,7 +320,7 @@ def integrate_trajectories(
             alive &= ~escaped
         X = np.where(alive[:, None], X_new, X)
         positions[k + 1] = X
-        momenta[k + 1] = u_at(t + h, X)
+        momenta[k + 1] = _interp_space(grid, u_end, X)
 
     escaped_frac = 1.0 - alive.mean()
     if escaped_frac > ESCAPE_FRACTION_CAP:

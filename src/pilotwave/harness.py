@@ -417,8 +417,8 @@ def _derived_seeds(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSeq
 
 def _step_plan(cfg: ExperimentConfig, eps: float) -> tuple[int, float, int]:
     """(n_steps, dt, frame_stride) with dt respecting the fast-period rule,
-    dt dividing the horizon, and frame count divisible by four so the
-    trajectory mesh nests into the frame mesh."""
+    dt dividing the horizon, and frame count divisible by four so that a
+    trajectory step spans four frames and its midpoint is a stored one."""
     sol = cfg.solver
     dt_max = min(eps / sol.steps_per_fast_period, sol.dt_cap)
     stride = sol.steps_per_fast_period // sol.frames_per_fast_period
@@ -432,18 +432,27 @@ def _step_plan(cfg: ExperimentConfig, eps: float) -> tuple[int, float, int]:
 # run drivers
 
 
-def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = None) -> SweepRow:
+def run_single(
+    config: ExperimentConfig,
+    eps: float,
+    lane: Executor | None = None,
+    *,
+    _inputs: _RowInputs | None = None,
+) -> SweepRow:
     """One epsilon row: paired propagation, metrics and trajectory statistics.
 
     Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
     row invalid with a reason instead of raising.  A valid row carries its
     final states.  With a ``lane`` executor the averaged system is stepped
     and measured there, beside the oscillating one (see ``lockstep``); the
-    row is the same with or without it.
+    row is the same with or without it.  ``run_sweep`` hands each row the
+    inputs it has already built and checked as ``_inputs``; without them
+    the row builds its own.
     """
     t_start = time.perf_counter()
+    row = _row_inputs(config, eps) if _inputs is None else _inputs
     try:
-        metrics, final_states = _run_single_metrics(config, eps, lane)
+        metrics, final_states = _run_single_metrics(config, eps, row, lane)
     except MonitorAbort as exc:
         return SweepRow(
             eps=eps,
@@ -478,7 +487,8 @@ def _row_inputs(config: ExperimentConfig, eps: float) -> _RowInputs:
     """Grid, potential, initial state and step plan of the ``eps`` row.
 
     Raises the config's errors (resolution, placement, fast-period rule);
-    ``run_sweep`` calls it for every eps before any row starts.
+    ``run_sweep`` calls it for every eps before any row starts, and hands
+    each row its own.
     """
     grid = build_grid(config.grid)
     V = build_potential(config.potential, grid)
@@ -500,7 +510,7 @@ class _Recording:
 
 
 def _run_single_metrics(
-    config: ExperimentConfig, eps: float, lane: Executor | None
+    config: ExperimentConfig, eps: float, row: _RowInputs, lane: Executor | None
 ) -> tuple[dict[str, Any], tuple[WaveFunction, WaveFunction]]:
     """The row's stages in order: propagate and record, wave metrics,
     trajectories, measures.
@@ -508,7 +518,6 @@ def _run_single_metrics(
     The velocity histories are the row's largest arrays; the trajectory
     stage is their last user, so they are gone before the flat distance.
     """
-    row = _row_inputs(config, eps)
     recording, velocity_frames = _propagate_and_record(config, eps, row, lane)
     metrics = _wave_metrics(recording)
     ensembles = _trajectories(config, row, *velocity_frames)
@@ -520,9 +529,13 @@ def _run_single_metrics(
 def _propagate_and_record(
     config: ExperimentConfig, eps: float, row: _RowInputs, lane: Executor | None
 ) -> tuple[_Recording, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Step both systems side by side; at every frame run the monitors and
-    record the velocity fields.  Returns the recording and the velocity
-    frames (frame times, oscillating, effective).
+    """Step both systems side by side; at every frame run the monitors, and
+    at every second frame record the velocity fields.  Returns the
+    recording and the velocity histories (their times, oscillating,
+    effective).
+
+    The trajectory step is four frames (``_step_plan``), so its RK4 stages
+    read only the even frames; the odd ones are measured, never stored.
 
     With a ``lane``, the effective system's steps and frame densities run
     on it; the monitors, the Gronwall term and the history writes stay on
@@ -536,8 +549,8 @@ def _propagate_and_record(
 
     n_frames = row.n_steps // row.stride
     frame_times = np.empty(n_frames + 1)
-    u_osc = np.empty((n_frames + 1, grid.dim) + grid.shape)
-    u_eff = np.empty((n_frames + 1, grid.dim) + grid.shape)
+    u_osc = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
+    u_eff = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
 
     h1_initial = norms(psi0.field).h1
     b_horizon = min(1.0, config.sweep.horizon) * (1.0 + 1e-12)
@@ -556,8 +569,9 @@ def _propagate_and_record(
             check_monitors(bmass, d.h1, h1_initial, t)
             reg_max[i] = max(reg_max[i], d.regularized_fraction)
         frame_times[frame] = t
-        u_osc[frame] = d_o.velocity
-        u_eff[frame] = d_e.velocity
+        if frame % 2 == 0:
+            u_osc[frame // 2] = d_o.velocity
+            u_eff[frame // 2] = d_e.velocity
         if t <= b_horizon:
             b_vals.append(gronwall_integrand(wf_o, wf_e, V, Vstar, eps, t, w=steppers[0].w))
         if frame == n_frames:
@@ -574,7 +588,7 @@ def _propagate_and_record(
         boundary_mass=boundary_max,
         regularized_fraction=tuple(reg_max),
     )
-    return recording, (frame_times, u_osc, u_eff)
+    return recording, (frame_times[::2], u_osc, u_eff)
 
 
 def _wave_metrics(recording: _Recording) -> dict[str, Any]:
@@ -597,20 +611,22 @@ def _wave_metrics(recording: _Recording) -> dict[str, Any]:
 def _trajectories(
     config: ExperimentConfig,
     row: _RowInputs,
-    frame_times: np.ndarray,
+    history_times: np.ndarray,
     u_osc: np.ndarray,
     u_eff: np.ndarray,
 ) -> tuple[TrajectoryEnsemble, TrajectoryEnsemble]:
     """Paired ensembles from one seeded sample of the initial density, one
-    through each velocity history; the histories die with this stage."""
+    through each velocity history; the histories die with this stage.  An
+    RK4 step spans two history intervals, so its midpoint is a stored
+    frame."""
     sampling_seed, _ = _derived_seeds(config.sweep.seed)
     x0 = sample_initial_positions(
         np.abs(row.psi0.values) ** 2, row.grid, config.sweep.ensemble_size, sampling_seed
     )
-    out_times = frame_times[::4]
+    out_times = history_times[::2]
     return (
-        integrate_trajectories(FieldHistory(row.grid, frame_times, u_osc), x0, out_times),
-        integrate_trajectories(FieldHistory(row.grid, frame_times, u_eff), x0, out_times),
+        integrate_trajectories(FieldHistory(row.grid, history_times, u_osc), x0, out_times),
+        integrate_trajectories(FieldHistory(row.grid, history_times, u_eff), x0, out_times),
     )
 
 
@@ -680,7 +696,7 @@ def run_sweep(
 
     Every row's grid, potential, initial state and step plan are built and
     checked first, so a config error raises before any row starts and
-    before anything is written.
+    before anything is written; each row then runs from what was built.
 
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
@@ -689,8 +705,8 @@ def run_sweep(
     if threads is not None and threads < 1:
         raise ConfigError(f"the worker count must be >= 1, got {threads}")
     eps_list = config.sweep.eps_list
-    for eps in eps_list:  # config errors surface here, before any row starts
-        _row_inputs(config, eps)
+    # config errors surface here, before any row starts
+    row_inputs = [_row_inputs(config, eps) for eps in eps_list]
     n_workers = threads or _default_workers()
     workers = min(n_workers, len(eps_list))
     lanes = (
@@ -701,14 +717,14 @@ def run_sweep(
     # the lane pool is shut down, its threads joined, on every way out
     with ThreadPoolExecutor(max_workers=len(eps_list)) if lanes else nullcontext() as lane:
 
-        def worker(eps: float) -> SweepRow:
-            return run_single(config, eps, lane)
+        def worker(eps: float, inputs: _RowInputs) -> SweepRow:
+            return run_single(config, eps, lane, _inputs=inputs)
 
         if workers == 1:
-            rows = [worker(e) for e in eps_list]
+            rows = list(map(worker, eps_list, row_inputs))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(worker, eps_list))
+                rows = list(pool.map(worker, eps_list, row_inputs))
 
     metadata = {
         "config_hash": config.config_hash(),

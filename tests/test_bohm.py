@@ -239,6 +239,66 @@ def interp_space_reference(grid, field, X):
     return out
 
 
+def blended_field_at(history, t):
+    """The Catmull-Rom time blend that field reads once made (clamped ends)."""
+    from pilotwave.bohm import _catmull_weights
+
+    g = (t - history.times[0]) / history.dt
+    j = min(max(int(np.floor(g)), 0), len(history.times) - 2)
+    w = _catmull_weights(np.asarray(g - j))
+    jm = max(j - 1, 0)
+    jp = min(j + 2, len(history.times) - 1)
+    v = history.values
+    return w[0] * v[jm] + w[1] * v[j] + w[2] * v[j + 1] + w[3] * v[jp]
+
+
+def blended_trajectories(history, x0, times):
+    """RK4 through the blended history, each velocity looked up afresh."""
+    from pilotwave.bohm import _interp_space
+
+    h = float(times[1] - times[0])
+    L = history.grid.half_width
+
+    def u_at(t, X):
+        return _interp_space(history.grid, blended_field_at(history, t), X)
+
+    X = x0.copy()
+    positions, momenta = [X], [u_at(times[0], X)]
+    alive = np.ones(len(x0), dtype=bool)
+    for t in times[:-1]:
+        k1 = u_at(t, X)
+        k2 = u_at(t + 0.5 * h, X + 0.5 * h * k1)
+        k3 = u_at(t + 0.5 * h, X + 0.5 * h * k2)
+        k4 = u_at(t + h, X + h * k3)
+        X_new = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        escaped = np.abs(X_new).max(axis=1) > L
+        X_new[escaped] = X[escaped]
+        alive &= ~escaped
+        X = np.where(alive[:, None], X_new, X)
+        positions.append(X)
+        momenta.append(u_at(t + h, X))
+    return np.stack(positions), np.stack(momenta), alive
+
+
+class TestFieldHistory:
+    def test_mesh_times_return_the_stored_frame(self):
+        g = make_grid(1, 32, 4.0)
+        times = np.arange(41) * 0.0125
+        values = np.random.default_rng(5).normal(size=(41, 1) + g.shape)
+        hist = FieldHistory(g, times, values)
+        for j, t in enumerate(times):
+            assert np.array_equal(hist.field_at(t), values[j])
+        # a stage time as RK4 forms it, t + h/2 with h = 4 steps, is a frame
+        assert np.array_equal(hist.field_at(times[8] + 0.5 * (times[4] - times[0])), values[10])
+
+    @pytest.mark.parametrize("t", [0.00625, 0.1 + 1e-7, -0.0125, 0.5125, np.nan])
+    def test_off_mesh_or_outside_raises(self, t):
+        g = make_grid(1, 32, 4.0)
+        hist = FieldHistory(g, np.arange(41) * 0.0125, np.zeros((41, 1) + g.shape))
+        with pytest.raises(ConfigError, match="not a stored frame"):
+            hist.field_at(t)
+
+
 class TestTrajectories:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_interp_space_matches_mod_reference(self, dim):
@@ -257,14 +317,52 @@ class TestTrajectories:
     def test_constant_velocity_exact(self):
         g = make_grid(1, 64, 8.0)
         times = np.linspace(0.0, 1.0, 11)
-        fields = np.full((11, 1) + g.shape, 0.7)
         hist = FieldHistory(g, np.linspace(0, 1, 41), np.full((41, 1) + g.shape, 0.7))
         x0 = np.array([[-2.0], [0.5], [3.0]])
         ens = integrate_trajectories(hist, x0, times)
         expected = x0[None, :, 0] + 0.7 * times[:, None]
         assert np.max(np.abs(ens.positions[:, :, 0] - expected)) < 1e-13
         assert np.allclose(ens.momenta, 0.7, atol=1e-13)
-        assert fields.shape[0] == 11  # silence lint on helper array
+
+    @pytest.mark.parametrize("h, tol", [(2.0**-6, 0.0), (0.02, 4e-16)])
+    def test_even_frames_give_the_blended_integration(self, h, tol):
+        # RK4 stages read frames 4k, 4k+2 and 4k+4 only, so the odd frames
+        # can go unstored.  On a dyadic mesh every stage time is exact and
+        # the old time blend weighed one frame by exactly 1: no bit moves.
+        # On a decimal mesh roundoff left some stage times 2e-15 of a step
+        # short of a frame, and the blend mixed in its neighbours at that
+        # weight, a last-digit difference
+        g = make_grid(1, 512, 16.0)
+        full = free_gaussian_history(g, T=1.0, h=h)
+        even = FieldHistory(g, full.times[::2], full.values[::2])
+        x0 = np.linspace(-3.0, 3.0, 41)[:, None]
+        ens = integrate_trajectories(even, x0, full.times[::4])
+        positions, momenta, valid = blended_trajectories(full, x0, full.times[::4])
+        assert np.abs(ens.positions - positions).max() <= tol
+        assert np.abs(ens.momenta - momenta).max() <= tol
+        assert (ens.valid == valid).all()
+
+    @pytest.mark.parametrize("dim, K", [(1, 6), (2, 3)])
+    def test_velocity_lookups_per_ensemble(self, monkeypatch, dim, K):
+        # 3 stage lookups per step plus P(t) at every output time: the
+        # velocity at a step's end is its successor's first stage
+        import pilotwave.bohm as bohm
+
+        calls = []
+        real_interp = bohm._interp_space
+
+        def counted(*args):
+            calls.append(args[2].shape[0])
+            return real_interp(*args)
+
+        monkeypatch.setattr(bohm, "_interp_space", counted)
+        g = make_grid(dim, 16, 8.0)
+        times = np.arange(2 * K - 1) * 0.05
+        hist = FieldHistory(g, times, np.full((times.size, dim) + g.shape, 0.3))
+        x0 = np.zeros((7, dim))
+        ens = integrate_trajectories(hist, x0, times[::2])
+        assert ens.times.size == K
+        assert calls == [7] * (4 * (K - 1) + 1)
 
     def test_free_gaussian_scaling_oracle(self):
         # X(t, x0) = x0 sqrt(1 + t^2/4); at t = 2 the map is x0 sqrt(2)
@@ -307,6 +405,12 @@ class TestTrajectories:
         hist = FieldHistory(g, times, np.zeros((11, 1) + g.shape))
         with pytest.raises(ConfigError):
             integrate_trajectories(hist, np.array([[0.0]]), times)  # step == history dt
+
+    def test_output_times_outside_the_history_raise(self):
+        g = make_grid(1, 64, 8.0)
+        hist = FieldHistory(g, np.linspace(0.0, 1.0, 41), np.zeros((41, 1) + g.shape))
+        with pytest.raises(ConfigError, match="not a stored frame"):
+            integrate_trajectories(hist, np.array([[0.0]]), np.linspace(0.0, 1.2, 13))
 
     def test_momentum_consistency_invariant(self):
         from pilotwave.bohm import _interp_space

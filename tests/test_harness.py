@@ -273,11 +273,13 @@ class TestRowStages:
         import pilotwave.harness as harness
 
         histories = []
+        stored = []  # (times, frames, bytes) per history
         real_history = harness.FieldHistory
 
         def tracked_history(*args, **kwargs):
             history = real_history(*args, **kwargs)
             histories.append((weakref.ref(history), weakref.ref(history.values)))
+            stored.append((len(history.times), history.values.shape[0], history.values.nbytes))
             return history
 
         seen = []
@@ -301,6 +303,30 @@ class TestRowStages:
         # both histories were built (trajectories ran first) and neither they
         # nor their velocity arrays were reachable when the flat distance ran
         assert seen == [[(True, True), (True, True)]]
+        # RK4 reads every second frame only, and only those are stored
+        n_steps, _, stride = _step_plan(cfg, 0.2)
+        frames = (n_steps // stride) // 2 + 1
+        assert stored == [(frames, frames, frames * 2 * 256**2 * 8)] * 2
+
+    def test_each_row_is_built_once(self, monkeypatch):
+        # the sweep checks every row's inputs before any row starts, and the
+        # rows run from those same inputs
+        import pilotwave.harness as harness
+
+        built = []
+        real_build = harness.build_initial_state
+
+        def counted_build(spec, grid, eps=None):
+            built.append(eps)
+            return real_build(spec, grid, eps=eps)
+
+        monkeypatch.setattr(harness, "build_initial_state", counted_build)
+        report = run_sweep(small_config(), threads=1)
+        assert all(row.valid for row in report.rows)
+        assert built == [0.2, 0.1]
+        built.clear()
+        assert run_single(small_config(), 0.1).valid
+        assert built == [0.1]
 
     @pytest.mark.parametrize("escape", [False, True])
     def test_pair_list_is_built_once_per_row(self, monkeypatch, escape):
@@ -554,7 +580,7 @@ class TestLanes:
         pools = []
         real_pool = harness.ThreadPoolExecutor
 
-        def run_single(config, eps, lane=None):
+        def run_single(config, eps, lane=None, *, _inputs=None):
             seen.append(lane)
             return SweepRow(eps=eps, valid=False, reason="not run", wall_time=0.0)
 

@@ -118,12 +118,13 @@ def traced_sweep(spans, monkeypatch, cfg_path, out, *argv):
 
 def test_traced_sweep_yields_every_layer_metric(spans, monkeypatch, tmp_path):
     metrics, _ = traced_sweep(spans, monkeypatch, tiny_config(tmp_path), tmp_path / "out")
-    # 1D n=256, T=0.25, eps=0.2: 40 steps per system, 21 velocity frames
+    # 1D n=256, T=0.25, eps=0.2: 40 steps per system, 21 frames of which
+    # the 11 even ones hold a stored velocity field
     assert metrics["harness.rows"] == 1
     assert metrics["harness.row_computations"] == 1
     assert metrics["harness.invalid_rows"] == 0
     assert metrics["solver.steps"] == 80
-    assert metrics["bohm.history_bytes"] == 2 * 21 * 256 * 8
+    assert metrics["bohm.history_bytes"] == 2 * 11 * 256 * 8
     assert metrics["bohm.traj_velocity_evals"] == 2 * 100 * (5 * 6 - 4)
     assert metrics["measure.injectivity_calls"] == 2
     assert metrics["fieldio.save_calls"] == 2
@@ -151,8 +152,8 @@ def test_traced_2d_sweep_counts_the_same_with_a_lane(spans, monkeypatch, tmp_pat
     assert len(threads_of(laned_trace, "solver.advance")) == 2
     assert len(threads_of(laned_trace, "bohm.densities")) == 2
     assert len(threads_of(laned_trace, "bohm.traj")) == 1  # history bytes stay on one thread
-    # T=0.25, eps=0.2: 40 steps per system, 21 velocity frames of 2 x 256**2
+    # T=0.25, eps=0.2: 40 steps per system, 11 stored velocity frames of 2 x 256**2
     assert laned["solver.steps"] == serial["solver.steps"] == 80
-    assert laned["bohm.history_bytes"] == serial["bohm.history_bytes"] == 2 * 21 * 2 * 256**2 * 8
+    assert laned["bohm.history_bytes"] == serial["bohm.history_bytes"] == 2 * 11 * 2 * 256**2 * 8
     for name in ("grid.fft_calls", "grid.fft_calls_per_frame", "harness.row_computations"):
         assert laned[name] == serial[name], name
