@@ -3,12 +3,12 @@
 A sweep propagates the oscillating and averaged systems side by side from
 the same initial state, records velocity fields on a fast-scale-resolving
 mesh, integrates paired trajectory ensembles from a shared seed, and
-reports every convergence metric per epsilon.  Rows are computed
-concurrently; a row with a spare worker on a large grid also steps and
-measures its averaged system on a lane thread of its own.  All randomness
-comes from per-purpose streams derived from the master seed before
-fan-out, and a lane only moves whole calls between threads, so thread
-count cannot affect results.
+reports every convergence metric per epsilon.  Rows run one at a time,
+in ``eps_list`` order; with a spare worker on a large grid, each row steps
+and measures its averaged system on the sweep's one lane thread.  All
+randomness comes from per-purpose streams derived from the master seed,
+and a lane only moves whole calls between threads, so the worker count
+cannot affect results.
 """
 
 from __future__ import annotations
@@ -261,9 +261,17 @@ def _expected_type(default: Any, value: Any) -> str | None:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Load a YAML experiment config with strict key checking."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    """Load a YAML experiment config with strict key checking.
+
+    A file that cannot be read or parsed raises ConfigError naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:
         data = {}
     return config_from_mapping(data)
@@ -667,8 +675,8 @@ def _measures(
 
 # Grids below this many points step too fast for a lane to pay for its
 # hand-offs.  The placement and resolution rules admit no Gaussian row
-# below n = 256 per axis, so every 2D and 3D row has a lane to spare and no
-# 1D row takes one.
+# below n = 256 per axis, so every 2D and 3D row takes the lane when a
+# second worker is allowed, and no 1D row does.
 LANE_MIN_POINTS = 2**16
 
 
@@ -685,18 +693,20 @@ def run_sweep(
     threads: int | None = None,
     out_dir: str | Path | None = None,
 ) -> ConvergenceReport:
-    """Run every epsilon row (concurrently) and assemble the report.
+    """Run every epsilon row, one after another, and assemble the report.
 
-    ``threads`` defaults to the number of CPUs this process may run on; a
-    count below 1 raises ConfigError.  The rows take up to ``threads``
-    workers, one per row.  When there are two workers per row and the grid
-    has at least ``LANE_MIN_POINTS`` points, each row also gets a lane, one
-    helper thread that steps and measures its averaged system (see
-    ``run_single``).  Neither changes a result.
+    ``threads`` is the worker count; it defaults to the number of CPUs this
+    process may run on, and a count below 1 raises ConfigError.  It only
+    decides the lane: with at least two workers and a grid of at least
+    ``LANE_MIN_POINTS`` points, the sweep opens one helper thread, and each
+    row in turn steps and measures its averaged system there (see
+    ``run_single``).  The rows run on the calling thread in ``eps_list``
+    order, and the count never changes a result.
 
     Every row's grid, potential, initial state and step plan are built and
-    checked first, so a config error raises before any row starts and
-    before anything is written; each row then runs from what was built.
+    checked first, then ``out_dir`` is created, so a config error or an
+    unusable output directory raises ConfigError before any row starts;
+    each row then runs from what was built.
 
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
@@ -707,24 +717,23 @@ def run_sweep(
     eps_list = config.sweep.eps_list
     # config errors surface here, before any row starts
     row_inputs = [_row_inputs(config, eps) for eps in eps_list]
-    n_workers = threads or _default_workers()
-    workers = min(n_workers, len(eps_list))
-    lanes = (
-        n_workers >= 2 * len(eps_list)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory {out}: {exc.strerror or exc}") from exc
+    lane_wanted = (
+        (threads or _default_workers()) >= 2
         and config.grid.n_per_axis**config.grid.dim >= LANE_MIN_POINTS
     )
 
-    # the lane pool is shut down, its threads joined, on every way out
-    with ThreadPoolExecutor(max_workers=len(eps_list)) if lanes else nullcontext() as lane:
-
-        def worker(eps: float, inputs: _RowInputs) -> SweepRow:
-            return run_single(config, eps, lane, _inputs=inputs)
-
-        if workers == 1:
-            rows = list(map(worker, eps_list, row_inputs))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(worker, eps_list, row_inputs))
+    # the lane thread is joined on every way out
+    with ThreadPoolExecutor(max_workers=1) if lane_wanted else nullcontext() as lane:
+        rows = [
+            run_single(config, eps, lane, _inputs=inputs)
+            for eps, inputs in zip(eps_list, row_inputs)
+        ]
 
     metadata = {
         "config_hash": config.config_hash(),
@@ -736,9 +745,7 @@ def run_sweep(
     }
     report = ConvergenceReport(rows=tuple(rows), metadata=metadata)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         emit_csv(report, out / "report.csv")
         emit_json(report, out / "report.json")
         if config.output.save_fields:

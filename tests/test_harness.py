@@ -519,7 +519,7 @@ class TestLanes:
 
     @pytest.mark.parametrize(
         "eps_list, threads",
-        [((0.2,), 2), ((0.2, 0.1), 4)],  # the second: four threads on two rows, one lane each
+        [((0.2,), 2), ((0.2, 0.1), 4)],  # the second: two rows in turn on one lane
     )
     def test_lane_row_equals_the_serial_row(self, tmp_path, eps_list, threads):
         cfg = tiny_2d_config(eps_list=eps_list)
@@ -568,9 +568,12 @@ class TestLanes:
             (small_config(eps_list=(0.2,)), 2, False),  # 1D: below the lane size
             (small_config(eps_list=(0.2,)), 8, False),
             (tiny_2d_config(), 1, False),
-            (tiny_2d_config(eps_list=(0.2, 0.1)), 3, False),  # workers < 2 x rows
+            (tiny_2d_config(eps_list=(0.2, 0.1)), 3, True),  # rows share the one lane
             (tiny_2d_config(), 2, True),
             (tiny_2d_config(eps_list=(0.2, 0.1)), 4, True),
+            (small_config(), 1, False),
+            (small_config(), 4, False),
+            (tiny_2d_config(eps_list=(0.2, 0.1)), 1, False),
         ],
     )
     def test_lane_needs_a_spare_worker_and_a_large_grid(self, monkeypatch, cfg, threads, lanes):
@@ -581,7 +584,7 @@ class TestLanes:
         real_pool = harness.ThreadPoolExecutor
 
         def run_single(config, eps, lane=None, *, _inputs=None):
-            seen.append(lane)
+            seen.append((eps, threading.get_ident(), lane))
             return SweepRow(eps=eps, valid=False, reason="not run", wall_time=0.0)
 
         def pool(*args, **kwargs):
@@ -590,13 +593,15 @@ class TestLanes:
 
         monkeypatch.setattr(harness, "run_single", run_single)
         monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
-        run_sweep(cfg, threads=threads)
-        rows = len(cfg.sweep.eps_list)
-        assert len(seen) == rows
-        assert all((lane is not None) == lanes for lane in seen)
-        # one lane per row, in one pool besides the rows' own
-        row_pools = [rows] if min(threads, rows) > 1 else []
-        assert pools == ([rows] if lanes else []) + row_pools
+        report = run_sweep(cfg, threads=threads)
+        # the rows run on the calling thread, in eps_list order
+        assert [eps for eps, _, _ in seen] == list(cfg.sweep.eps_list)
+        assert [r.eps for r in report.rows] == list(cfg.sweep.eps_list)
+        assert all(ident == threading.get_ident() for _, ident, _ in seen)
+        assert all((lane is not None) == lanes for _, _, lane in seen)
+        assert len({id(lane) for _, _, lane in seen}) == 1
+        # one pool of one lane thread, and no pool for the rows
+        assert pools == ([1] if lanes else [])
 
     def test_monitor_abort_under_a_lane(self):
         cfg = dataclasses.replace(
@@ -821,6 +826,42 @@ class TestCli:
             assert message in capsys.readouterr().err
             assert started == []
             assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("case", ["missing", "bad_yaml", "out_under_file"])
+    def test_unusable_config_or_output_exits_2_before_any_row(
+        self, tmp_path, monkeypatch, capsys, case
+    ):
+        import pilotwave.harness as harness
+
+        started = []
+        real_run_single = harness.run_single
+
+        def counted(*args, **kwargs):
+            started.append(1)
+            return real_run_single(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_single", counted)
+        cfg_path = tmp_path / "bench.yaml"
+        cfg_path.write_text(BENCH_YAML)
+        out = tmp_path / "out"
+        if case == "missing":
+            cfg_path = tmp_path / "absent.yaml"
+            named = str(cfg_path)
+        elif case == "bad_yaml":
+            cfg_path.write_text("grid: {dim: 1\n")
+            named = str(cfg_path)
+        else:
+            (tmp_path / "plain").write_text("not a directory\n")
+            out = tmp_path / "plain" / "out"
+            named = str(out)
+        for command in (["sweep"], ["run", "--eps", "0.2"]):
+            rc = cli_main(command + ["--config", str(cfg_path), "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert named in err
+        assert started == []
+        assert not out.exists()
 
     def test_run_command_requires_unambiguous_eps(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.yaml"
