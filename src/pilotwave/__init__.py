@@ -30,7 +30,7 @@ from .errors import (
     WaveBlowUp,
 )
 from .fieldio import load_field, save_field
-from .grid import ComplexField, Grid, make_grid, norms, spectral_gradient, spectral_laplacian
+from .grid import ComplexField, Grid, make_grid, norms, spectral_laplacian
 from .harness import (
     ConvergenceReport,
     ExperimentConfig,

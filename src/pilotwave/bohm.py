@@ -8,8 +8,9 @@ fills a small part of its box floors most of the box.  A density with no
 positive value has no floor and raises InputError.  Trajectory samples are
 drawn from rho0, which keeps them away from nodes almost surely.
 Trajectories are integrated with classical RK4 on top of cubic
-(Catmull-Rom) interpolation in space; in time every RK4 stage reads a
-stored velocity frame as it is, so its time must lie on the history mesh.
+(Catmull-Rom) interpolation in space; in time nothing is interpolated: the
+output times are mapped to history frames once, and every RK4 stage reads
+a stored velocity frame by its number.
 """
 
 from __future__ import annotations
@@ -85,17 +86,15 @@ class TrajectoryEnsemble:
     momenta: np.ndarray  # (K, M, dim)
     valid: np.ndarray  # (M,) bool
 
-    @property
-    def escaped_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.valid)
-
 
 @dataclass(frozen=True)
 class FieldHistory:
     """Time-indexed fields on a uniform mesh, e.g. velocity snapshots.
 
     ``values`` has shape (n_times, n_components, *grid.shape); scalar
-    histories use a single component.
+    histories use a single component.  Readers take frames by number:
+    ``integrate_trajectories`` and ``newton_residual`` map their output
+    times to frames once, and nothing is interpolated in time.
     """
 
     grid: Grid
@@ -121,22 +120,6 @@ class FieldHistory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def field_at(self, t: float) -> np.ndarray:
-        """The stored field at time t, which must lie on the history mesh.
-
-        Nothing is blended in time: t selects the frame ``round(g)`` with
-        ``g = (t - times[0]) / dt``.  A time more than 1e-9 steps off the
-        mesh, or outside the history, raises ConfigError.
-        """
-        g = (t - self.times[0]) / self.dt
-        j = int(np.rint(g)) if np.isfinite(g) else -1
-        if not 0 <= j < len(self.times) or abs(g - j) > MESH_TOL:
-            raise ConfigError(
-                f"time {float(t)!r} is not a stored frame of the history "
-                f"({float(self.times[0])!r} to {float(self.times[-1])!r} in steps of {self.dt!r})"
-            )
-        return self.values[j]
 
 
 class HydroResidual(NamedTuple):
@@ -260,6 +243,25 @@ def sample_initial_positions(
 # trajectory integration
 
 
+def _frames(history: FieldHistory, times: np.ndarray) -> np.ndarray:
+    """The frame number of every time, which must lie on the history mesh.
+
+    A time selects the frame ``round(g)`` with ``g = (t - times[0]) / dt``;
+    one more than 1e-9 steps off the mesh, outside the history or NaN
+    raises ConfigError naming the first such time.
+    """
+    g = (times - history.times[0]) / history.dt
+    j = np.rint(g)
+    on_mesh = (np.abs(g - j) <= MESH_TOL) & (j >= 0) & (j < len(history.times))
+    if not on_mesh.all():
+        raise ConfigError(
+            f"time {float(times[np.argmin(on_mesh)])!r} is not a stored frame of the history "
+            f"({float(history.times[0])!r} to {float(history.times[-1])!r} "
+            f"in steps of {history.dt!r})"
+        )
+    return j.astype(np.int64)
+
+
 def integrate_trajectories(
     history: FieldHistory,
     initial_points: np.ndarray,
@@ -268,13 +270,14 @@ def integrate_trajectories(
     """RK4 integration of dX/dt = u(t, X) along the stored velocity fields.
 
     ``times`` is the (uniform) output mesh; integration takes one RK4 step
-    of size h per output interval.  The stages read stored frames as they
-    are, never blended in time: every stage time t, t + h/2 and t + h must
-    lie on the history mesh (and so inside the history), so the history
-    step divides h/2; ConfigError is raised before any step when one does
-    not.  Momenta are recorded as P(t) = u(t, X(t)), and each step's end
-    velocity is the next step's first stage.  Samples leaving the box are
-    frozen, marked invalid, and the run fails if more than 5% escape.
+    of size h per output interval.  The output times are mapped to history
+    frames once, and must lie on the history mesh (ConfigError otherwise).
+    They must be an even number ``s`` of frames apart, so a step from frame
+    ``f`` reads its stages as frames ``f``, ``f + s/2`` and ``f + s``, as
+    stored, never blended in time.  Momenta are recorded as
+    P(t) = u(t, X(t)), and each step's end velocity is the next step's
+    first stage.  Samples leaving the box are frozen, marked invalid, and
+    the run fails if more than 5% escape.
     """
     x0 = np.atleast_2d(np.asarray(initial_points, dtype=np.float64))
     if x0.shape[1] != history.grid.dim:
@@ -283,23 +286,21 @@ def integrate_trajectories(
     if t_out.ndim != 1 or t_out.size < 2:
         raise UsageError("need at least two output times")
     h = float(t_out[1] - t_out[0])
-    if not np.allclose(np.diff(t_out), h, rtol=1e-9, atol=1e-12):
+    frames = _frames(history, t_out)
+    s = int(frames[1] - frames[0])
+    if (np.diff(frames) != s).any():
         raise UsageError("output times must be uniformly spaced")
-    try:  # the frames each step reads at t + h/2 and t + h
-        u_first = history.field_at(t_out[0])
-        stage_fields = [
-            (history.field_at(t + 0.5 * h), history.field_at(t + h)) for t in t_out[:-1]
-        ]
-    except ConfigError as exc:
+    if s <= 0 or s % 2:  # a step's midpoint must be a frame
         raise ConfigError(
-            f"RK4 stage times must lie on the velocity history mesh "
-            f"(history dt={history.dt}, trajectory step h={h}): {exc}"
-        ) from None
+            f"output times must be a positive even number of history steps apart, "
+            f"got {s} (history dt={history.dt}, trajectory step h={h})"
+        )
 
     M = x0.shape[0]
     K = t_out.size
     grid = history.grid
     L = grid.half_width
+    u = history.values
 
     positions = np.empty((K, M, grid.dim))
     momenta = np.empty((K, M, grid.dim))
@@ -307,8 +308,9 @@ def integrate_trajectories(
 
     X = x0.copy()
     positions[0] = X
-    momenta[0] = _interp_space(grid, u_first, X)
-    for k, (u_mid, u_end) in enumerate(stage_fields):
+    momenta[0] = _interp_space(grid, u[frames[0]], X)
+    for k, f in enumerate(frames[:-1]):
+        u_mid, u_end = u[f + s // 2], u[f + s]
         k1 = momenta[k]  # u(t, X), recorded when the last step ended
         k2 = _interp_space(grid, u_mid, X + 0.5 * h * k1)
         k3 = _interp_space(grid, u_mid, X + 0.5 * h * k2)
@@ -437,8 +439,9 @@ def newton_residual(
     """Ensemble-mean L1-in-time residual of dP/dt = -grad V + grad Q along paths.
 
     dP/dt uses centred differencing of the recorded momenta; the forces are
-    interpolated at the recorded positions (grad Q spectrally from the Q
-    snapshots).
+    interpolated at the recorded positions.  Each interior output time reads
+    its Q frame by number (it must lie on the Q history's mesh), and only
+    those frames are differentiated.
     """
     t = ensemble.times
     if t.size < 3:
@@ -448,13 +451,7 @@ def newton_residual(
     if q_history.values.shape[1] != 1:
         raise UsageError("q_history must carry a single scalar component")
 
-    # local (finite-difference) gradient: the floored Q field is only
-    # trustworthy where the density is, and a global spectral derivative
-    # would smear its far-tail artifacts over the whole box
-    grad_q_series = np.empty((q_history.times.size, grid.dim) + grid.shape)
-    for j in range(q_history.times.size):
-        grad_q_series[j] = _fd_gradient(grid, q_history.values[j, 0])
-    grad_q_hist = FieldHistory(grid, q_history.times, grad_q_series)
+    frames = _frames(q_history, t)
 
     valid = ensemble.valid
     P = ensemble.momenta[:, valid, :]
@@ -463,7 +460,10 @@ def newton_residual(
     for k in range(1, t.size - 1):
         dP_dt = (P[k + 1] - P[k - 1]) / (2.0 * h)
         grad_v = _interp_space(grid, _potential_gradient(potential, t[k], grid), X[k])
-        grad_q = _interp_space(grid, grad_q_hist.field_at(t[k]), X[k])
+        # local (finite-difference) gradient: the floored Q field is only
+        # trustworthy where the density is, and a global spectral derivative
+        # would smear its far-tail artifacts over the whole box
+        grad_q = _interp_space(grid, _fd_gradient(grid, q_history.values[frames[k], 0]), X[k])
         resid_sum += np.linalg.norm(dP_dt + grad_v - grad_q, axis=1)
     return float(np.mean(resid_sum / (t.size - 2)))
 

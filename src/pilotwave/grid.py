@@ -22,7 +22,6 @@ __all__ = [
     "ComplexField",
     "Norms",
     "make_grid",
-    "spectral_gradient",
     "spectral_laplacian",
     "norms",
 ]
@@ -172,14 +171,6 @@ def boundary_mass_fraction(f: ComplexField) -> float:
         return 0.0
     inner = f.grid.inner_box_mask()
     return float(rho[~inner].sum() / total)
-
-
-def spectral_gradient(f: ComplexField) -> list[ComplexField]:
-    """Per-axis derivative via the transform multiplier i*k_j.
-
-    Exact for band-limited fields; returns one field per axis.
-    """
-    return [ComplexField._adopt(f.grid, g) for g in gradient_values(f.grid, f.values)]
 
 
 def spectral_laplacian(f: ComplexField) -> ComplexField:

@@ -55,11 +55,11 @@ from .potential import (
     cosine_lattice,
     effective_potential,
     gaussian_well,
+    period_mean,
 )
 from .solver import (
     EffectiveSystem,
     OscillatingSystem,
-    SolverConfig,
     WaveFunction,
     StrangStepper,
     _finalize_initial,
@@ -174,6 +174,10 @@ class ExperimentConfig:
             keys = [_format_delta(v) for v in values]
             if len(set(keys)) < len(keys):
                 raise ConfigError(f"{name} values {values} share a report key: {keys}")
+        if self.solver.steps_per_fast_period < 32:
+            raise ConfigError(
+                f"steps_per_fast_period must be >= 32, got {self.solver.steps_per_fast_period}"
+            )
         if self.solver.frames_per_fast_period < 1:
             raise ConfigError("frames_per_fast_period must be >= 1")
         if self.solver.steps_per_fast_period % self.solver.frames_per_fast_period != 0:
@@ -424,9 +428,11 @@ def _derived_seeds(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSeq
 
 
 def _step_plan(cfg: ExperimentConfig, eps: float) -> tuple[int, float, int]:
-    """(n_steps, dt, frame_stride) with dt respecting the fast-period rule,
-    dt dividing the horizon, and frame count divisible by four so that a
-    trajectory step spans four frames and its midpoint is a stored one."""
+    """(n_steps, dt, frame_stride) with dt <= eps / steps_per_fast_period
+    (the fast-period rule) and <= dt_cap, dt dividing the horizon, and a
+    frame count divisible by four, so that a trajectory step spans four
+    frames and its midpoint is a stored one.  Frame ``i`` is stamped
+    ``(i * frame_stride) * dt``, as ``lockstep`` stamps it from t0 = 0."""
     sol = cfg.solver
     dt_max = min(eps / sol.steps_per_fast_period, sol.dt_cap)
     stride = sol.steps_per_fast_period // sol.frames_per_fast_period
@@ -494,15 +500,17 @@ class _RowInputs:
 def _row_inputs(config: ExperimentConfig, eps: float) -> _RowInputs:
     """Grid, potential, initial state and step plan of the ``eps`` row.
 
-    Raises the config's errors (resolution, placement, fast-period rule);
-    ``run_sweep`` calls it for every eps before any row starts, and hands
-    each row its own.
+    Raises the config's errors (resolution, placement, the quadrature
+    order, the analytic mean); ``run_sweep`` calls it for every eps before
+    any row starts, and hands each row its own.  The mean is only checked
+    here: the row builds its effective potential itself.  The step plan
+    keeps the fast-period rule by construction, so it is not re-checked.
     """
     grid = build_grid(config.grid)
     V = build_potential(config.potential, grid)
+    period_mean(V, config.solver.quad_order)
     psi0 = build_initial_state(config.initial_state, grid, eps=eps)
     n_steps, dt, stride = _step_plan(config, eps)
-    SolverConfig(dt=dt, steps_per_fast_period=config.solver.steps_per_fast_period).check_fast_period(eps)
     return _RowInputs(grid, V, psi0, n_steps, dt, stride)
 
 
@@ -536,11 +544,10 @@ def _run_single_metrics(
 
 def _propagate_and_record(
     config: ExperimentConfig, eps: float, row: _RowInputs, lane: Executor | None
-) -> tuple[_Recording, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[_Recording, tuple[np.ndarray, np.ndarray]]:
     """Step both systems side by side; at every frame run the monitors, and
     at every second frame record the velocity fields.  Returns the
-    recording and the velocity histories (their times, oscillating,
-    effective).
+    recording and the velocity histories (oscillating, effective).
 
     The trajectory step is four frames (``_step_plan``), so its RK4 stages
     read only the even frames; the odd ones are measured, never stored.
@@ -556,7 +563,6 @@ def _propagate_and_record(
     )
 
     n_frames = row.n_steps // row.stride
-    frame_times = np.empty(n_frames + 1)
     u_osc = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
     u_eff = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
 
@@ -576,7 +582,6 @@ def _propagate_and_record(
             boundary_max = max(boundary_max, bmass)
             check_monitors(bmass, d.h1, h1_initial, t)
             reg_max[i] = max(reg_max[i], d.regularized_fraction)
-        frame_times[frame] = t
         if frame % 2 == 0:
             u_osc[frame // 2] = d_o.velocity
             u_eff[frame // 2] = d_e.velocity
@@ -596,7 +601,7 @@ def _propagate_and_record(
         boundary_mass=boundary_max,
         regularized_fraction=tuple(reg_max),
     )
-    return recording, (frame_times[::2], u_osc, u_eff)
+    return recording, (u_osc, u_eff)
 
 
 def _wave_metrics(recording: _Recording) -> dict[str, Any]:
@@ -617,20 +622,18 @@ def _wave_metrics(recording: _Recording) -> dict[str, Any]:
 
 
 def _trajectories(
-    config: ExperimentConfig,
-    row: _RowInputs,
-    history_times: np.ndarray,
-    u_osc: np.ndarray,
-    u_eff: np.ndarray,
+    config: ExperimentConfig, row: _RowInputs, u_osc: np.ndarray, u_eff: np.ndarray
 ) -> tuple[TrajectoryEnsemble, TrajectoryEnsemble]:
     """Paired ensembles from one seeded sample of the initial density, one
-    through each velocity history; the histories die with this stage.  An
-    RK4 step spans two history intervals, so its midpoint is a stored
-    frame."""
+    through each velocity history; the histories die with this stage.  The
+    stored frames' times come from the step plan, bit for bit as
+    ``lockstep`` stamped them.  An RK4 step spans two history intervals,
+    so its midpoint is a stored frame."""
     sampling_seed, _ = _derived_seeds(config.sweep.seed)
     x0 = sample_initial_positions(
         np.abs(row.psi0.values) ** 2, row.grid, config.sweep.ensemble_size, sampling_seed
     )
+    history_times = np.arange(0, row.n_steps + 1, 2 * row.stride) * row.dt
     out_times = history_times[::2]
     return (
         integrate_trajectories(FieldHistory(row.grid, history_times, u_osc), x0, out_times),

@@ -37,6 +37,8 @@ MASS_MATCH_TOL = 1e-8
 FEATURE_BLOCK = 16  # features evaluated together by FeatureDictionary.integrate
 QUERY_BLOCK = 2048  # samples per k-d tree query in injectivity_pairs
 PAIR_BLOCK = 65536  # neighbour pairs measured together
+N_NEIGHBORS = 64  # initial neighbours per sample in the injectivity pair list
+VIOLATION_RATIO = 1e-3  # stretching ratio below which injectivity counts as lost
 
 
 @dataclass(frozen=True)
@@ -230,22 +232,20 @@ class NeighbourPairs:
         )
 
 
-def injectivity_pairs(ens: TrajectoryEnsemble, n_neighbors: int = 64) -> NeighbourPairs:
-    """Each unordered pair of ``n_neighbors``-nearest initial neighbours once.
+def injectivity_pairs(ens: TrajectoryEnsemble) -> NeighbourPairs:
+    """Each unordered pair of ``N_NEIGHBORS``-nearest initial neighbours once.
 
     The k-NN relation is not symmetric, so a pair counts whether one or
     both of its samples list the other.  Ensembles that share initial
     points and valid samples share the list.
     """
-    if n_neighbors < 1:
-        raise UsageError(f"n_neighbors must be >= 1, got {n_neighbors}")
     valid = np.flatnonzero(ens.valid)
     m = valid.size
     if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
     x0 = ens.initial_points[valid]
     tree = cKDTree(x0)
-    k = min(n_neighbors + 1, m)
+    k = min(N_NEIGHBORS + 1, m)
 
     # key = min(i, j) * m + max(i, j) per (sample, neighbour), self-match
     # dropped; the tree is queried QUERY_BLOCK samples at a time and each
@@ -287,24 +287,21 @@ def injectivity_pairs(ens: TrajectoryEnsemble, n_neighbors: int = 64) -> Neighbo
 
 
 def flow_injectivity_monitor(
-    ens: TrajectoryEnsemble,
-    n_neighbors: int = 64,
-    violation_ratio: float = 1e-3,
-    pairs: NeighbourPairs | None = None,
+    ens: TrajectoryEnsemble, pairs: NeighbourPairs | None = None
 ) -> InjectivityReport:
     """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
 
-    Pairs are restricted to each sample's nearest initial neighbors, so the
-    cost stays O(M * n_neighbors); each unordered pair is measured once
-    (see ``injectivity_pairs``).  ``pairs`` passes a list already built for
-    an ensemble with the same initial points and valid samples, and then
-    ``n_neighbors`` is not used.  A ratio below ``violation_ratio`` is the
-    proxy for trajectory crossing; the first time it happens is reported.
+    Pairs are restricted to each sample's ``N_NEIGHBORS`` nearest initial
+    neighbours, so the cost stays O(M * N_NEIGHBORS); each unordered pair
+    is measured once (see ``injectivity_pairs``).  ``pairs`` passes a list
+    already built for an ensemble with the same initial points and valid
+    samples.  A ratio below ``VIOLATION_RATIO`` is the proxy for
+    trajectory crossing; the first time it happens is reported.
     The pairs are measured ``PAIR_BLOCK`` at a time, each block at every
     output time; a min is exact under any blocking.
     """
     if pairs is None:
-        pairs = injectivity_pairs(ens, n_neighbors)
+        pairs = injectivity_pairs(ens)
     elif not pairs.fits(ens):
         raise UsageError("pair list was built for other initial points or valid samples")
     valid = np.flatnonzero(ens.valid)
@@ -317,7 +314,7 @@ def flow_injectivity_monitor(
         for k_t in range(ens.times.size):
             sep = _pair_separation(ens.positions[k_t].T, lo, hi)
             ratio[k_t] = np.minimum(ratio[k_t], np.min(sep / base))
-    violations = ens.times[ratio < violation_ratio]
+    violations = ens.times[ratio < VIOLATION_RATIO]
     return InjectivityReport(
         # a time whose ratio is NaN is skipped, as ``<`` skips it
         min_pair_separation_ratio=float(np.fmin.reduce(ratio, initial=np.inf)),

@@ -25,6 +25,7 @@ __all__ = [
     "StaticPotential",
     "SubquadraticReport",
     "evaluate",
+    "period_mean",
     "effective_potential",
     "check_subquadratic",
     "constant_profile",
@@ -236,19 +237,21 @@ def evaluate(V: TimePeriodicPotential, s: float, grid: Grid) -> StaticPotential:
     return _scaled_spatial(V, float(V.temporal(np.asarray(s, dtype=np.float64))), grid)
 
 
-def effective_potential(
-    V: TimePeriodicPotential, grid: Grid, quad_order: int = 16
-) -> StaticPotential:
-    """Time average of V over one period: (int_0^1 a) * W.
+def period_mean(V: TimePeriodicPotential, quad_order: int = 16) -> float:
+    """The mean of a over one period, by composite Gauss-Legendre quadrature
+    (``_QUAD_PANELS`` panels of ``quad_order`` nodes each).
 
-    The mean of a is computed with composite Gauss-Legendre quadrature
-    (``_QUAD_PANELS`` panels of ``quad_order`` nodes each).  If the profile
-    carries an analytic mean, the quadrature must reproduce it to 1e-10
-    relative or an InconsistencyError is raised.
+    A ``quad_order`` below 8 raises ConfigError.  If the profile carries an
+    analytic mean, the quadrature must reproduce it to 1e-10 relative or an
+    InconsistencyError is raised.
     """
     if quad_order < 8:
         raise ConfigError(f"quad_order must be >= 8, got {quad_order}")
-    mean = _period_mean(V.temporal, quad_order)
+    nodes, weights = _gauss_nodes(quad_order)
+    mean = 0.0
+    for p in range(_QUAD_PANELS):
+        s = p / _QUAD_PANELS + nodes / _QUAD_PANELS
+        mean += float(np.sum(weights * V.temporal(s))) / _QUAD_PANELS
     if V.analytic_mean is not None:
         scale = max(1.0, abs(V.analytic_mean))
         if abs(mean - V.analytic_mean) > 1e-10 * scale:
@@ -256,7 +259,15 @@ def effective_potential(
                 f"quadrature mean {mean!r} disagrees with analytic mean "
                 f"{V.analytic_mean!r} beyond 1e-10 relative"
             )
-    return _scaled_spatial(V, mean, grid)
+    return mean
+
+
+def effective_potential(
+    V: TimePeriodicPotential, grid: Grid, quad_order: int = 16
+) -> StaticPotential:
+    """Time average of V over one period: (int_0^1 a) * W, with the mean
+    from ``period_mean`` (and its checks)."""
+    return _scaled_spatial(V, period_mean(V, quad_order), grid)
 
 
 def check_subquadratic(V: TimePeriodicPotential, grid: Grid) -> SubquadraticReport:
@@ -315,16 +326,6 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def _period_mean(profile: TemporalProfile, quad_order: int) -> float:
-    nodes, weights = _gauss_nodes(quad_order)
-    total = 0.0
-    for p in range(_QUAD_PANELS):
-        a = p / _QUAD_PANELS
-        s = a + nodes / _QUAD_PANELS
-        total += float(np.sum(weights * profile(s))) / _QUAD_PANELS
-    return total
 
 
 def _fd_second_derivative_max(grid: Grid, w: np.ndarray) -> float:

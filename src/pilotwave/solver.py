@@ -217,20 +217,24 @@ def lockstep(
 ) -> list[np.ndarray]:
     """March each state with its own stepper, side by side at a shared dt.
 
-    Calls ``on_frame(frame, t, states)`` for frame 0 at ``t0`` and then after
-    every ``stride`` steps, and returns the final states.  Between two frames
-    each state marches its ``stride`` steps on its own (see ``side_by_side``:
-    with a ``lane`` executor, every state but the first marches there while
-    the calling thread marches the first), so besides the states being
-    advanced only those of the last frame stay alive.  Step ``k``
-    starts at ``t0 + k*dt`` whichever thread takes it, so a lane never
-    changes a result.
+    ``stride`` must divide ``n_steps`` (UsageError otherwise).  Calls
+    ``on_frame(frame, t, states)`` for frame 0 at ``t0`` and then after
+    every ``stride`` steps, frame ``i`` at ``t0 + (i * stride) * dt``, and
+    returns the final states.  Between two frames each state marches its
+    ``stride`` steps on its own (see ``side_by_side``: with a ``lane``
+    executor, every state but the first marches there while the calling
+    thread marches the first), so besides the states being advanced only
+    those of the last frame stay alive.  Step ``k`` starts at
+    ``t0 + k*dt`` whichever thread takes it, so a lane never changes a
+    result.
     """
+    if stride < 1 or n_steps % stride:
+        raise UsageError(f"the frame stride {stride} does not divide {n_steps} steps")
     dt = steppers[0].dt
     states = list(states)
     on_frame(0, t0, tuple(states))
     for start in range(0, n_steps, stride):
-        stop = min(start + stride, n_steps)
+        stop = start + stride
 
         def march(i: int) -> np.ndarray:
             values = states[i]
@@ -239,8 +243,7 @@ def lockstep(
             return values
 
         states = side_by_side(lane, march, range(len(steppers)))
-        if stop % stride == 0:
-            on_frame(stop // stride, t0 + stop * dt, tuple(states))
+        on_frame(stop // stride, t0 + stop * dt, tuple(states))
     return states
 
 
@@ -270,20 +273,19 @@ def check_monitors(
     h1_initial: float,
     t: float,
     *,
-    blow_up_factor: float = BLOWUP_FACTOR,
     boundary_tol: float = BOUNDARY_MASS_TOL,
 ) -> None:
     """Validity policy for one measured state, boundary mass first.
 
     Mass outside the inner half-box above ``boundary_tol`` raises
-    BoundaryMassExceeded; an H1 norm above ``blow_up_factor`` times the
+    BoundaryMassExceeded; an H1 norm above ``BLOWUP_FACTOR`` (10) times the
     initial one raises WaveBlowUp.
     """
     if boundary_mass > boundary_tol:
         raise BoundaryMassExceeded(
             f"boundary mass {boundary_mass:.3e} exceeds {boundary_tol} at t={t}"
         )
-    h1_limit = blow_up_factor * h1_initial
+    h1_limit = BLOWUP_FACTOR * h1_initial
     if h1 > h1_limit:
         raise WaveBlowUp(f"H1 norm {h1:.3e} exceeds blow-up threshold {h1_limit:.3e} at t={t}")
 
@@ -295,13 +297,12 @@ def propagate(
     cfg: SolverConfig,
     snapshot_times: Iterable[float],
     *,
-    blow_up_factor: float = BLOWUP_FACTOR,
     boundary_tol: float = BOUNDARY_MASS_TOL,
 ) -> list[WaveFunction]:
     """March to time T, returning snapshots at the requested times.
 
     Snapshot times are rounded to the nearest step.  At every snapshot the
-    monitors of ``check_monitors`` run with the given factor and tolerance.
+    monitors of ``check_monitors`` run with the given boundary tolerance.
     """
     if T < 0:
         raise ConfigError(f"horizon T must be nonnegative, got {T}")
@@ -328,7 +329,6 @@ def propagate(
                 norms(wf.field).h1,
                 h1_initial,
                 t,
-                blow_up_factor=blow_up_factor,
                 boundary_tol=boundary_tol,
             )
             out.append(wf)

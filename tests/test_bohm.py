@@ -281,22 +281,41 @@ def blended_trajectories(history, x0, times):
 
 
 class TestFieldHistory:
-    def test_mesh_times_return_the_stored_frame(self):
+    def test_mesh_times_return_the_stored_frame(self, monkeypatch):
+        # frame j holds the constant j/1000, so each velocity lookup names
+        # the frame it read: a step of s frames from frame f reads f + s/2 for
+        # its middle stages and f + s for its last stage and the momentum
+        import pilotwave.bohm as bohm
+
+        read = []
+        real_interp = bohm._interp_space
+
+        def recorded(grid, field, X):
+            read.append(int(round(1000 * field[0, 0])))
+            return real_interp(grid, field, X)
+
+        monkeypatch.setattr(bohm, "_interp_space", recorded)
         g = make_grid(1, 32, 4.0)
         times = np.arange(41) * 0.0125
-        values = np.random.default_rng(5).normal(size=(41, 1) + g.shape)
+        values = np.arange(41)[:, None, None] * np.full((41, 1) + g.shape, 1e-3)
         hist = FieldHistory(g, times, values)
-        for j, t in enumerate(times):
-            assert np.array_equal(hist.field_at(t), values[j])
-        # a stage time as RK4 forms it, t + h/2 with h = 4 steps, is a frame
-        assert np.array_equal(hist.field_at(times[8] + 0.5 * (times[4] - times[0])), values[10])
+        for out, s in ((times[::4], 4), (times[8::2], 2)):
+            read.clear()
+            integrate_trajectories(hist, np.zeros((3, 1)), out)
+            first = int(round(out[0] / 0.0125))
+            want = [first]
+            for f in range(first, 40, s):
+                want += [f + s // 2, f + s // 2, f + s, f + s]
+            assert read == want
 
     @pytest.mark.parametrize("t", [0.00625, 0.1 + 1e-7, -0.0125, 0.5125, np.nan])
     def test_off_mesh_or_outside_raises(self, t):
         g = make_grid(1, 32, 4.0)
         hist = FieldHistory(g, np.arange(41) * 0.0125, np.zeros((41, 1) + g.shape))
-        with pytest.raises(ConfigError, match="not a stored frame"):
-            hist.field_at(t)
+        # t as the first output time, and as the last
+        for out in (t + np.arange(3) * 0.05, t - np.arange(3)[::-1] * 0.05):
+            with pytest.raises(ConfigError, match="not a stored frame"):
+                integrate_trajectories(hist, np.zeros((2, 1)), out)
 
 
 class TestTrajectories:
@@ -397,7 +416,7 @@ class TestTrajectories:
         x0 = np.concatenate([np.full((40, 1), -6.0), np.array([[7.0]])])
         ens = integrate_trajectories(hist, x0, times[::4])
         assert ens.valid.sum() == 40
-        assert list(ens.escaped_indices) == [40]
+        assert list(np.flatnonzero(~ens.valid)) == [40]
 
     def test_history_resolution_precondition(self):
         g = make_grid(1, 64, 8.0)
@@ -420,7 +439,7 @@ class TestTrajectories:
         x0 = np.linspace(-2.0, 2.0, 21)[:, None]
         ens = integrate_trajectories(hist, x0, hist.times[::4])
         for k in (0, len(ens.times) // 2, len(ens.times) - 1):
-            u = _interp_space(g, hist.field_at(ens.times[k]), ens.positions[k])
+            u = _interp_space(g, hist.values[4 * k], ens.positions[k])
             assert np.max(np.abs(u - ens.momenta[k])) < 1e-6
 
     def test_equivariance_weak_transport(self):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -33,6 +34,19 @@ def test_round_trip_2d(tmp_path):
     back = load_field(path)
     assert back.grid == g
     assert np.array_equal(back.values, wf.values)
+
+
+def test_reload_keeps_every_bit(tmp_path):
+    # the payload decodes as complex128, so signed zeros survive a reload
+    from pilotwave.grid import ComplexField
+
+    g = make_grid(1, 16, 8.0)
+    vals = np.full(g.shape, complex(-0.0, 1.0))
+    vals[1] = complex(-0.0, -0.0)
+    first, second = tmp_path / "first.field", tmp_path / "second.field"
+    save_field(first, WaveFunction(ComplexField(g, vals), 0.5))
+    save_field(second, load_field(first))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_byte_layout(tmp_path):
@@ -71,4 +85,19 @@ def test_short_payload_rejected(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(InputError):
+        load_field(path)
+
+
+@pytest.mark.parametrize("cut", [3, 16])
+def test_cut_payload_rejected_naming_the_file(tmp_path, cut):
+    # the size is checked before decoding, so a cut in the middle of a
+    # float is a clean error naming the file, like a cut between values
+    from pilotwave.grid import ComplexField
+
+    g = make_grid(1, 16, 8.0)
+    wf = WaveFunction(ComplexField(g, np.ones(g.shape, dtype=complex)), 0.0)
+    path = tmp_path / "cut.field"
+    save_field(path, wf)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(InputError, match=re.escape(f"{path}: payload holds")):
         load_field(path)

@@ -23,6 +23,7 @@ from pilotwave.harness import (
     MeasureSpec,
     OutputSpec,
     PotentialSpec,
+    SolverSpec,
     SweepRow,
     SweepSpec,
     _step_plan,
@@ -155,6 +156,35 @@ class TestConfig:
         assert '"half_width":12}' in json.dumps(cfg.to_mapping(), separators=(",", ":"))
         data["potential"]["analytic_mean"] = None
         assert config_from_mapping(data).potential.analytic_mean is None
+
+    def test_canon_config_file_is_the_benchmark_config(self):
+        # the canon_sweep benchmark reads the file; the canon test builds the config
+        path = Path(__file__).resolve().parents[1] / "configs" / "harmonic_benchmark.yaml"
+        cfg = load_config(path)
+        assert cfg == harmonic_benchmark_config()
+        assert cfg.config_hash() == harmonic_benchmark_config().config_hash()
+
+    def test_fast_period_floor_rejected(self):
+        with pytest.raises(ConfigError, match="steps_per_fast_period must be >= 32"):
+            ExperimentConfig(solver=SolverSpec(steps_per_fast_period=16))
+
+    @pytest.mark.parametrize("steps_per_fast_period", [32, 48, 64])
+    def test_step_plan_keeps_the_fast_period_rule(self, steps_per_fast_period):
+        # the rows trust the plan: nothing re-checks dt against eps later
+        canon = harmonic_benchmark_config()
+        for horizon in (0.1, 0.37, 0.5, 1.0, 1.3, 2.0, 3.7):
+            for dt_cap in (1e-3, 0.0037, 0.01, 0.05, 1.0):
+                cfg = dataclasses.replace(
+                    canon,
+                    solver=SolverSpec(steps_per_fast_period=steps_per_fast_period, dt_cap=dt_cap),
+                    sweep=dataclasses.replace(canon.sweep, horizon=horizon),
+                )
+                for eps in cfg.sweep.eps_list:
+                    n_steps, dt, stride = _step_plan(cfg, eps)
+                    assert dt <= eps / steps_per_fast_period
+                    assert dt <= dt_cap
+                    assert n_steps % (4 * stride) == 0
+                    assert n_steps * dt == pytest.approx(horizon, rel=1e-12)
 
     def test_hash_tracks_content(self):
         a = small_config()
@@ -860,6 +890,32 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert named in err
+        assert started == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seed: 99", "seed: 99\nsolver: {quad_order: 4}", "quad_order must be >= 8"),
+            ("spatial: harmonic", "spatial: harmonic\n  analytic_mean: 2.0", "analytic mean 2.0"),
+        ],
+        ids=["quad_order", "analytic_mean"],
+    )
+    def test_quadrature_errors_exit_2_before_any_row(
+        self, tmp_path, monkeypatch, capsys, old, new, message
+    ):
+        import pilotwave.harness as harness
+
+        started = []
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: started.append(1))
+        cfg_path = tmp_path / "bench.yaml"
+        cfg_path.write_text(BENCH_YAML.replace(old, new))
+        out = tmp_path / "out"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
         assert started == []
         assert not out.exists()
 

@@ -357,7 +357,7 @@ def random_ensemble(rng, dim, m, n_times=6):
 
 class TestInjectivityMonitor:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_directed_pair_reference(self, dim):
+    def test_matches_directed_pair_reference(self, monkeypatch, dim):
         # k-NN is often asymmetric at small k, so pairs listed by only one
         # end must still be measured
         rng = np.random.default_rng(40 + dim)
@@ -365,38 +365,35 @@ class TestInjectivityMonitor:
         for _ in range(8):
             ens = random_ensemble(rng, dim, int(rng.integers(4, 80)))
             for n_neighbors in (1, 2, 3, 4):
+                monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
                 for violation_ratio in (1e-3, 0.2):
-                    got = flow_injectivity_monitor(ens, n_neighbors, violation_ratio)
+                    monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
+                    got = flow_injectivity_monitor(ens)
                     want = directed_pair_monitor(ens, n_neighbors, violation_ratio)
                     assert got == want
                     violations += got.first_violation_time is not None
         assert violations > 0
 
-    def test_positional_arguments(self):
-        rng = np.random.default_rng(3)
-        ens = random_ensemble(rng, 2, 60)
-        assert flow_injectivity_monitor(ens, 4, 0.2) == flow_injectivity_monitor(
-            ens, n_neighbors=4, violation_ratio=0.2
-        )
-        assert flow_injectivity_monitor(ens, 4, 0.2) == directed_pair_monitor(ens, 4, 0.2)
-
-    def test_shared_pair_list(self):
+    def test_shared_pair_list(self, monkeypatch):
+        monkeypatch.setattr(measure, "N_NEIGHBORS", 4)
         rng = np.random.default_rng(4)
         ens = random_ensemble(rng, 2, 60)
         twin = dataclasses.replace(ens, positions=ens.positions[::-1].copy())
-        pairs = injectivity_pairs(ens, 4)
+        pairs = injectivity_pairs(ens)
         for e in (ens, twin):
-            assert flow_injectivity_monitor(e, pairs=pairs) == flow_injectivity_monitor(e, 4)
+            assert flow_injectivity_monitor(e, pairs=pairs) == flow_injectivity_monitor(e)
 
-    def test_pair_indices_are_int32(self):
+    def test_pair_indices_are_int32(self, monkeypatch):
+        monkeypatch.setattr(measure, "N_NEIGHBORS", 8)
         rng = np.random.default_rng(6)
         ens = random_ensemble(rng, 2, 300)
-        pairs = injectivity_pairs(ens, 8)
+        pairs = injectivity_pairs(ens)
         assert pairs.lo.dtype == pairs.hi.dtype == np.int32
         wide = dataclasses.replace(pairs, lo=pairs.lo.astype(np.int64), hi=pairs.hi.astype(np.int64))
         for violation_ratio in (1e-3, 0.2):
-            got = flow_injectivity_monitor(ens, violation_ratio=violation_ratio, pairs=pairs)
-            assert got == flow_injectivity_monitor(ens, violation_ratio=violation_ratio, pairs=wide)
+            monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
+            got = flow_injectivity_monitor(ens, pairs=pairs)
+            assert got == flow_injectivity_monitor(ens, pairs=wide)
 
     def test_pair_list_of_other_samples_rejected(self):
         rng = np.random.default_rng(5)
@@ -409,8 +406,6 @@ class TestInjectivityMonitor:
         moved = dataclasses.replace(ens, initial_points=ens.initial_points + 1.0)
         with pytest.raises(UsageError, match="pair list"):
             flow_injectivity_monitor(moved, pairs=pairs)
-        with pytest.raises(UsageError, match="n_neighbors"):
-            injectivity_pairs(ens, 0)
 
     def test_rigid_translation(self):
         g = make_grid(1, 64, 8.0)
@@ -505,29 +500,32 @@ class TestBlockedMeasures:
             assert 0.0 < trajectory_deviation_measure(a, b, 0.0) < 1.0  # unmoved samples count 0
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_monitor_equals_the_directed_pair_reference(self, dim):
+    def test_monitor_equals_the_directed_pair_reference(self, monkeypatch, dim):
         rng = np.random.default_rng(70 + dim)
         violations = 0
         for _ in range(6):
             ens = random_ensemble(rng, dim, int(rng.integers(4, 120)))
             for n_neighbors in (1, 3, 9):
-                pairs = injectivity_pairs(ens, n_neighbors)
+                monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
+                pairs = injectivity_pairs(ens)
                 # samples 0 and 1 start at the same point: their pair is dropped
                 assert not ((pairs.lo == 0) & (pairs.hi == 1)).any()
                 for violation_ratio in (1e-3, 0.2):
-                    got = flow_injectivity_monitor(ens, n_neighbors, violation_ratio)
+                    monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
+                    got = flow_injectivity_monitor(ens)
                     assert got == directed_pair_monitor(ens, n_neighbors, violation_ratio)
-                    assert got == flow_injectivity_monitor(ens, violation_ratio=violation_ratio, pairs=pairs)
+                    assert got == flow_injectivity_monitor(ens, pairs=pairs)
                     violations += got.first_violation_time is not None
         assert violations > 0
 
     def test_pair_list_does_not_depend_on_the_blocks(self, monkeypatch):
         rng = np.random.default_rng(8)
         ens = random_ensemble(rng, 2, 500)
-        small = injectivity_pairs(ens, 8)
+        monkeypatch.setattr(measure, "N_NEIGHBORS", 8)
+        small = injectivity_pairs(ens)
         monkeypatch.setattr(measure, "QUERY_BLOCK", 1 << 20)
         monkeypatch.setattr(measure, "PAIR_BLOCK", 1 << 20)
-        whole = injectivity_pairs(ens, 8)
+        whole = injectivity_pairs(ens)
         for name in ("lo", "hi", "base"):
             assert np.array_equal(getattr(small, name), getattr(whole, name)), name
 

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import pilotwave.solver as solver
 from pilotwave.errors import (
     BoundaryMassExceeded,
     ConfigError,
@@ -220,13 +221,13 @@ class TestPropagate:
         h1_0 = norms(psi.field).h1
         assert max(norms(s.field).h1 for s in snaps) <= 3.0 * h1_0
 
-    def test_blow_up_flag(self):
+    def test_blow_up_flag(self, monkeypatch):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
         Vstar = effective_potential(harmonic_cos_potential(), g)
+        monkeypatch.setattr(solver, "BLOWUP_FACTOR", 0.5)
         with pytest.raises(WaveBlowUp):
-            propagate(psi, EffectiveSystem(Vstar), 0.5, SolverConfig(dt=1e-3), [0.5],
-                      blow_up_factor=0.5)
+            propagate(psi, EffectiveSystem(Vstar), 0.5, SolverConfig(dt=1e-3), [0.5])
 
     def test_boundary_abort_for_escaping_packet(self):
         g = make_grid(1, 512, 16.0)
@@ -272,6 +273,11 @@ class TestLockstep:
             )
             return frames, finals
 
+        if n_steps % stride:
+            # no partial last block: every frame lies a whole stride apart
+            with pytest.raises(UsageError, match="does not divide"):
+                run(None)
+            return
         frames_a, finals_a = run(None)
         with ThreadPoolExecutor(1) as lane:
             frames_b, finals_b = run(lane)
