@@ -68,9 +68,8 @@ from .potential import (
     one_plus_half_sin,
 )
 from .solver import (
-    EffectiveSystem,
+    MIN_STEPS_PER_FAST_PERIOD,
     OscillatingSystem,
-    SolverConfig,
     WaveFunction,
     gaussian_packet,
     gronwall_integrand,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
 from .grid import Grid, _norms_from_gradient, gradient_values, laplacian_values
-from .potential import StaticPotential, TimePeriodicPotential, evaluate
-from .solver import WaveFunction
+from .potential import StaticPotential, evaluate
+from .solver import OscillatingSystem, WaveFunction
 
 __all__ = [
     "DensityFields",
@@ -277,11 +277,17 @@ def integrate_trajectories(
     stored, never blended in time.  Momenta are recorded as
     P(t) = u(t, X(t)), and each step's end velocity is the next step's
     first stage.  Samples leaving the box are frozen, marked invalid, and
-    the run fails if more than 5% escape.
+    the run fails if more than 5% escape.  The history must carry one
+    velocity component per grid axis (UsageError otherwise).
     """
     x0 = np.atleast_2d(np.asarray(initial_points, dtype=np.float64))
     if x0.shape[1] != history.grid.dim:
         raise UsageError(f"initial points must have {history.grid.dim} columns")
+    if history.values.shape[1] != history.grid.dim:
+        raise UsageError(
+            f"a velocity history needs {history.grid.dim} components on a "
+            f"{history.grid.dim}D grid, got {history.values.shape[1]}"
+        )
     t_out = np.asarray(times, dtype=np.float64)
     if t_out.ndim != 1 or t_out.size < 2:
         raise UsageError("need at least two output times")
@@ -389,9 +395,9 @@ def _interp_space(grid: Grid, field: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def hydrodynamic_residual(
     snapshots: list[DensityFields],
-    potential: StaticPotential | tuple[TimePeriodicPotential, float],
+    system: OscillatingSystem | StaticPotential,
 ) -> HydroResidual:
-    """L1 residuals of the quantum hydrodynamic system.
+    """L1 residuals of the quantum hydrodynamic system driven by ``system``.
 
     continuity: ||d rho/dt + div J||_L1 with centred time differencing and
     spectral divergence, averaged over interior snapshots.
@@ -421,7 +427,7 @@ def hydrodynamic_residual(
         for i in range(grid.dim):
             flux = cur.current[i] * cur.current / rho_safe  # (dim, *shape)
             stress_div[i] = _divergence(grid, flux)
-        grad_v = _potential_gradient(potential, cur.time, grid)
+        grad_v = _potential_gradient(system, cur.time, grid)
         resid = dj_dt + stress_div + cur.rho * grad_v - _quantum_force_density(grid, cur.rho)
         region = cur.rho > 1e-6 * cur.rho.max()
         mom_vals.append(float(np.sum(np.abs(resid[:, region])) * dv))
@@ -433,10 +439,11 @@ def hydrodynamic_residual(
 
 def newton_residual(
     ensemble: TrajectoryEnsemble,
-    potential: StaticPotential | tuple[TimePeriodicPotential, float],
+    system: OscillatingSystem | StaticPotential,
     q_history: FieldHistory,
 ) -> float:
-    """Ensemble-mean L1-in-time residual of dP/dt = -grad V + grad Q along paths.
+    """Ensemble-mean L1-in-time residual of dP/dt = -grad V + grad Q along
+    paths, V being ``system``'s potential.
 
     dP/dt uses centred differencing of the recorded momenta; the forces are
     interpolated at the recorded positions.  Each interior output time reads
@@ -459,7 +466,7 @@ def newton_residual(
     resid_sum = np.zeros(valid.sum())
     for k in range(1, t.size - 1):
         dP_dt = (P[k + 1] - P[k - 1]) / (2.0 * h)
-        grad_v = _interp_space(grid, _potential_gradient(potential, t[k], grid), X[k])
+        grad_v = _interp_space(grid, _potential_gradient(system, t[k], grid), X[k])
         # local (finite-difference) gradient: the floored Q field is only
         # trustworthy where the density is, and a global spectral derivative
         # would smear its far-tail artifacts over the whole box
@@ -501,11 +508,10 @@ def _fd_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def _potential_gradient(
-    potential: StaticPotential | tuple[TimePeriodicPotential, float], t: float, grid: Grid
+    system: OscillatingSystem | StaticPotential, t: float, grid: Grid
 ) -> np.ndarray:
-    """grad V on the grid at time t; oscillating potentials pass (V, eps)."""
-    if isinstance(potential, StaticPotential):
-        return potential.gradient()
-    V, eps = potential
-    return evaluate(V, t / eps, grid).gradient()
+    """grad V on the grid at time t."""
+    if isinstance(system, StaticPotential):
+        return system.gradient()
+    return evaluate(system.potential, t / system.eps, grid).gradient()
 

@@ -58,7 +58,7 @@ from .potential import (
     period_mean,
 )
 from .solver import (
-    EffectiveSystem,
+    MIN_STEPS_PER_FAST_PERIOD,
     OscillatingSystem,
     WaveFunction,
     StrangStepper,
@@ -118,7 +118,7 @@ class InitialStateSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    steps_per_fast_period: int = 32
+    steps_per_fast_period: int = MIN_STEPS_PER_FAST_PERIOD
     frames_per_fast_period: int = 16
     dt_cap: float = 0.01
     quad_order: int = 16
@@ -174,9 +174,10 @@ class ExperimentConfig:
             keys = [_format_delta(v) for v in values]
             if len(set(keys)) < len(keys):
                 raise ConfigError(f"{name} values {values} share a report key: {keys}")
-        if self.solver.steps_per_fast_period < 32:
+        if self.solver.steps_per_fast_period < MIN_STEPS_PER_FAST_PERIOD:
             raise ConfigError(
-                f"steps_per_fast_period must be >= 32, got {self.solver.steps_per_fast_period}"
+                f"steps_per_fast_period must be >= {MIN_STEPS_PER_FAST_PERIOD}, "
+                f"got {self.solver.steps_per_fast_period}"
             )
         if self.solver.frames_per_fast_period < 1:
             raise ConfigError("frames_per_fast_period must be >= 1")
@@ -239,7 +240,10 @@ def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; ``.inf`` and ``.nan`` are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _expected_type(default: Any, value: Any) -> str | None:
@@ -247,20 +251,20 @@ def _expected_type(default: Any, value: Any) -> str | None:
 
     An int fits where a float belongs and is kept as it is, so the config
     hash does not move; a ``None`` default is an optional number; a tuple
-    default takes a list of numbers.  A bool is not a number, and a string
-    is never converted.
+    default takes a list of numbers.  Every number must be finite.  A bool
+    is not a number, and a string is never converted.
     """
     if isinstance(default, tuple):
         fits = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-        return None if fits else "a list of numbers"
+        return None if fits else "a list of finite numbers"
     if default is None:
-        return None if value is None or _is_number(value) else "a number or null"
+        return None if value is None or _is_number(value) else "a finite number or null"
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
         return None if _is_number(value) and isinstance(value, int) else "an integer"
     if isinstance(default, float):
-        return None if _is_number(value) else "a number"
+        return None if _is_number(value) else "a finite number"
     return None if isinstance(value, type(default)) else f"a {type(default).__name__}"
 
 
@@ -559,7 +563,7 @@ def _propagate_and_record(
     Vstar = effective_potential(V, grid, config.solver.quad_order)
     steppers = (
         StrangStepper(OscillatingSystem(V, eps), grid, row.dt),
-        StrangStepper(EffectiveSystem(Vstar), grid, row.dt),
+        StrangStepper(Vstar, grid, row.dt),
     )
 
     n_frames = row.n_steps // row.stride
@@ -742,9 +746,7 @@ def run_sweep(
         "config_hash": config.config_hash(),
         "code_version": __version__,
         "config": config.to_mapping(),
-        "dt_per_eps": {
-            _format_delta(e): _step_plan(config, e)[1] for e in eps_list
-        },
+        "dt_per_eps": {_format_delta(e): inputs.dt for e, inputs in zip(eps_list, row_inputs)},
     }
     report = ConvergenceReport(rows=tuple(rows), metadata=metadata)
 

@@ -28,9 +28,8 @@ from .potential import StaticPotential, TimePeriodicPotential
 
 __all__ = [
     "WaveFunction",
-    "SolverConfig",
+    "MIN_STEPS_PER_FAST_PERIOD",
     "OscillatingSystem",
-    "EffectiveSystem",
     "gaussian_packet",
     "wkb_state",
     "StrangStepper",
@@ -44,6 +43,11 @@ __all__ = [
 BOUNDARY_MASS_TOL = 1e-8
 BLOWUP_FACTOR = 10.0
 MIN_POINTS_PER_WIDTH = 8
+# The fast-period floor: an oscillating system is stepped with
+# dt <= eps / MIN_STEPS_PER_FAST_PERIOD, so that each unit period of its
+# temporal factor spans at least this many steps.  ``propagate`` checks it,
+# and ``ExperimentConfig`` holds ``steps_per_fast_period`` to it.
+MIN_STEPS_PER_FAST_PERIOD = 32
 
 _In = TypeVar("_In")
 _Out = TypeVar("_Out")
@@ -66,47 +70,15 @@ class WaveFunction:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Time step and fast-scale resolution rule.
-
-    For the oscillating system the step must satisfy
-    dt <= eps / steps_per_fast_period so the unit-period oscillation is
-    sampled at least that many times per fast period.
-    """
-
-    dt: float
-    steps_per_fast_period: int = 32
-
-    def __post_init__(self) -> None:
-        if not (self.dt > 0) or not np.isfinite(self.dt):
-            raise ConfigError(f"dt must be a positive finite step, got {self.dt}")
-        if self.steps_per_fast_period < 32:
-            raise ConfigError(
-                f"steps_per_fast_period must be >= 32, got {self.steps_per_fast_period}"
-            )
-
-    def check_fast_period(self, eps: float) -> None:
-        limit = eps / self.steps_per_fast_period
-        if self.dt > limit * (1.0 + 1e-12):
-            raise ConfigError(
-                f"dt={self.dt} violates the fast-period rule: need "
-                f"dt <= eps/steps_per_fast_period = {limit}"
-            )
-
-
-@dataclass(frozen=True)
 class OscillatingSystem:
+    """The potential ``a(t/eps) W(x)``; its averaged system is a ``StaticPotential``."""
+
     potential: TimePeriodicPotential
     eps: float
 
     def __post_init__(self) -> None:
         if not (self.eps > 0):
             raise ConfigError(f"eps must be positive, got {self.eps}")
-
-
-@dataclass(frozen=True)
-class EffectiveSystem:
-    potential: StaticPotential
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +151,15 @@ def _as_vector(grid: Grid, value, name: str) -> np.ndarray:
 
 
 class StrangStepper:
-    """The Strang step, with its grid-dependent factors cached for a fixed dt."""
+    """The Strang step of an ``OscillatingSystem`` or a ``StaticPotential``,
+    with its grid-dependent factors cached for a fixed dt.
 
-    def __init__(self, system: OscillatingSystem | EffectiveSystem, grid: Grid, dt: float):
+    A raw step: it checks neither the sign of ``dt`` nor the fast-period
+    rule (``propagate`` does).  ``static_phase`` is None for an oscillating
+    system, whose potential phase changes from step to step.
+    """
+
+    def __init__(self, system: OscillatingSystem | StaticPotential, grid: Grid, dt: float):
         self.dt = dt
         self.kin = np.exp(-1j * grid.k_squared() * dt / 4.0)
         if isinstance(system, OscillatingSystem):
@@ -190,9 +168,9 @@ class StrangStepper:
             self.eps = system.eps
             self.static_phase = None
         else:
-            if system.potential.grid != grid:
+            if system.grid != grid:
                 raise UsageError("potential grid does not match wave function grid")
-            self.static_phase = np.exp(-1j * system.potential.values * dt)
+            self.static_phase = np.exp(-1j * system.values * dt)
 
     def advance(self, values: np.ndarray, t: float) -> np.ndarray:
         """The state one step of ``dt`` after ``values`` at time ``t``."""
@@ -292,31 +270,43 @@ def check_monitors(
 
 def propagate(
     psi0: WaveFunction,
-    system: OscillatingSystem | EffectiveSystem,
+    system: OscillatingSystem | StaticPotential,
     T: float,
-    cfg: SolverConfig,
+    dt: float,
     snapshot_times: Iterable[float],
     *,
     boundary_tol: float = BOUNDARY_MASS_TOL,
 ) -> list[WaveFunction]:
-    """March to time T, returning snapshots at the requested times.
+    """March ``system`` to time T in steps of ``dt``, returning snapshots at
+    the requested times.
 
-    Snapshot times are rounded to the nearest step.  At every snapshot the
-    monitors of ``check_monitors`` run with the given boundary tolerance.
+    T must be finite and nonnegative.  ``dt`` must be positive and finite,
+    must divide T, and for an ``OscillatingSystem`` must keep the
+    fast-period rule ``dt <= eps / MIN_STEPS_PER_FAST_PERIOD``; each breach
+    raises ConfigError.  Snapshot times are rounded to the nearest step.
+    At every snapshot the monitors of ``check_monitors`` run with the given
+    boundary tolerance.
     """
-    if T < 0:
-        raise ConfigError(f"horizon T must be nonnegative, got {T}")
+    if not (dt > 0) or not np.isfinite(dt):
+        raise ConfigError(f"dt must be a positive finite step, got {dt}")
+    if not (0 <= T < math.inf):
+        raise ConfigError(f"horizon T must be finite and nonnegative, got {T}")
     if isinstance(system, OscillatingSystem):
-        cfg.check_fast_period(system.eps)
+        limit = system.eps / MIN_STEPS_PER_FAST_PERIOD
+        if dt > limit * (1.0 + 1e-12):
+            raise ConfigError(
+                f"dt={dt} violates the fast-period rule: need "
+                f"dt <= eps/{MIN_STEPS_PER_FAST_PERIOD} = {limit}"
+            )
     if T == 0:
         return [psi0]
 
-    n_steps = int(round(T / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - T) > 1e-9 * max(1.0, T):
-        raise ConfigError(f"dt={cfg.dt} does not divide the horizon T={T}")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ConfigError(f"dt={dt} does not divide the horizon T={T}")
 
-    wanted = {_snap_index(t, cfg.dt, n_steps, T) for t in snapshot_times}
-    stepper = StrangStepper(system, psi0.grid, cfg.dt)
+    wanted = {_snap_index(t, dt, n_steps, T) for t in snapshot_times}
+    stepper = StrangStepper(system, psi0.grid, dt)
     h1_initial = norms(psi0.field).h1
 
     out: list[WaveFunction] = []

@@ -18,14 +18,7 @@ from .grid import make_grid
 from .harness import build_grid, build_potential, harmonic_benchmark_config
 from .measure import PhaseSpaceMeasure, flat_distance, trajectory_deviation_measure
 from .potential import StaticPotential, TimePeriodicPotential, constant_profile, effective_potential, harmonic
-from .solver import (
-    EffectiveSystem,
-    OscillatingSystem,
-    SolverConfig,
-    gaussian_packet,
-    h1_distance,
-    propagate,
-)
+from .solver import MIN_STEPS_PER_FAST_PERIOD, OscillatingSystem, gaussian_packet, h1_distance, propagate
 
 __all__ = ["CheckResult", "SuiteResult", "run_suite", "SUITE_NAMES"]
 
@@ -70,11 +63,9 @@ def _suite_unitarity() -> list[CheckResult]:
     grid = build_grid(cfg.grid)
     V = build_potential(cfg.potential, grid)
     eps = 0.05
-    dt = eps / 32
+    dt = eps / MIN_STEPS_PER_FAST_PERIOD
     psi0 = gaussian_packet(grid, width=1.0)
-    snaps = propagate(
-        psi0, OscillatingSystem(V, eps), 1.0, SolverConfig(dt=dt), snapshot_times=[0.25, 0.5, 0.75, 1.0]
-    )
+    snaps = propagate(psi0, OscillatingSystem(V, eps), 1.0, dt, snapshot_times=[0.25, 0.5, 0.75, 1.0])
     dv = grid.cell_volume
     drift = max(abs(float(np.sqrt(np.sum(np.abs(s.values) ** 2) * dv)) - 1.0) for s in snaps)
     return [_bounded("unitarity.l2_norm_drift", drift, 1e-9)]
@@ -88,7 +79,7 @@ def _suite_splitting_order() -> list[CheckResult]:
     dv = grid.cell_volume
 
     def final(dt: float) -> np.ndarray:
-        snaps = propagate(psi0, EffectiveSystem(Vstar), 1.0, SolverConfig(dt=dt), [1.0])
+        snaps = propagate(psi0, Vstar, 1.0, dt, [1.0])
         return snaps[-1].values
 
     errs = []
@@ -116,9 +107,7 @@ def _free_gaussian_history(T: float, h: float):
     psi0 = gaussian_packet(grid, width=1.0)
     dtf = h / 4
     times = np.arange(0, int(round(T / dtf)) + 1, 2) * dtf
-    snaps = propagate(
-        psi0, EffectiveSystem(Vstar), T, SolverConfig(dt=dtf), times, boundary_tol=1e-7
-    )
+    snaps = propagate(psi0, Vstar, T, dtf, times, boundary_tol=1e-7)
     fields = np.stack([densities(s).velocity for s in snaps])
     return grid, FieldHistory(grid, times, fields), snaps
 
@@ -151,9 +140,7 @@ def _suite_continuity() -> list[CheckResult]:
 
     def residual(tau: float) -> float:
         t0 = 0.5
-        snaps = propagate(
-            psi0, EffectiveSystem(Vstar), t0 + tau, SolverConfig(dt=tau), [t0 - tau, t0, t0 + tau]
-        )
+        snaps = propagate(psi0, Vstar, t0 + tau, tau, [t0 - tau, t0, t0 + tau])
         return hydrodynamic_residual([densities(s) for s in snaps], Vstar).continuity
 
     r1 = residual(1e-3)
@@ -187,9 +174,9 @@ def _suite_degenerate_potential() -> list[CheckResult]:
     psi0 = gaussian_packet(grid, width=1.0)
     checks = []
     for eps in (0.2, 0.025):
-        dt = eps / 32
-        a = propagate(psi0, OscillatingSystem(V, eps), 1.0, SolverConfig(dt=dt), [1.0])[-1]
-        b = propagate(psi0, EffectiveSystem(Vstar), 1.0, SolverConfig(dt=dt), [1.0])[-1]
+        dt = eps / MIN_STEPS_PER_FAST_PERIOD
+        a = propagate(psi0, OscillatingSystem(V, eps), 1.0, dt, [1.0])[-1]
+        b = propagate(psi0, Vstar, 1.0, dt, [1.0])[-1]
         checks.append(_bounded(f"degenerate_potential.h1_eps_{eps:g}", h1_distance(a, b), 5e-9))
     return checks
 

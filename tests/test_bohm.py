@@ -20,7 +20,7 @@ from pilotwave.potential import (
     effective_potential,
     harmonic,
 )
-from pilotwave.solver import EffectiveSystem, SolverConfig, WaveFunction, gaussian_packet, propagate
+from pilotwave.solver import OscillatingSystem, WaveFunction, gaussian_packet, propagate
 
 
 def free_static(grid):
@@ -38,9 +38,7 @@ def free_gaussian_history(grid, T, h, extra_fields=False):
     psi0 = gaussian_packet(grid, width=1.0)
     dtf = h / 4.0
     times = np.arange(int(round(T / dtf)) + 1) * dtf
-    snaps = propagate(
-        psi0, EffectiveSystem(free_static(grid)), T, SolverConfig(dt=dtf), times, boundary_tol=1e-7
-    )
+    snaps = propagate(psi0, free_static(grid), T, dtf, times, boundary_tol=1e-7)
     u = np.stack([densities(s).velocity for s in snaps])
     hist = FieldHistory(grid, times, u)
     if not extra_fields:
@@ -400,7 +398,7 @@ class TestTrajectories:
         psi0 = gaussian_packet(g, width=1.0 / np.sqrt(2.0))
         dtf = 0.00125
         times = np.arange(801) * dtf
-        snaps = propagate(psi0, EffectiveSystem(Vstar), 1.0, SolverConfig(dt=dtf), times)
+        snaps = propagate(psi0, Vstar, 1.0, dtf, times)
         hist = FieldHistory(g, times, np.stack([densities(s).velocity for s in snaps]))
         x0 = np.array([[-1.0], [0.3], [1.2]])
         ens = integrate_trajectories(hist, x0, times[::4])
@@ -431,6 +429,14 @@ class TestTrajectories:
         with pytest.raises(ConfigError, match="not a stored frame"):
             integrate_trajectories(hist, np.array([[0.0]]), np.linspace(0.0, 1.2, 13))
 
+    @pytest.mark.parametrize("dim, ncomp", [(2, 1), (2, 3), (1, 2)])
+    def test_history_needs_one_component_per_axis(self, dim, ncomp):
+        # a scalar history on a 2D grid once drove both axes by its one component
+        g = make_grid(dim, 16, 8.0)
+        hist = FieldHistory(g, np.linspace(0.0, 1.0, 5), np.zeros((5, ncomp) + g.shape))
+        with pytest.raises(UsageError, match=f"needs {dim} components on a {dim}D grid, got {ncomp}"):
+            integrate_trajectories(hist, np.full((1, dim), 0.4), np.linspace(0.0, 1.0, 3))
+
     def test_momentum_consistency_invariant(self):
         from pilotwave.bohm import _interp_space
 
@@ -450,7 +456,7 @@ class TestTrajectories:
         psi0 = gaussian_packet(g, width=1.0)
         dtf = 0.005
         times = np.arange(int(round(T / dtf)) + 1) * dtf
-        snaps = propagate(psi0, EffectiveSystem(free_static(g)), T, SolverConfig(dt=dtf), times)
+        snaps = propagate(psi0, free_static(g), T, dtf, times)
         hist = FieldHistory(g, times, np.stack([densities(s).velocity for s in snaps]))
         M = 10_000
         x0 = sample_initial_positions(np.abs(psi0.values) ** 2, g, M, seed=31)
@@ -465,16 +471,14 @@ class TestTrajectories:
 
     def test_time_independent_potential_pathwise_match(self):
         # oscillating system with constant temporal factor == effective system
-        from pilotwave.solver import OscillatingSystem
-
         g = make_grid(1, 256, 12.0)
         V = TimePeriodicPotential(constant_profile(1.0), harmonic())
         Vstar = effective_potential(V, g)
         psi0 = gaussian_packet(g, width=1.0)
         dtf = 0.0025
         times = np.arange(401) * dtf
-        snaps_osc = propagate(psi0, OscillatingSystem(V, 0.2), 1.0, SolverConfig(dt=dtf), times)
-        snaps_eff = propagate(psi0, EffectiveSystem(Vstar), 1.0, SolverConfig(dt=dtf), times)
+        snaps_osc = propagate(psi0, OscillatingSystem(V, 0.2), 1.0, dtf, times)
+        snaps_eff = propagate(psi0, Vstar, 1.0, dtf, times)
         h_osc = FieldHistory(g, times, np.stack([densities(s).velocity for s in snaps_osc]))
         h_eff = FieldHistory(g, times, np.stack([densities(s).velocity for s in snaps_eff]))
         x0 = np.linspace(-2.0, 2.0, 21)[:, None]
@@ -490,11 +494,20 @@ class TestHydrodynamicResidual:
         Vstar = effective_potential(V, g)
         psi0 = gaussian_packet(g, width=1.0 / np.sqrt(2.0))
         tau = 1e-3
-        snaps = propagate(
-            psi0, EffectiveSystem(Vstar), 3 * tau, SolverConfig(dt=tau), [tau, 2 * tau, 3 * tau]
-        )
+        snaps = propagate(psi0, Vstar, 3 * tau, tau, [tau, 2 * tau, 3 * tau])
         res = hydrodynamic_residual([densities(s) for s in snaps], Vstar)
         assert res.continuity < 1e-8
+
+    def test_an_oscillating_system_is_read_at_its_time(self):
+        # a(s) == 1 makes OscillatingSystem(V, eps) the static V* at every t
+        g = make_grid(1, 256, 10.0)
+        V = TimePeriodicPotential(constant_profile(1.0), harmonic())
+        Vstar = effective_potential(V, g)
+        snaps = propagate(gaussian_packet(g, width=0.8), Vstar, 3e-3, 1e-3, [1e-3, 2e-3, 3e-3])
+        ds = [densities(s) for s in snaps]
+        res = hydrodynamic_residual(ds, OscillatingSystem(V, 0.1))
+        assert res == pytest.approx(hydrodynamic_residual(ds, Vstar), rel=1e-12)
+        assert res.momentum < 1e-3 * hydrodynamic_residual(ds, free_static(g)).momentum
 
     def test_plane_wave_exact(self):
         g = make_grid(1, 256, 8.0)
@@ -514,13 +527,7 @@ class TestHydrodynamicResidual:
         psi0 = gaussian_packet(g, width=1.0)
 
         def residual(tau):
-            snaps = propagate(
-                psi0,
-                EffectiveSystem(free_static(g)),
-                0.5 + tau,
-                SolverConfig(dt=tau),
-                [0.5 - tau, 0.5, 0.5 + tau],
-            )
+            snaps = propagate(psi0, free_static(g), 0.5 + tau, tau, [0.5 - tau, 0.5, 0.5 + tau])
             return hydrodynamic_residual([densities(s) for s in snaps], free_static(g))
 
         r1 = residual(1e-3)
@@ -570,7 +577,7 @@ class TestNewtonResidual:
         h = 0.01
         dtf = h / 4.0
         times = np.arange(int(round(2.0 / dtf)) + 1) * dtf
-        snaps = propagate(psi0, EffectiveSystem(Vstar), 2.0, SolverConfig(dt=dtf), times)
+        snaps = propagate(psi0, Vstar, 2.0, dtf, times)
         u = np.stack([densities(s).velocity for s in snaps])
         q = np.stack([quantum_potential(np.abs(s.values) ** 2, g).values[None] for s in snaps])
         hist = FieldHistory(g, times, u)

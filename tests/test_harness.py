@@ -41,9 +41,7 @@ from pilotwave.harness import (
 from pilotwave.measure import flow_injectivity_monitor
 from pilotwave.potential import effective_potential
 from pilotwave.solver import (
-    EffectiveSystem,
     OscillatingSystem,
-    SolverConfig,
     StrangStepper,
     propagate,
 )
@@ -135,6 +133,9 @@ class TestConfig:
             ("sweep", "eps_list", [0.2, "0.1"]),
             ("initial_state", "center", [True]),
             ("output", "save_fields", 1),
+            ("potential", "analytic_mean", math.nan),
+            ("solver", "dt_cap", math.inf),
+            ("initial_state", "center", [-math.inf]),
         ],
     )
     def test_value_of_the_wrong_type_rejected(self, section, key, value):
@@ -772,9 +773,8 @@ class TestFieldSnapshots:
         Vstar = effective_potential(V, grid, cfg.solver.quad_order)
         psi0 = build_initial_state(cfg.initial_state, grid, eps=0.2)
         dt = _step_plan(cfg, 0.2)[1]
-        solver_cfg = SolverConfig(dt)
-        ref_eff = propagate(psi0, EffectiveSystem(Vstar), 0.5, solver_cfg, [0.5])[-1]
-        ref_osc = propagate(psi0, OscillatingSystem(V, 0.2), 0.5, solver_cfg, [0.5])[-1]
+        ref_eff = propagate(psi0, Vstar, 0.5, dt, [0.5])[-1]
+        ref_osc = propagate(psi0, OscillatingSystem(V, 0.2), 0.5, dt, [0.5])[-1]
         assert np.array_equal(eff.values, ref_eff.values)
         assert np.array_equal(osc.values, ref_osc.values)
 
@@ -916,6 +916,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+        assert started == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("horizon: 0.5", "horizon: .inf", "sweep.horizon"),
+            ("delta_list: [0.05]", "delta_list: [.nan]", "sweep.delta_list"),
+            ("spatial: harmonic", "spatial: gaussian_well\n  well_depth: .nan", "potential.well_depth"),
+            ("temporal: one_plus_cos", "temporal: constant\n  temporal_value: .nan",
+             "potential.temporal_value"),
+            ("seed: 99", "seed: 99\nsolver: {dt_cap: .inf}", "solver.dt_cap"),  # once ran uncapped
+        ],
+        ids=["horizon", "delta_list", "well_depth", "temporal_value", "dt_cap"],
+    )
+    def test_non_finite_numbers_exit_2_before_any_row(
+        self, tmp_path, monkeypatch, capsys, old, new, key
+    ):
+        import pilotwave.harness as harness
+
+        started = []
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: started.append(1))
+        cfg_path = tmp_path / "bench.yaml"
+        cfg_path.write_text(BENCH_YAML.replace(old, new))
+        out = tmp_path / "out"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"'{key}' must be" in err and "finite" in err
         assert started == []
         assert not out.exists()
 

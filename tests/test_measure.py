@@ -30,9 +30,7 @@ from pilotwave.measure import (
 )
 from pilotwave.potential import TimePeriodicPotential, constant_profile, effective_potential, harmonic
 from pilotwave.solver import (
-    EffectiveSystem,
     OscillatingSystem,
-    SolverConfig,
     WaveFunction,
     gaussian_packet,
     propagate,
@@ -232,8 +230,8 @@ class TestMonokineticDeviation:
         Vstar = effective_potential(V, g)
         psi0 = gaussian_packet(g, width=1.0)
         dt = 0.2 / 32
-        a = propagate(psi0, OscillatingSystem(V, 0.2), 0.5, SolverConfig(dt=dt), [0.5])[-1]
-        b = propagate(psi0, EffectiveSystem(Vstar), 0.5, SolverConfig(dt=dt), [0.5])[-1]
+        a = propagate(psi0, OscillatingSystem(V, 0.2), 0.5, dt, [0.5])[-1]
+        b = propagate(psi0, Vstar, 0.5, dt, [0.5])[-1]
         dev = monokinetic_deviation(bohmian_measure(densities(a)), densities(b))
         assert dev < 1e-6
 
@@ -423,10 +421,7 @@ class TestInjectivityMonitor:
         times = np.arange(201) * dtf
         from pilotwave.potential import StaticPotential
 
-        snaps = propagate(
-            psi0, EffectiveSystem(StaticPotential(g, np.zeros(g.shape))), 1.0,
-            SolverConfig(dt=dtf), times,
-        )
+        snaps = propagate(psi0, StaticPotential(g, np.zeros(g.shape)), 1.0, dtf, times)
         hist = FieldHistory(g, times, np.stack([densities(s).velocity for s in snaps]))
         ens = integrate_trajectories(hist, np.linspace(-2, 2, 30)[:, None], times[::4])
         rep = flow_injectivity_monitor(ens)

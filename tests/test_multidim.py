@@ -23,9 +23,7 @@ from pilotwave.potential import (
     one_plus_cos,
 )
 from pilotwave.solver import (
-    EffectiveSystem,
     OscillatingSystem,
-    SolverConfig,
     gaussian_packet,
     h1_distance,
     propagate,
@@ -39,13 +37,7 @@ class Test2D:
         g = make_grid(2, 256, 14.0)
         psi = gaussian_packet(g, width=1.0)
         T = 0.5
-        snaps = propagate(
-            psi,
-            EffectiveSystem(StaticPotential(g, np.zeros(g.shape))),
-            T,
-            SolverConfig(dt=T / 200),
-            [T],
-        )
+        snaps = propagate(psi, StaticPotential(g, np.zeros(g.shape)), T, T / 200, [T])
         rho = np.abs(snaps[-1].values) ** 2
         mesh = g.meshgrid()
         expected = 1.0 + T * T / 4.0
@@ -113,8 +105,8 @@ class Test3D:
         eps = 0.2
         dt = eps / 32
         T = 16 * dt
-        snaps_o = propagate(psi0, OscillatingSystem(V, eps), T, SolverConfig(dt=dt), [T])
-        snaps_e = propagate(psi0, EffectiveSystem(Vstar), T, SolverConfig(dt=dt), [T])
+        snaps_o = propagate(psi0, OscillatingSystem(V, eps), T, dt, [T])
+        snaps_e = propagate(psi0, Vstar, T, dt, [T])
         assert abs(norms(snaps_o[-1].field).l2 - 1.0) < 1e-9
         assert h1_distance(snaps_o[-1], snaps_e[-1]) < 0.05
 

@@ -22,9 +22,7 @@ from pilotwave.potential import (
     one_plus_cos,
 )
 from pilotwave.solver import (
-    EffectiveSystem,
     OscillatingSystem,
-    SolverConfig,
     StrangStepper,
     WaveFunction,
     gaussian_packet,
@@ -122,7 +120,7 @@ class TestStepOscillating:
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
         out_osc = step(psi, OscillatingSystem(V, eps), eps)
-        out_eff = step(psi, EffectiveSystem(effective_potential(V, g)), eps)
+        out_eff = step(psi, effective_potential(V, g), eps)
         assert np.max(np.abs(out_osc.values - out_eff.values)) < 1e-12
 
     def test_fast_period_rule_enforced(self):
@@ -130,14 +128,13 @@ class TestStepOscillating:
         psi = gaussian_packet(g, width=1.0)
         system = OscillatingSystem(harmonic_cos_potential(), eps=0.05)
         with pytest.raises(ConfigError, match="fast-period rule"):
-            propagate(psi, system, 0.05, SolverConfig(dt=0.05), [0.05])
+            propagate(psi, system, 0.05, 0.05, [0.05])
 
     def test_norm_conserved_over_run(self):
         g = make_grid(1, 512, 16.0)
         psi = gaussian_packet(g, width=1.0)
         eps = 0.1
-        cfg = SolverConfig(dt=eps / 32)
-        snaps = propagate(psi, OscillatingSystem(harmonic_cos_potential(), eps), 1.0, cfg, [1.0])
+        snaps = propagate(psi, OscillatingSystem(harmonic_cos_potential(), eps), 1.0, eps / 32, [1.0])
         assert abs(l2(g, snaps[-1].values) - 1.0) < 1e-9
 
 
@@ -148,7 +145,7 @@ class TestStepEffective:
         Vstar = effective_potential(zero_potential(), g)
         psi = gaussian_packet(g, width=1.0)
         snaps = propagate(
-            psi, EffectiveSystem(Vstar), 2.0, SolverConfig(dt=2.0 / 512), [2.0], boundary_tol=1e-7
+            psi, Vstar, 2.0, 2.0 / 512, [2.0], boundary_tol=1e-7
         )
         rho = np.abs(snaps[-1].values) ** 2
         x = g.axes[0]
@@ -162,8 +159,8 @@ class TestStepEffective:
 
         free = StaticPotential(g, np.zeros(g.shape))
         const = StaticPotential(g, np.full(g.shape, 2.7))
-        a = step(psi, EffectiveSystem(free), 1e-3)
-        b = step(psi, EffectiveSystem(const), 1e-3)
+        a = step(psi, free, 1e-3)
+        b = step(psi, const, 1e-3)
         assert np.max(np.abs(np.abs(a.values) - np.abs(b.values))) < 1e-12
         # and the phase offset is exactly the constant times dt
         assert np.max(np.abs(a.values * np.exp(-1j * 2.7 * 1e-3) - b.values)) < 1e-12
@@ -178,9 +175,9 @@ class TestStepEffective:
         n_steps = 6284
         snaps = propagate(
             psi,
-            EffectiveSystem(Vstar),
+            Vstar,
             T,
-            SolverConfig(dt=T / n_steps),
+            T / n_steps,
             [T / 4, T / 2, 3 * T / 4, T],
         )
         worst = max(float(np.max(np.abs(np.abs(s.values) - a0))) for s in snaps)
@@ -191,8 +188,7 @@ class TestPropagate:
     def test_zero_horizon_returns_initial(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
-        out = propagate(psi, EffectiveSystem(effective_potential(zero_potential(), g)), 0.0,
-                        SolverConfig(dt=1e-3), [])
+        out = propagate(psi, effective_potential(zero_potential(), g), 0.0, 1e-3, [])
         assert out == [psi]
 
     def test_time_independent_systems_agree(self):
@@ -202,8 +198,8 @@ class TestPropagate:
         psi = gaussian_packet(g, width=1.0)
         for eps in (0.2, 0.05):
             dt = eps / 32
-            a = propagate(psi, OscillatingSystem(V, eps), 1.0, SolverConfig(dt=dt), [0.5, 1.0])
-            b = propagate(psi, EffectiveSystem(Vstar), 1.0, SolverConfig(dt=dt), [0.5, 1.0])
+            a = propagate(psi, OscillatingSystem(V, eps), 1.0, dt, [0.5, 1.0])
+            b = propagate(psi, Vstar, 1.0, dt, [0.5, 1.0])
             for wa, wb in zip(a, b):
                 assert h1_distance(wa, wb) < 5e-9
 
@@ -215,7 +211,7 @@ class TestPropagate:
             psi,
             OscillatingSystem(harmonic_cos_potential(), eps),
             1.0,
-            SolverConfig(dt=eps / 32),
+            eps / 32,
             np.linspace(0.1, 1.0, 10),
         )
         h1_0 = norms(psi.field).h1
@@ -227,27 +223,34 @@ class TestPropagate:
         Vstar = effective_potential(harmonic_cos_potential(), g)
         monkeypatch.setattr(solver, "BLOWUP_FACTOR", 0.5)
         with pytest.raises(WaveBlowUp):
-            propagate(psi, EffectiveSystem(Vstar), 0.5, SolverConfig(dt=1e-3), [0.5])
+            propagate(psi, Vstar, 0.5, 1e-3, [0.5])
 
     def test_boundary_abort_for_escaping_packet(self):
         g = make_grid(1, 512, 16.0)
         psi = gaussian_packet(g, width=1.0, momentum=6.0)
         Vstar = effective_potential(zero_potential(), g)
         with pytest.raises(BoundaryMassExceeded):
-            propagate(psi, EffectiveSystem(Vstar), 1.5, SolverConfig(dt=1.5 / 1024),
-                      np.linspace(0.3, 1.5, 5))
+            propagate(psi, Vstar, 1.5, 1.5 / 1024, np.linspace(0.3, 1.5, 5))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
     def test_step_must_be_positive_and_finite(self, dt):
+        psi = gaussian_packet(make_grid(1, 256, 16.0), width=1.0)
+        system = OscillatingSystem(harmonic_cos_potential(), eps=0.05)
         with pytest.raises(ConfigError, match="positive finite step"):
-            SolverConfig(dt=dt)
+            propagate(psi, system, 1.0, dt, [1.0])
+
+    @pytest.mark.parametrize("T", [-1.0, np.nan, np.inf])
+    def test_horizon_must_be_finite_and_nonnegative(self, T):
+        psi = gaussian_packet(make_grid(1, 256, 16.0), width=1.0)
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            propagate(psi, effective_potential(zero_potential(), psi.grid), T, 1e-3, [])
 
     def test_dt_must_divide_horizon(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
         Vstar = effective_potential(zero_potential(), g)
         with pytest.raises(ConfigError):
-            propagate(psi, EffectiveSystem(Vstar), 1.0, SolverConfig(dt=3e-4), [1.0])
+            propagate(psi, Vstar, 1.0, 3e-4, [1.0])
 
 
 class TestLockstep:
@@ -255,7 +258,7 @@ class TestLockstep:
         V = harmonic_cos_potential()
         return (
             StrangStepper(OscillatingSystem(V, 0.2), g, dt),
-            StrangStepper(EffectiveSystem(effective_potential(V, g)), g, dt),
+            StrangStepper(effective_potential(V, g), g, dt),
         )
 
     @pytest.mark.parametrize("n_steps, stride", [(12, 4), (14, 4), (3, 1)])

@@ -23,7 +23,7 @@ from pilotwave.bohm import integrate_trajectories
 from pilotwave.cli import main as cli_main
 from pilotwave.grid import make_grid
 from pilotwave.potential import TimePeriodicPotential, effective_potential, harmonic, one_plus_cos
-from pilotwave.solver import EffectiveSystem, OscillatingSystem, StrangStepper
+from pilotwave.solver import OscillatingSystem, StrangStepper
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -47,7 +47,7 @@ def test_stepper_exposes_system_kind(spans):
     grid = make_grid(1, 64, 8.0)
     V = TimePeriodicPotential(one_plus_cos(), harmonic())
     osc = StrangStepper(OscillatingSystem(V, 0.1), grid, 0.001)
-    eff = StrangStepper(EffectiveSystem(effective_potential(V, grid)), grid, 0.001)
+    eff = StrangStepper(effective_potential(V, grid), grid, 0.001)
     assert osc.static_phase is None
     assert eff.static_phase is not None
     values = np.ones(grid.shape, dtype=np.complex128)
