@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--config", required=True, help="YAML experiment config")
     sweep_p.add_argument("--out", required=True, help="output directory")
     sweep_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sweep_p.add_argument("--threads", type=int, default=None, help="workers; rows run one at a time, and 2 or more give a 2D/3D row a lane thread (default: the CPUs this process may run on)")
+    sweep_p.add_argument("--threads", type=int, default=None, help="workers; 2 or more run the rows of a 1D sweep in processes, or give each 2D/3D row a lane thread (default: the CPUs this process may run on)")
 
     verify_p = sub.add_parser("verify", help="run a named invariant suite")
     verify_p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")

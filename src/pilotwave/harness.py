@@ -3,12 +3,12 @@
 A sweep propagates the oscillating and averaged systems side by side from
 the same initial state, records velocity fields on a fast-scale-resolving
 mesh, integrates paired trajectory ensembles from a shared seed, and
-reports every convergence metric per epsilon.  Rows run one at a time,
-in ``eps_list`` order; with a spare worker on a large grid, each row steps
-and measures its averaged system on the sweep's one lane thread.  All
-randomness comes from per-purpose streams derived from the master seed,
-and a lane only moves whole calls between threads, so the worker count
-cannot affect results.
+reports every convergence metric per epsilon.  With a spare worker, the
+rows of a small-grid sweep run in forked processes, longest first; on a
+large grid they run one at a time, and each row steps and measures its
+averaged system on the sweep's one lane thread.  All randomness comes from
+per-purpose streams derived from the master seed, and processes and lanes
+only move whole rows and calls, so the worker count cannot affect results.
 """
 
 from __future__ import annotations
@@ -700,20 +700,25 @@ def run_sweep(
     threads: int | None = None,
     out_dir: str | Path | None = None,
 ) -> ConvergenceReport:
-    """Run every epsilon row, one after another, and assemble the report.
+    """Run every epsilon row and assemble the report, rows in ``eps_list`` order.
 
     ``threads`` is the worker count; it defaults to the number of CPUs this
-    process may run on, and a count below 1 raises ConfigError.  It only
-    decides the lane: with at least two workers and a grid of at least
-    ``LANE_MIN_POINTS`` points, the sweep opens one helper thread, and each
-    row in turn steps and measures its averaged system there (see
-    ``run_single``).  The rows run on the calling thread in ``eps_list``
-    order, and the count never changes a result.
+    process may run on, and a count below 1 raises ConfigError.  On a grid
+    below ``LANE_MIN_POINTS`` points (every 1D grid), a sweep of two or more
+    rows with two or more workers runs its rows in forked processes, longest
+    first (see ``_run_forked``).  Otherwise the rows run one at a time on
+    the calling thread, and with at least two workers on a large grid the
+    sweep opens one helper thread, on which each row in turn steps and
+    measures its averaged system (see ``run_single``).  A multi-row large
+    grid stays serial: two such rows at once would double the memory of a
+    row.  The count never changes a result.
 
     Every row's grid, potential, initial state and step plan are built and
     checked first, then ``out_dir`` is created, so a config error or an
     unusable output directory raises ConfigError before any row starts;
-    each row then runs from what was built.
+    each row then runs from what was built, and the serial rows drop what
+    was built for them once they have run.  A row that raises (other than
+    a monitor abort, which makes it invalid) ends the sweep with no report.
 
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
@@ -724,29 +729,30 @@ def run_sweep(
     eps_list = config.sweep.eps_list
     # config errors surface here, before any row starts
     row_inputs = [_row_inputs(config, eps) for eps in eps_list]
+    dt_per_eps = {_format_delta(e): inputs.dt for e, inputs in zip(eps_list, row_inputs)}
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory {out}: {exc.strerror or exc}") from exc
-    lane_wanted = (
-        (threads or _default_workers()) >= 2
-        and config.grid.n_per_axis**config.grid.dim >= LANE_MIN_POINTS
-    )
+    workers = threads or _default_workers()
+    small_grid = config.grid.n_per_axis**config.grid.dim < LANE_MIN_POINTS
+    processes = min(workers, len(eps_list)) if small_grid else 1
 
-    # the lane thread is joined on every way out
-    with ThreadPoolExecutor(max_workers=1) if lane_wanted else nullcontext() as lane:
-        rows = [
-            run_single(config, eps, lane, _inputs=inputs)
-            for eps, inputs in zip(eps_list, row_inputs)
-        ]
+    if processes >= 2:
+        rows = _run_forked(config, row_inputs, processes)
+    else:
+        # the lane thread is joined on every way out
+        with ThreadPoolExecutor(max_workers=1) if workers >= 2 and not small_grid else nullcontext() as lane:
+            # each row takes its inputs out of the list, so none outlives its row
+            rows = [run_single(config, eps, lane, _inputs=row_inputs.pop(0)) for eps in eps_list]
 
     metadata = {
         "config_hash": config.config_hash(),
         "code_version": __version__,
         "config": config.to_mapping(),
-        "dt_per_eps": {_format_delta(e): inputs.dt for e, inputs in zip(eps_list, row_inputs)},
+        "dt_per_eps": dt_per_eps,
     }
     report = ConvergenceReport(rows=tuple(rows), metadata=metadata)
 
@@ -760,6 +766,58 @@ def run_sweep(
                     save_field(out / f"psi_eps{i}_oscillating.field", wf_osc)
                     save_field(out / f"psi_eps{i}_effective.field", wf_eff)
     return report
+
+
+# The config and row inputs of the forked sweep in progress.  The children
+# inherit them through the fork: the potentials hold lambdas, which do not
+# pickle, so only bin indices and finished rows cross the pipe.
+_FORKED: tuple[ExperimentConfig, list[_RowInputs]] | None = None
+
+
+def _deal_longest_first(n_steps: list[int], bins: int) -> list[list[int]]:
+    """Row indices dealt longest first, each into the least loaded of
+    ``bins`` bins (the first such on a tie); bin 0 holds the longest row.
+    The split depends only on the step counts."""
+    loads = [0] * bins
+    dealt: list[list[int]] = [[] for _ in range(bins)]
+    for i in sorted(range(len(n_steps)), key=lambda i: -n_steps[i]):
+        b = loads.index(min(loads))
+        dealt[b].append(i)
+        loads[b] += n_steps[i]
+    return dealt
+
+
+def _run_rows(indices: list[int]) -> list[SweepRow]:
+    """The rows ``indices`` of the forked sweep, run one after another."""
+    config, row_inputs = _FORKED
+    return [run_single(config, config.sweep.eps_list[i], _inputs=row_inputs[i]) for i in indices]
+
+
+def _fork_pool(processes: int) -> Executor:
+    # imported here: multiprocessing would add to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    return ProcessPoolExecutor(processes, mp_context=get_context("fork"))
+
+
+def _run_forked(config: ExperimentConfig, row_inputs: list[_RowInputs], workers: int) -> list[SweepRow]:
+    """Every row, dealt into ``workers`` bins: the calling process runs bin
+    0, and a fork pool of ``workers - 1`` processes the others, one task per
+    bin.  A child's exception reaches the caller as raised; a child that
+    dies raises ``BrokenProcessPool``.  Rows come back in ``eps_list`` order."""
+    global _FORKED
+    bins = _deal_longest_first([inputs.n_steps for inputs in row_inputs], workers)
+    _FORKED = (config, row_inputs)
+    try:
+        with _fork_pool(workers - 1) as pool:
+            futures = [pool.submit(_run_rows, b) for b in bins[1:]]
+            rows = dict(zip(bins[0], _run_rows(bins[0])))
+            for b, future in zip(bins[1:], futures):
+                rows.update(zip(b, future.result()))
+    finally:
+        _FORKED = None
+    return [rows[i] for i in range(len(row_inputs))]
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,8 @@ class OscillatingSystem:
     eps: float
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0):
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not (0 < self.eps < math.inf):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
 # ---------------------------------------------------------------------------

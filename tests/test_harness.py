@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import threading
 import typing
 import weakref
@@ -488,14 +489,23 @@ class TestRunSweep:
         assert len(report.rows) == 2
         assert all(not r.valid and r.reason for r in report.rows)
 
-    def test_determinism_across_thread_counts(self):
-        cfg = small_config()
-        a = run_sweep(cfg, threads=1).to_mapping()
-        b = run_sweep(cfg, threads=2).to_mapping()
-        for rows in (a["rows"], b["rows"]):
-            for r in rows:
-                r.pop("wall_time")
-        assert a == b
+    def test_determinism_across_thread_counts(self, tmp_path):
+        # 1 worker: serial rows; 2 and 4: rows in forked processes, whose
+        # results cross a pipe, so the written reports and states must match
+        cfg = small_config(eps_list=(0.2, 0.1, 0.05))
+        reports = {t: run_sweep(cfg, threads=t, out_dir=tmp_path / f"t{t}") for t in (1, 2, 4)}
+        for t in (2, 4):
+            assert (tmp_path / f"t{t}" / "report.csv").read_bytes() == (
+                tmp_path / "t1" / "report.csv"
+            ).read_bytes()
+            assert report_without_wall_time(tmp_path / f"t{t}" / "report.json") == (
+                report_without_wall_time(tmp_path / "t1" / "report.json")
+            )
+            for row, serial_row in zip(reports[t].rows, reports[1].rows):
+                assert row.valid and serial_row.valid
+                for a, b in zip(row.final_states, serial_row.final_states):
+                    assert a.time == b.time
+                    assert (a.values == b.values).all()
 
     @pytest.mark.parametrize("affinity", [True, False])
     def test_default_workers_follow_cpu_affinity(self, monkeypatch, affinity):
@@ -511,6 +521,7 @@ class TestRunSweep:
             raise AssertionError("a sweep allowed one CPU started a thread pool")
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_fork_pool", no_pool)
         report = run_sweep(small_config())
         assert [r.eps for r in report.rows] == [0.2, 0.1]
         assert all(r.valid for r in report.rows)
@@ -526,6 +537,62 @@ class TestRunSweep:
         assert not report.partial
         # the perturbed initial data still homogenizes: distances decrease
         assert report.rows[1].h1_wave < report.rows[0].h1_wave
+
+
+class TestForkedRows:
+    """Failures of a row run in a forked process end as they do serially."""
+
+    def test_monitor_abort_in_a_child_is_the_serial_invalid_row(self):
+        cfg = ExperimentConfig(
+            grid=GridSpec(dim=1, n_per_axis=256, half_width=12.0),
+            potential=PotentialSpec(temporal="one_plus_cos", spatial="cosine_lattice",
+                                    lattice_amplitude=0.0),
+            initial_state=InitialStateSpec(kind="gaussian", momentum=(5.0,)),
+            sweep=SweepSpec(horizon=1.5, eps_list=(0.2, 0.1), delta_list=(0.05,),
+                            ensemble_size=200, seed=1),
+        )
+        serial = run_sweep(cfg, threads=1)
+        forked = run_sweep(cfg, threads=2)  # eps 0.2 runs in the child
+        # (the rows' NaN metrics do not compare equal, so compare what they say)
+        assert [(r.eps, r.valid, r.reason) for r in forked.rows] == [
+            (r.eps, r.valid, r.reason) for r in serial.rows
+        ]
+        assert all(not r.valid and "BoundaryMassExceeded" in r.reason for r in forked.rows)
+
+    @staticmethod
+    def _failing_child(monkeypatch, fail):
+        """Make the eps 0.2 row call ``fail`` in a child; run_sweep on a
+        three-row sweep gives that row to the child, with eps 0.1."""
+        import pilotwave.harness as harness
+
+        parent = os.getpid()
+        real_run_single = harness.run_single
+
+        def run_single(config, eps, lane=None, *, _inputs=None):
+            if eps == 0.2 and os.getpid() != parent:
+                fail()
+            return real_run_single(config, eps, lane, _inputs=_inputs)
+
+        monkeypatch.setattr(harness, "run_single", run_single)
+
+    def test_exception_in_a_child_reaches_the_caller(self, monkeypatch, tmp_path):
+        def fail():
+            raise KeyError("no such row table")
+
+        self._failing_child(monkeypatch, fail)
+        with pytest.raises(KeyError, match="no such row table"):
+            run_sweep(small_config(eps_list=(0.2, 0.1, 0.05)), threads=2, out_dir=tmp_path)
+        assert not (tmp_path / "report.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_child_that_dies_raises(self, monkeypatch, tmp_path):
+        from concurrent.futures.process import BrokenProcessPool
+
+        self._failing_child(monkeypatch, lambda: os._exit(1))
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(small_config(eps_list=(0.2, 0.1, 0.05)), threads=2, out_dir=tmp_path)
+        assert not (tmp_path / "report.csv").exists()
+        assert not (tmp_path / "report.json").exists()
 
 
 def tiny_2d_config(**sweep_kwargs) -> ExperimentConfig:
@@ -603,36 +670,90 @@ class TestLanes:
             (tiny_2d_config(), 2, True),
             (tiny_2d_config(eps_list=(0.2, 0.1)), 4, True),
             (small_config(), 1, False),
-            (small_config(), 4, False),
+            (small_config(), 4, False),  # 1D rows in processes
             (tiny_2d_config(eps_list=(0.2, 0.1)), 1, False),
+            (small_config(eps_list=(0.2, 0.1, 0.05)), 2, False),
+            (small_config(eps_list=(0.2, 0.1, 0.05)), 4, False),
         ],
     )
     def test_lane_needs_a_spare_worker_and_a_large_grid(self, monkeypatch, cfg, threads, lanes):
         import pilotwave.harness as harness
 
-        seen = []
+        seen = []  # rows run in this process; a child's entries stay in the child
         pools = []
+        fork_pools = []
         real_pool = harness.ThreadPoolExecutor
+        real_fork_pool = harness._fork_pool
 
         def run_single(config, eps, lane=None, *, _inputs=None):
             seen.append((eps, threading.get_ident(), lane))
-            return SweepRow(eps=eps, valid=False, reason="not run", wall_time=0.0)
+            # where the row ran travels back in its reason, across the pipe
+            where = (os.getpid(), lane is not None, threading.active_count())
+            return SweepRow(eps=eps, valid=False, reason=json.dumps(where), wall_time=0.0)
 
         def pool(*args, **kwargs):
             pools.append(kwargs.get("max_workers", args[0] if args else None))
             return real_pool(*args, **kwargs)
 
+        def fork_pool(processes):
+            fork_pools.append(processes)
+            return real_fork_pool(processes)
+
         monkeypatch.setattr(harness, "run_single", run_single)
         monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(harness, "_fork_pool", fork_pool)
         report = run_sweep(cfg, threads=threads)
-        # the rows run on the calling thread, in eps_list order
-        assert [eps for eps, _, _ in seen] == list(cfg.sweep.eps_list)
-        assert [r.eps for r in report.rows] == list(cfg.sweep.eps_list)
+        eps_list = list(cfg.sweep.eps_list)
+        assert [r.eps for r in report.rows] == eps_list
+        where = [json.loads(r.reason) for r in report.rows]
+        assert all(lane == lanes for _, lane, _ in where)
         assert all(ident == threading.get_ident() for _, ident, _ in seen)
-        assert all((lane is not None) == lanes for _, _, lane in seen)
         assert len({id(lane) for _, _, lane in seen}) == 1
-        # one pool of one lane thread, and no pool for the rows
+        # one pool of one lane thread, and no thread pool for the rows
         assert pools == ([1] if lanes else [])
+        workers = min(threads, len(eps_list))
+        if cfg.grid.dim == 1 and workers >= 2:
+            # a fork pool of workers - 1 processes: the longest row, the
+            # last, runs here, and every other row in a child that holds no
+            # thread but its own
+            assert fork_pools == [workers - 1]
+            assert [eps for eps, _, _ in seen] == eps_list[-1:]
+            assert all(pid != os.getpid() and count == 1 for pid, _, count in where[:-1])
+        else:
+            # the rows run on the calling thread, in eps_list order
+            assert fork_pools == []
+            assert [eps for eps, _, _ in seen] == eps_list
+            assert all(pid == os.getpid() for pid, _, _ in where)
+
+    def test_rows_are_dealt_longest_first_into_the_least_loaded_bin(self):
+        import pilotwave.harness as harness
+
+        # the canon's rows cost 1 : 2 : 4 : 8
+        assert harness._deal_longest_first([160, 320, 640, 1280], 2) == [[3], [2, 1, 0]]
+        assert harness._deal_longest_first([160, 320, 640, 1280], 3) == [[3], [2], [1, 0]]
+        assert harness._deal_longest_first([160, 320, 640], 3) == [[2], [1], [0]]
+        # ties keep eps_list order and go to the first least loaded bin
+        assert harness._deal_longest_first([320, 320, 320], 2) == [[0, 2], [1]]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_row_drops_its_inputs_once_it_has_run(self, monkeypatch, threads):
+        import pilotwave.harness as harness
+
+        first_psi0 = []
+        alive_during_row_1 = []
+
+        def run_single(config, eps, lane=None, *, _inputs=None):
+            if not first_psi0:
+                first_psi0.append(weakref.ref(_inputs.psi0.values))
+            else:
+                gc.collect()
+                alive_during_row_1.append(first_psi0[0]() is not None)
+            return SweepRow(eps=eps, valid=False, reason="not run", wall_time=0.0)
+
+        monkeypatch.setattr(harness, "run_single", run_single)
+        report = run_sweep(tiny_2d_config(eps_list=(0.2, 0.1)), threads=threads)
+        assert alive_during_row_1 == [False]
+        assert list(report.metadata["dt_per_eps"]) == ["0.2", "0.1"]
 
     def test_monitor_abort_under_a_lane(self):
         cfg = dataclasses.replace(

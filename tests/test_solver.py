@@ -239,6 +239,13 @@ class TestPropagate:
         with pytest.raises(ConfigError, match="positive finite step"):
             propagate(psi, system, 1.0, dt, [1.0])
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # an infinite eps made the fast-period limit infinite: two steps ran,
+        # then the snapshot's phase integral came out NaN
+        with pytest.raises(ConfigError, match="eps must be positive and finite"):
+            OscillatingSystem(harmonic_cos_potential(), eps)
+
     @pytest.mark.parametrize("T", [-1.0, np.nan, np.inf])
     def test_horizon_must_be_finite_and_nonnegative(self, T):
         psi = gaussian_packet(make_grid(1, 256, 16.0), width=1.0)
