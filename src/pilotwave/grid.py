@@ -1,7 +1,12 @@
 """Periodic spatial grids with FFT-based spectral differentiation and norms.
 
 Transform convention (fixed package-wide): forward transform is numpy's
-unnormalized FFT, the inverse carries the 1/n factor.  Per-axis wavenumbers
+unnormalized FFT, the inverse carries the 1/n factor.  Every transform in
+the package goes through ``fftn``/``ifftn`` below, which run scipy.fft's
+pocketfft over the axes in numpy's order (last axis first) on complex128
+input, a real input being cast to complex first.  They equal
+``np.fft.fftn``/``ifftn`` bit for bit (tests/test_grid.py checks it), so
+results hang on the numpy and scipy versions together.  Per-axis wavenumbers
 are k = pi*m/half_width for integer m in [-n/2, n/2), stored in numpy's
 standard FFT ordering (0, 1, ..., n/2-1, -n/2, ..., -1 scaled).  All
 integrals are plain dx^N Riemann sums, which on a periodic grid coincide
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft  # imported with the package, so that no row pays the import
 
 from .errors import ConfigError, InputError
 
@@ -173,6 +179,22 @@ def boundary_mass_fraction(f: ComplexField) -> float:
     return float(rho[~inner].sum() / total)
 
 
+def fftn(values: np.ndarray) -> np.ndarray:
+    """``np.fft.fftn(values)`` bit for bit, on scipy.fft's faster pocketfft.
+
+    The cast keeps scipy off its real-to-complex path, whose bits differ
+    from numpy's; the reversed axes give numpy's order of 1D passes.
+    """
+    x = np.asarray(values, dtype=np.complex128)
+    return scipy.fft.fftn(x, axes=tuple(reversed(range(x.ndim))))
+
+
+def ifftn(values: np.ndarray) -> np.ndarray:
+    """``np.fft.ifftn(values)`` bit for bit; see ``fftn``."""
+    x = np.asarray(values, dtype=np.complex128)
+    return scipy.fft.ifftn(x, axes=tuple(reversed(range(x.ndim))))
+
+
 def spectral_laplacian(f: ComplexField) -> ComplexField:
     """Laplacian via the transform multiplier -|k|^2."""
     return ComplexField._adopt(f.grid, laplacian_values(f.grid, f.values))
@@ -183,10 +205,10 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
     Real input yields real output (imaginary roundoff is discarded).
     """
-    vhat = np.fft.fftn(values)
+    vhat = fftn(values)
     out = np.empty((grid.dim,) + grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
-        out[axis] = np.fft.ifftn(1j * _axis_multiplier(grid, axis) * vhat)
+        out[axis] = ifftn(1j * _axis_multiplier(grid, axis) * vhat)
     if np.isrealobj(values):
         return out.real
     return out
@@ -194,7 +216,7 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Spectral Laplacian of a raw array, preserving realness of the input."""
-    res = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
+    res = ifftn(-grid.k_squared() * fftn(values))
     return res.real if np.isrealobj(values) else res
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -338,9 +338,31 @@ class SweepRow:
             )
         return out
 
+    # Field by field over the columns, NaN equal to NaN: a row that crossed
+    # a process pipe or was copied holds new NaN objects, and plain tuple
+    # comparison would find it unequal to itself.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepRow):
+            return NotImplemented
+        return _nan_free(self) == _nan_free(other)
+
+    def __hash__(self) -> int:
+        return hash(_nan_free(self))
+
 
 _COLUMNS = tuple(f for f in dataclasses.fields(SweepRow) if f.compare)
 _CSV_COLUMNS = tuple(f for f in _COLUMNS if f.metadata.get("csv", True))
+
+
+def _nan_free(value: Any) -> Any:
+    """A row's columns, or a value, with each NaN replaced by None."""
+    if isinstance(value, SweepRow):
+        return tuple(_nan_free(getattr(value, f.name)) for f in _COLUMNS)
+    if isinstance(value, tuple):
+        return tuple(_nan_free(v) for v in value)
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
 
 _RATIO_METRICS = ("h1_wave", "l1_rho", "l1_current", "b_eps_avg", "monokinetic_dev")
@@ -462,10 +484,11 @@ def run_single(
     Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
     row invalid with a reason instead of raising.  A valid row carries its
     final states.  With a ``lane`` executor the averaged system is stepped
-    and measured there, beside the oscillating one (see ``lockstep``); the
-    row is the same with or without it.  ``run_sweep`` hands each row the
-    inputs it has already built and checked as ``_inputs``; without them
-    the row builds its own.
+    and measured there, beside the oscillating one (see ``lockstep``), and
+    the Gronwall term is computed there; the row is the same with or
+    without it, and no task it puts on the lane outlives it.
+    ``run_sweep`` hands each row the inputs it has already built and
+    checked as ``_inputs``; without them the row builds its own.
     """
     t_start = time.perf_counter()
     row = _row_inputs(config, eps) if _inputs is None else _inputs
@@ -557,8 +580,12 @@ def _propagate_and_record(
     read only the even frames; the odd ones are measured, never stored.
 
     With a ``lane``, the effective system's steps and frame densities run
-    on it; the monitors, the Gronwall term and the history writes stay on
-    the calling thread."""
+    on it, and so does each frame's Gronwall term: the lane takes tasks in
+    order, so a frame's term runs just before the effective system's next
+    stride, which is shorter than the oscillating one.  The terms keep
+    frame order, and every one has ended or been cancelled before this
+    returns or raises.  The monitors and the history writes stay on the
+    calling thread."""
     grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
     steppers = (
@@ -575,6 +602,7 @@ def _propagate_and_record(
     boundary_max = 0.0
     reg_max = [0.0, 0.0]
     b_vals: list[float] = []
+    b_futures: list[Future] = []  # with a lane, in place of b_vals until the end
     final_densities = None
 
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
@@ -590,13 +618,24 @@ def _propagate_and_record(
             u_osc[frame // 2] = d_o.velocity
             u_eff[frame // 2] = d_e.velocity
         if t <= b_horizon:
-            b_vals.append(gronwall_integrand(wf_o, wf_e, V, Vstar, eps, t, w=steppers[0].w))
+            term = (wf_o, wf_e, V, Vstar, eps, t)
+            if lane is None:
+                b_vals.append(gronwall_integrand(*term, w=steppers[0].w))
+            else:
+                b_futures.append(lane.submit(gronwall_integrand, *term, w=steppers[0].w))
         if frame == n_frames:
             final_densities = (d_o, d_e)
 
-    finals = lockstep(
-        steppers, (psi0.values, psi0.values), 0.0, row.n_steps, row.stride, record, lane=lane
-    )
+    try:
+        finals = lockstep(
+            steppers, (psi0.values, psi0.values), 0.0, row.n_steps, row.stride, record, lane=lane
+        )
+        b_vals.extend(f.result() for f in b_futures)
+    finally:
+        # no lane task outlives its row, a monitor abort included
+        for f in b_futures:
+            f.cancel()
+        wait(b_futures)
     T = config.sweep.horizon
     recording = _Recording(
         final_states=tuple(WaveFunction(ComplexField._adopt(grid, v), T) for v in finals),

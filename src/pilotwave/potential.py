@@ -113,11 +113,16 @@ class TimePeriodicPotential:
 
 @dataclass(frozen=True)
 class StaticPotential:
-    """Time-independent potential on a grid, with optional analytic gradient."""
+    """Time-independent potential on a grid, with optional analytic gradient.
+
+    ``analytic_gradient`` evaluates the (dim, *grid.shape) gradient when
+    called; it is built only where it is read, since it is as large as
+    ``dim`` potentials and a sweep never reads it.
+    """
 
     grid: Grid
     values: np.ndarray
-    grad_values: np.ndarray | None = None  # shape (dim, *grid.shape)
+    analytic_gradient: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -130,8 +135,8 @@ class StaticPotential:
 
     def gradient(self) -> np.ndarray:
         """Per-axis force field -- analytic when available, else spectral."""
-        if self.grad_values is not None:
-            return self.grad_values
+        if self.analytic_gradient is not None:
+            return self.analytic_gradient()
         return gradient_values(self.grid, self.values)
 
 
@@ -310,11 +315,11 @@ def check_subquadratic(V: TimePeriodicPotential, grid: Grid) -> SubquadraticRepo
 
 
 def _scaled_spatial(V: TimePeriodicPotential, a: float, grid: Grid) -> StaticPotential:
-    """a * W on the grid, with a * grad W when the profile has a gradient."""
+    """a * W on the grid, whose gradient is a * grad W, evaluated on demand,
+    when the profile has a gradient."""
     w = V.spatial_values(grid)
-    grad = None
-    if V.spatial.gradient is not None:
-        grad = a * np.stack(V.spatial.gradient(grid.meshgrid()))
+    gradient = V.spatial.gradient
+    grad = None if gradient is None else (lambda: a * np.stack(gradient(grid.meshgrid())))
     return StaticPotential(grid, a * w, grad)
 
 

@@ -23,7 +23,15 @@ from .errors import (
     UsageError,
     WaveBlowUp,
 )
-from .grid import ComplexField, Grid, boundary_mass_fraction, norms, spectral_laplacian
+from .grid import (
+    ComplexField,
+    Grid,
+    boundary_mass_fraction,
+    fftn,
+    ifftn,
+    norms,
+    spectral_laplacian,
+)
 from .potential import StaticPotential, TimePeriodicPotential
 
 __all__ = [
@@ -179,9 +187,9 @@ class StrangStepper:
             phase = np.exp(-1j * self.w * scalar)
         else:
             phase = self.static_phase
-        v = np.fft.ifftn(self.kin * np.fft.fftn(values))
+        v = ifftn(self.kin * fftn(values))
         v = phase * v
-        return np.fft.ifftn(self.kin * np.fft.fftn(v))
+        return ifftn(self.kin * fftn(v))
 
 
 def lockstep(

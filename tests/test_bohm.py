@@ -19,6 +19,7 @@ from pilotwave.potential import (
     constant_profile,
     effective_potential,
     harmonic,
+    period_mean,
 )
 from pilotwave.solver import OscillatingSystem, WaveFunction, gaussian_packet, propagate
 
@@ -591,3 +592,26 @@ class TestNewtonResidual:
 
         r = newton_residual(ens, Vstar, FieldHistory(g, times, q))
         assert r < 1e-3
+
+    def test_residuals_equal_those_of_the_stored_gradient(self):
+        # V*'s gradient is evaluated on demand; the residuals read the same
+        # bits as from the array once stored with it
+        g = make_grid(1, 256, 10.0)
+        V = TimePeriodicPotential(constant_profile(1.0), harmonic())
+        Vstar = effective_potential(V, g)
+        stored = period_mean(V) * np.stack(V.spatial.gradient(g.meshgrid()))
+        held = StaticPotential(g, Vstar.values, lambda: stored)
+        psi0 = gaussian_packet(g, center=1.0, width=1.0 / np.sqrt(2.0))
+        dtf = 0.0025
+        times = np.arange(int(round(0.5 / dtf)) + 1) * dtf
+        snaps = propagate(psi0, Vstar, 0.5, dtf, times)
+        ds = [densities(s) for s in snaps]
+        q = np.stack([quantum_potential(d.rho, g).values[None] for d in ds])
+        ens = integrate_trajectories(
+            FieldHistory(g, times, np.stack([d.velocity for d in ds])),
+            np.array([[1.0], [0.5], [1.5]]),
+            times[::4],
+        )
+        assert hydrodynamic_residual(ds[:5], Vstar) == hydrodynamic_residual(ds[:5], held)
+        qhist = FieldHistory(g, times, q)
+        assert newton_residual(ens, Vstar, qhist) == newton_residual(ens, held, qhist)

@@ -5,7 +5,9 @@ from pilotwave.errors import ConfigError, InputError
 from pilotwave.grid import (
     ComplexField,
     boundary_mass_fraction,
+    fftn,
     gradient_values,
+    ifftn,
     make_grid,
     norms,
     spectral_laplacian,
@@ -165,6 +167,27 @@ class TestNorms:
         k_norm = np.sqrt(dim) * k_axis
         assert abs(n.h1_semi - k_norm) < 1e-10
         assert abs(n.h1 - np.sqrt(1.0 + k_norm**2)) < 1e-10
+
+
+class TestTransforms:
+    """The package's transforms equal numpy's bit for bit; results hang on it."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        # (16384,) and up hold at least 256 KiB of complex128
+        [(512,), (16384,), (32, 32), (256, 256), (16, 16, 16), (64, 64, 64)],
+    )
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_equal_numpy_bit_for_bit(self, shape, kind):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=shape)
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=shape)
+        forward = fftn(values)
+        assert forward.dtype == np.complex128
+        assert (forward == np.fft.fftn(values)).all()
+        assert (ifftn(values) == np.fft.ifftn(values)).all()
+        assert (ifftn(forward) == np.fft.ifftn(np.fft.fftn(values))).all()
 
 
 class TestInvariants:

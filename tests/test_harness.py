@@ -3,9 +3,12 @@ import gc
 import json
 import math
 import os
+import pickle
 import threading
+import time
 import typing
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ import yaml
 from scipy.spatial import cKDTree
 
 from pilotwave.cli import main as cli_main
-from pilotwave.errors import ConfigError, PlacementError
+from pilotwave.errors import BoundaryMassExceeded, ConfigError, PlacementError
 from pilotwave.fieldio import load_field
 from pilotwave.harness import (
     ConvergenceReport,
@@ -256,6 +259,24 @@ class TestRunSingle:
         assert math.isnan(row.h1_wave)
         assert row.final_states is None
 
+    def test_rows_with_nan_metrics_equal_their_copies(self):
+        # NaN fields compare equal, so a row equals itself after a pipe or a copy
+        aborting = dataclasses.replace(
+            small_config(horizon=1.5, eps_list=(0.2,)),
+            potential=PotentialSpec(temporal="one_plus_cos", spatial="cosine_lattice",
+                                    lattice_amplitude=0.0),
+            initial_state=InitialStateSpec(kind="gaussian", momentum=(5.0,)),
+        )
+        invalid = run_single(aborting, 0.2)
+        valid = run_single(small_config(eps_list=(0.2,)), 0.2)
+        assert not invalid.valid and math.isnan(invalid.h1_wave)
+        assert valid.valid and math.isnan(valid.injectivity_first_violation)
+        for row in (invalid, valid):
+            copy = pickle.loads(pickle.dumps(row))
+            assert copy == row and hash(copy) == hash(row)
+            assert dataclasses.replace(copy, reason="other") != row
+            assert dataclasses.replace(copy, h1_wave=1.0) != row
+
     def test_perturbed_initial_state_is_placement_checked(self):
         # the eps-scaled bump is much wider than the packet and leaks past |x| <= L/2
         cfg = ExperimentConfig(
@@ -272,15 +293,17 @@ class TestFrameDiagnostics:
     def test_each_frame_transforms_each_state_once(self, monkeypatch):
         # per frame and state: one forward and dim inverse transforms feed the
         # densities and the H1 monitor together; the Gronwall Laplacian adds 2
+        import scipy.fft
+
         import pilotwave.harness as harness
 
         calls = []
         for name in ("fftn", "ifftn"):
-            def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            def counted(*args, _real=getattr(scipy.fft, name), **kwargs):
                 calls.append(1)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(scipy.fft, name, counted)
 
         per_frame = []
         real_lockstep = harness.lockstep
@@ -553,9 +576,8 @@ class TestForkedRows:
         )
         serial = run_sweep(cfg, threads=1)
         forked = run_sweep(cfg, threads=2)  # eps 0.2 runs in the child
-        # (the rows' NaN metrics do not compare equal, so compare what they say)
-        assert [(r.eps, r.valid, r.reason) for r in forked.rows] == [
-            (r.eps, r.valid, r.reason) for r in serial.rows
+        assert [dataclasses.replace(r, wall_time=0.0) for r in forked.rows] == [
+            dataclasses.replace(r, wall_time=0.0) for r in serial.rows
         ]
         assert all(not r.valid and "BoundaryMassExceeded" in r.reason for r in forked.rows)
 
@@ -641,9 +663,10 @@ class TestLanes:
     def test_lane_steps_and_measures_on_a_second_thread(self, monkeypatch):
         import pilotwave.harness as harness
 
-        threads = {"advance": set(), "densities": set()}
+        threads = {"advance": set(), "densities": set(), "gronwall": set()}
         real_advance = StrangStepper.advance
         real_densities = harness.densities
+        real_gronwall = harness.gronwall_integrand
 
         def advance(self, values, t):
             threads["advance"].add(threading.get_ident())
@@ -653,12 +676,19 @@ class TestLanes:
             threads["densities"].add(threading.get_ident())
             return real_densities(psi)
 
+        def gronwall_integrand(*args, **kwargs):
+            threads["gronwall"].add(threading.get_ident())
+            return real_gronwall(*args, **kwargs)
+
         monkeypatch.setattr(StrangStepper, "advance", advance)
         monkeypatch.setattr(harness, "densities", densities)
+        monkeypatch.setattr(harness, "gronwall_integrand", gronwall_integrand)
         assert run_sweep(tiny_2d_config(), threads=2).rows[0].valid
         assert len(threads["advance"]) == 2
         assert threads["densities"] == threads["advance"]
         assert threading.get_ident() in threads["advance"]  # the row thread runs one half
+        # the Gronwall term runs on the lane alone
+        assert threads["gronwall"] == threads["advance"] - {threading.get_ident()}
 
     @pytest.mark.parametrize(
         "cfg, threads, lanes",
@@ -754,6 +784,56 @@ class TestLanes:
         report = run_sweep(tiny_2d_config(eps_list=(0.2, 0.1)), threads=threads)
         assert alive_during_row_1 == [False]
         assert list(report.metadata["dt_per_eps"]) == ["0.2", "0.1"]
+
+    @pytest.mark.parametrize("where", ["monitors", "gronwall"])
+    def test_mid_row_abort_leaves_no_lane_task(self, monkeypatch, where):
+        # the middle frame aborts the row, from the monitors on the row
+        # thread or from its Gronwall term on the lane; slow terms keep the
+        # lane busy when the abort arrives
+        import pilotwave.harness as harness
+
+        cfg = tiny_2d_config()
+        eps = cfg.sweep.eps_list[0]
+        middle = cfg.sweep.horizon / 2
+        armed = True
+        real_check_monitors = harness.check_monitors
+        real_gronwall = harness.gronwall_integrand
+
+        def check_monitors(bmass, h1, h1_initial, t):
+            if armed and where == "monitors" and t >= middle:
+                raise BoundaryMassExceeded(f"test abort at t={t}")
+            real_check_monitors(bmass, h1, h1_initial, t)
+
+        def gronwall_integrand(psi_eps, *args, **kwargs):
+            time.sleep(0.02)
+            if armed and where == "gronwall" and psi_eps.time >= middle:
+                raise BoundaryMassExceeded(f"test abort at t={psi_eps.time}")
+            return real_gronwall(psi_eps, *args, **kwargs)
+
+        class Lane(ThreadPoolExecutor):
+            def __init__(self):
+                super().__init__(max_workers=1)
+                self.futures = []
+
+            def submit(self, fn, /, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                self.futures.append(future)
+                return future
+
+        monkeypatch.setattr(harness, "check_monitors", check_monitors)
+        monkeypatch.setattr(harness, "gronwall_integrand", gronwall_integrand)
+        with Lane() as lane:
+            aborted = run_single(cfg, eps, lane)
+            assert all(f.done() for f in lane.futures)
+            assert not aborted.valid
+            assert aborted.reason.startswith("BoundaryMassExceeded: test abort")
+            armed = False
+            after = run_single(cfg, eps, lane)
+        serial = run_single(cfg, eps)
+        assert after.valid
+        assert dataclasses.replace(after, wall_time=0.0) == dataclasses.replace(serial, wall_time=0.0)
+        for a, b in zip(after.final_states, serial.final_states):
+            assert (a.values == b.values).all()
 
     def test_monitor_abort_under_a_lane(self):
         cfg = dataclasses.replace(
