@@ -48,7 +48,6 @@ from .measure import (
     flat_distance,
     flow_injectivity_monitor,
     monokinetic_deviation,
-    pair_with_test_function,
     trajectory_deviation_measure,
 )
 from .potential import (
@@ -75,6 +74,5 @@ from .solver import (
     gronwall_integrand,
     h1_distance,
     propagate,
-    wkb_state,
 )
 from .verify import run_suite

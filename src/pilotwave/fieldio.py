@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .grid import ComplexField, make_grid
 from .solver import WaveFunction
 
@@ -31,17 +31,27 @@ def save_field(path: str | Path, wf: WaveFunction) -> None:
 
 
 def load_field(path: str | Path) -> WaveFunction:
-    """The snapshot at ``path``; a short header, or a payload of any other
-    size than the header's grid asks for, raises InputError naming it."""
+    """The snapshot at ``path``; a short header, a header no grid can have,
+    or a payload of any other size than the header's grid asks for, raises
+    InputError naming it.
+
+    The payload size is checked from the header's integers before a grid is
+    built, so a corrupt ``n_per_axis`` allocates nothing.  A ``dim`` past 3
+    skips that check (``n**dim`` could be huge) and is left to the grid's.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(HEADER_STRUCT.size)
         if len(raw) != HEADER_STRUCT.size:
             raise InputError(f"{path}: truncated header")
         dim, n, half_width, time = HEADER_STRUCT.unpack(raw)
-        grid = make_grid(dim, n, half_width)
         payload = fh.read()
-    expected = grid.size * PAYLOAD_DTYPE.itemsize
-    if len(payload) != expected:
-        raise InputError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
+    if dim <= 3:
+        expected = n**dim * PAYLOAD_DTYPE.itemsize
+        if len(payload) != expected:
+            raise InputError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
+    try:
+        grid = make_grid(dim, n, half_width)
+    except ConfigError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE).reshape(grid.shape)
     return WaveFunction(field=ComplexField._adopt(grid, values), time=time)

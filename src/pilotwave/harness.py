@@ -50,7 +50,9 @@ from .measure import (
 from .potential import (
     SPATIAL_BUILTINS,
     TEMPORAL_BUILTINS,
+    SUBQUADRATIC_BOUND,
     TimePeriodicPotential,
+    check_subquadratic,
     constant_profile,
     cosine_lattice,
     effective_potential,
@@ -434,11 +436,11 @@ def build_potential(spec: PotentialSpec, grid: Grid) -> TimePeriodicPotential:
     return TimePeriodicPotential(temporal, spatial, analytic_mean=spec.analytic_mean)
 
 
-def build_initial_state(spec: InitialStateSpec, grid: Grid, eps: float | None = None) -> WaveFunction:
+def build_initial_state(spec: InitialStateSpec, grid: Grid, eps: float) -> WaveFunction:
     if spec.kind != "gaussian":
         raise ConfigError(f"config-driven initial states support kind 'gaussian', got '{spec.kind}'")
     psi = gaussian_packet(grid, center=spec.center, width=spec.width, momentum=spec.momentum)
-    if spec.eps_perturbation and eps is not None:
+    if spec.eps_perturbation:
         # fixed smooth bump times a unit-wavenumber phase, scaled by eps
         mesh = grid.meshgrid()
         r2 = sum(m * m for m in mesh)
@@ -487,8 +489,9 @@ def run_single(
     and measured there, beside the oscillating one (see ``lockstep``), and
     the Gronwall term is computed there; the row is the same with or
     without it, and no task it puts on the lane outlives it.
-    ``run_sweep`` hands each row the inputs it has already built and
-    checked as ``_inputs``; without them the row builds its own.
+    ``run_sweep`` hands a row it runs in the calling process the inputs
+    it has already built and checked as ``_inputs``; without them, as in
+    a forked sweep, the row builds its own.
     """
     t_start = time.perf_counter()
     row = _row_inputs(config, eps) if _inputs is None else _inputs
@@ -528,14 +531,22 @@ def _row_inputs(config: ExperimentConfig, eps: float) -> _RowInputs:
     """Grid, potential, initial state and step plan of the ``eps`` row.
 
     Raises the config's errors (resolution, placement, the quadrature
-    order, the analytic mean); ``run_sweep`` calls it for every eps before
-    any row starts, and hands each row its own.  The mean is only checked
-    here: the row builds its effective potential itself.  The step plan
-    keeps the fast-period rule by construction, so it is not re-checked.
+    order, the analytic mean, a potential outside the theorem's bounded
+    below and subquadratic hypotheses); ``run_sweep`` calls it for every
+    eps before any row starts.  The mean is only checked here: the row
+    builds its effective potential itself.  The step plan keeps the
+    fast-period rule by construction, so it is not re-checked.
     """
     grid = build_grid(config.grid)
     V = build_potential(config.potential, grid)
     period_mean(V, config.solver.quad_order)
+    bounds = check_subquadratic(V, grid)
+    if not bounds.ok:
+        raise ConfigError(
+            f"the potential is outside the convergence theorem's hypotheses: "
+            f"max |a| * max |d^2 W| = {bounds.max_second_derivative:.6g} "
+            f"(bound {SUBQUADRATIC_BOUND:g}), min V = {bounds.min_value:.6g} (must be finite)"
+        )
     psi0 = build_initial_state(config.initial_state, grid, eps=eps)
     n_steps, dt, stride = _step_plan(config, eps)
     return _RowInputs(grid, V, psi0, n_steps, dt, stride)
@@ -754,10 +765,12 @@ def run_sweep(
 
     Every row's grid, potential, initial state and step plan are built and
     checked first, then ``out_dir`` is created, so a config error or an
-    unusable output directory raises ConfigError before any row starts;
-    each row then runs from what was built, and the serial rows drop what
-    was built for them once they have run.  A row that raises (other than
-    a monitor abort, which makes it invalid) ends the sweep with no report.
+    unusable output directory raises ConfigError before any row starts.
+    A serial row runs from what was built for it and drops it once it has
+    run; a forked sweep drops everything built before its pool opens, and
+    each process builds its own rows again from the config.  A row that
+    raises (other than a monitor abort, which makes it invalid) ends the
+    sweep with no report.
 
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
@@ -780,7 +793,8 @@ def run_sweep(
     processes = min(workers, len(eps_list)) if small_grid else 1
 
     if processes >= 2:
-        rows = _run_forked(config, row_inputs, processes)
+        row_inputs.clear()  # each process builds its own rows
+        rows = _run_forked(config, processes)
     else:
         # the lane thread is joined on every way out
         with ThreadPoolExecutor(max_workers=1) if workers >= 2 and not small_grid else nullcontext() as lane:
@@ -807,12 +821,6 @@ def run_sweep(
     return report
 
 
-# The config and row inputs of the forked sweep in progress.  The children
-# inherit them through the fork: the potentials hold lambdas, which do not
-# pickle, so only bin indices and finished rows cross the pipe.
-_FORKED: tuple[ExperimentConfig, list[_RowInputs]] | None = None
-
-
 def _deal_longest_first(n_steps: list[int], bins: int) -> list[list[int]]:
     """Row indices dealt longest first, each into the least loaded of
     ``bins`` bins (the first such on a tie); bin 0 holds the longest row.
@@ -826,10 +834,10 @@ def _deal_longest_first(n_steps: list[int], bins: int) -> list[list[int]]:
     return dealt
 
 
-def _run_rows(indices: list[int]) -> list[SweepRow]:
-    """The rows ``indices`` of the forked sweep, run one after another."""
-    config, row_inputs = _FORKED
-    return [run_single(config, config.sweep.eps_list[i], _inputs=row_inputs[i]) for i in indices]
+def _run_rows(config: ExperimentConfig, indices: list[int]) -> list[SweepRow]:
+    """The rows ``indices`` of ``config``'s sweep, each built from the
+    config and run, one after another."""
+    return [run_single(config, config.sweep.eps_list[i]) for i in indices]
 
 
 def _fork_pool(processes: int) -> Executor:
@@ -840,23 +848,22 @@ def _fork_pool(processes: int) -> Executor:
     return ProcessPoolExecutor(processes, mp_context=get_context("fork"))
 
 
-def _run_forked(config: ExperimentConfig, row_inputs: list[_RowInputs], workers: int) -> list[SweepRow]:
-    """Every row, dealt into ``workers`` bins: the calling process runs bin
-    0, and a fork pool of ``workers - 1`` processes the others, one task per
-    bin.  A child's exception reaches the caller as raised; a child that
-    dies raises ``BrokenProcessPool``.  Rows come back in ``eps_list`` order."""
-    global _FORKED
-    bins = _deal_longest_first([inputs.n_steps for inputs in row_inputs], workers)
-    _FORKED = (config, row_inputs)
-    try:
-        with _fork_pool(workers - 1) as pool:
-            futures = [pool.submit(_run_rows, b) for b in bins[1:]]
-            rows = dict(zip(bins[0], _run_rows(bins[0])))
-            for b, future in zip(bins[1:], futures):
-                rows.update(zip(b, future.result()))
-    finally:
-        _FORKED = None
-    return [rows[i] for i in range(len(row_inputs))]
+def _run_forked(config: ExperimentConfig, workers: int) -> list[SweepRow]:
+    """Every row, dealt by step count into ``workers`` bins: the calling
+    process runs bin 0, and a fork pool of ``workers - 1`` processes the
+    others, one task per bin.  Only the config and a bin's indices cross
+    the pipe, and each process builds its rows from them, so a child needs
+    nothing it inherits.  A child's exception reaches the caller as raised;
+    a child that dies raises ``BrokenProcessPool``.  Rows come back in
+    ``eps_list`` order."""
+    eps_list = config.sweep.eps_list
+    bins = _deal_longest_first([_step_plan(config, eps)[0] for eps in eps_list], workers)
+    with _fork_pool(workers - 1) as pool:
+        futures = [pool.submit(_run_rows, config, b) for b in bins[1:]]
+        rows = dict(zip(bins[0], _run_rows(config, bins[0])))
+        for b, future in zip(bins[1:], futures):
+            rows.update(zip(b, future.result()))
+    return [rows[i] for i in range(len(eps_list))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ which makes sweep statistics comparable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,7 +24,6 @@ __all__ = [
     "InjectivityReport",
     "NeighbourPairs",
     "bohmian_measure",
-    "pair_with_test_function",
     "flat_distance",
     "monokinetic_deviation",
     "trajectory_deviation_measure",
@@ -80,13 +79,6 @@ def bohmian_measure(d: DensityFields) -> PhaseSpaceMeasure:
     w = rho[keep] * grid.cell_volume
     w = w * (total / w.sum())
     return PhaseSpaceMeasure(points_x=x, points_p=p, weights=w, total_mass=total)
-
-
-def pair_with_test_function(
-    beta: PhaseSpaceMeasure, phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> float:
-    """Duality pairing sum_i w_i * phi(x_i, p_i) for vectorized phi."""
-    return float(np.sum(beta.weights * np.asarray(phi(beta.points_x, beta.points_p))))
 
 
 @dataclass(frozen=True)

@@ -291,10 +291,10 @@ def check_subquadratic(V: TimePeriodicPotential, grid: Grid) -> SubquadraticRepo
         raise InputError("temporal profile is non-finite on [0, 1)")
     w = V.spatial_values(grid)
 
-    coords = grid.meshgrid()
-    if V.spatial.second_derivative is not None:
-        second = np.stack(V.spatial.second_derivative(coords))
-        max_w2 = float(np.max(np.abs(second)))
+    second = V.spatial.second_derivative
+    if second is not None:
+        # axis by axis, with no (dim, *grid) stack; np.max keeps a NaN
+        max_w2 = float(np.max([np.max(np.abs(d)) for d in second(grid.meshgrid())]))
     else:
         max_w2 = _fd_second_derivative_max(grid, w)
     if not np.isfinite(max_w2):

@@ -39,7 +39,6 @@ __all__ = [
     "MIN_STEPS_PER_FAST_PERIOD",
     "OscillatingSystem",
     "gaussian_packet",
-    "wkb_state",
     "StrangStepper",
     "lockstep",
     "side_by_side",
@@ -115,20 +114,6 @@ def gaussian_packet(
     amp = (2.0 * np.pi * width**2) ** (-grid.dim / 4.0)
     values = amp * np.exp(-r2 / (4.0 * width**2)) * np.exp(1j * phase)
     return _finalize_initial(grid, values)
-
-
-def wkb_state(
-    grid: Grid,
-    sqrt_density: Callable[[list[np.ndarray]], np.ndarray],
-    phase: Callable[[list[np.ndarray]], np.ndarray] | None = None,
-) -> WaveFunction:
-    """WKB state sqrt(rho0)(x) * exp(i S0(x)) from amplitude/phase callables."""
-    mesh = grid.meshgrid()
-    amp = np.asarray(sqrt_density(mesh), dtype=np.float64)
-    if (amp < 0).any():
-        raise ConfigError("sqrt_density must be nonnegative")
-    s0 = np.zeros(grid.shape) if phase is None else np.asarray(phase(mesh), dtype=np.float64)
-    return _finalize_initial(grid, amp * np.exp(1j * s0))
 
 
 def _finalize_initial(grid: Grid, values: np.ndarray) -> WaveFunction:

@@ -581,6 +581,26 @@ class TestForkedRows:
         ]
         assert all(not r.valid and "BoundaryMassExceeded" in r.reason for r in forked.rows)
 
+    def test_children_need_no_inherited_state(self, monkeypatch):
+        # a forkserver child inherits nothing from the sweep: it gets the
+        # config and its row indices, and builds its rows from them
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        import pilotwave.harness as harness
+
+        def forkserver_pool(processes):
+            return ProcessPoolExecutor(processes, mp_context=get_context("forkserver"))
+
+        monkeypatch.setattr(harness, "_fork_pool", forkserver_pool)
+        cfg = small_config(eps_list=(0.2, 0.1, 0.05))
+        serial = run_sweep(cfg, threads=1)
+        pooled = run_sweep(cfg, threads=2)
+        assert all(r.valid for r in pooled.rows)
+        assert [dataclasses.replace(r, wall_time=0.0) for r in pooled.rows] == [
+            dataclasses.replace(r, wall_time=0.0) for r in serial.rows
+        ]
+
     @staticmethod
     def _failing_child(monkeypatch, fail):
         """Make the eps 0.2 row call ``fail`` in a child; run_sweep on a
@@ -1048,6 +1068,10 @@ class TestCli:
             ([], BENCH_YAML.replace("eps_list: [0.2, 0.1]", "eps_list: [0.2000001, 0.2]"),
              "share a report key"),
             ([], BENCH_YAML.replace("kind: gaussian", "kind: wkb"), "got 'wkb'"),
+            # max d^2 V = 1.23e7 breaks the convergence theorem's hypotheses
+            ([], BENCH_YAML.replace(
+                "spatial: harmonic", "spatial: cosine_lattice\n  lattice_amplitude: 1.0e+7"
+            ), "(bound 1e+06)"),
             (["--threads", "0"], BENCH_YAML, "worker count must be >= 1, got 0"),
             (["--threads", "-3"], BENCH_YAML, "worker count must be >= 1, got -3"),
         ):

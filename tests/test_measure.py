@@ -25,7 +25,6 @@ from pilotwave.measure import (
     flow_injectivity_monitor,
     injectivity_pairs,
     monokinetic_deviation,
-    pair_with_test_function,
     trajectory_deviation_measure,
 )
 from pilotwave.potential import TimePeriodicPotential, constant_profile, effective_potential, harmonic
@@ -86,18 +85,18 @@ class TestBohmianMeasure:
 
 
 class TestPairing:
+    """Weighted sums of observables over the Bohmian measure's points."""
+
     def test_unity_gives_total_mass(self):
         g = make_grid(1, 256, 16.0)
         beta = bohmian_measure(densities(gaussian_packet(g, width=1.0)))
-        assert pair_with_test_function(beta, lambda x, p: np.ones(len(x))) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert float(np.sum(beta.weights)) == pytest.approx(1.0, abs=1e-9)
 
     def test_momentum_observable_on_plane_wave(self):
         g = make_grid(1, 256, 8.0)
         psi, k = plane_wave_state(g, mode=5)
         beta = bohmian_measure(densities(psi))
-        val = pair_with_test_function(beta, lambda x, p: p[:, 0])
+        val = float(np.sum(beta.weights * beta.points_p[:, 0]))
         assert val == pytest.approx(k, abs=1e-9)
 
     def test_kinetic_moment_of_drifting_packet(self):
@@ -105,7 +104,7 @@ class TestPairing:
         # everywhere, so <|p|^2> = k0^2 = 0.25 at k0 = 0.5
         g = make_grid(1, 512, 16.0)
         beta = bohmian_measure(densities(gaussian_packet(g, width=1.0, momentum=0.5)))
-        val = pair_with_test_function(beta, lambda x, p: np.sum(p * p, axis=1))
+        val = float(np.sum(beta.weights * np.sum(beta.points_p**2, axis=1)))
         assert val == pytest.approx(0.25, abs=1e-6)
 
 

@@ -26,8 +26,8 @@ from pilotwave.solver import (
     OscillatingSystem,
     gaussian_packet,
     h1_distance,
+    _finalize_initial,
     propagate,
-    wkb_state,
 )
 
 
@@ -96,10 +96,11 @@ class Test2D:
 
 class Test3D:
     def test_propagation_smoke(self):
-        # WKB initializer sidesteps the per-width point rule; spectral
-        # resolution is what matters at this box size
+        # a normalized envelope sidesteps the per-width point rule;
+        # spectral resolution is what matters at this box size
         g = make_grid(3, 64, 12.0)
-        psi0 = wkb_state(g, sqrt_density=lambda c: np.exp(-sum(m * m for m in c) / 4.0))
+        r2 = sum(m * m for m in g.meshgrid())
+        psi0 = _finalize_initial(g, np.exp(-r2 / 4.0) + 0j)
         V = TimePeriodicPotential(one_plus_cos(), harmonic())
         Vstar = effective_potential(V, g)
         eps = 0.2

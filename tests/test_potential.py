@@ -161,6 +161,15 @@ class TestCheckSubquadratic:
         assert report.max_second_derivative > 1e6
         assert 0.1 < report.max_second_derivative / oracle < 10.0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_max_over_axes_equals_the_stacked_max(self, dim):
+        # the check takes each axis's max in turn; the max is exact in any order
+        g = make_grid(dim, 16, 8.0)
+        well = gaussian_well(2.0, 1.5)
+        report = check_subquadratic(TimePeriodicPotential(one_plus_cos(), well), g)
+        stacked = float(np.max(np.abs(np.stack(well.second_derivative(g.meshgrid())))))
+        assert report.max_second_derivative == 2.0 * stacked
+
     def test_finite_difference_fallback_matches_analytic(self):
         # same profile with and without the analytic second derivative
         g = make_grid(1, 128, 8.0)

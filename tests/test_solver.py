@@ -31,7 +31,6 @@ from pilotwave.solver import (
     lockstep,
     propagate,
     side_by_side,
-    wkb_state,
 )
 
 
@@ -60,16 +59,6 @@ class TestInitialize:
         psi = gaussian_packet(g, center=0.0, width=1.0, momentum=0.0)
         assert abs(l2(g, psi.values) - 1.0) < 1e-12
         assert psi.time == 0.0
-
-    def test_wkb_matches_gaussian_at_zero_momentum(self):
-        g = make_grid(1, 256, 16.0)
-        psi_g = gaussian_packet(g, width=1.0)
-        psi_w = wkb_state(
-            g,
-            sqrt_density=lambda c: np.exp(-(c[0] ** 2) / 4.0),
-            phase=lambda c: np.zeros_like(c[0]),
-        )
-        assert np.max(np.abs(psi_g.values - psi_w.values)) < 1e-12
 
     def test_mean_momentum_matches_quadrature_oracle(self):
         # analytic oracle: for a real envelope times e^{i k0 x} the mean
