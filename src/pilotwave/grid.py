@@ -15,6 +15,7 @@ with the trapezoidal rule and are spectrally accurate for smooth fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,8 +57,8 @@ class Grid:
         n = self.n_per_axis
         if n < 16 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_per_axis must be a power of two >= 16, got {n}")
-        if not (self.half_width > 0):
-            raise ConfigError(f"half_width must be positive, got {self.half_width}")
+        if not (0 < self.half_width < math.inf):
+            raise ConfigError(f"half_width must be positive and finite, got {self.half_width}")
         dx = 2.0 * self.half_width / n
         x = -self.half_width + dx * np.arange(n)
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)

@@ -3,12 +3,14 @@
 A sweep propagates the oscillating and averaged systems side by side from
 the same initial state, records velocity fields on a fast-scale-resolving
 mesh, integrates paired trajectory ensembles from a shared seed, and
-reports every convergence metric per epsilon.  With a spare worker, the
-rows of a small-grid sweep run in forked processes, longest first; on a
-large grid they run one at a time, and each row steps and measures its
-averaged system on the sweep's one lane thread.  All randomness comes from
-per-purpose streams derived from the master seed, and processes and lanes
-only move whole rows and calls, so the worker count cannot affect results.
+reports every convergence metric per epsilon.  Every row runs one way:
+it builds its own inputs from the config, in whichever process runs it.
+With a spare worker, the rows of a small-grid sweep are dealt longest
+first to the calling process and forked ones; on a large grid they run
+one at a time, and each row steps and measures its averaged system on the
+sweep's one lane thread.  All randomness comes from per-purpose streams
+derived from the master seed, and processes and lanes only move whole
+rows and calls, so the worker count cannot affect results.
 """
 
 from __future__ import annotations
@@ -156,6 +158,12 @@ class ExperimentConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self) -> None:
+        # every float and list entry: a config built in Python fails as a YAML one does
+        for name, section in self.to_mapping().items():
+            for key, value in section.items():
+                values = value if isinstance(value, tuple) else (value,)
+                if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                    raise ConfigError(f"config key '{name}.{key}' must be finite, got {value!r}")
         s = self.sweep
         eps = s.eps_list
         if not eps:
@@ -242,10 +250,8 @@ def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
 
 
 def _is_number(value: Any) -> bool:
-    """A finite int or float; ``.inf`` and ``.nan`` are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
+    """An int or a float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _expected_type(default: Any, value: Any) -> str | None:
@@ -253,20 +259,21 @@ def _expected_type(default: Any, value: Any) -> str | None:
 
     An int fits where a float belongs and is kept as it is, so the config
     hash does not move; a ``None`` default is an optional number; a tuple
-    default takes a list of numbers.  Every number must be finite.  A bool
-    is not a number, and a string is never converted.
+    default takes a list of numbers.  A bool is not a number, and a string
+    is never converted.  Types only: ``ExperimentConfig`` checks that every
+    number is finite.
     """
     if isinstance(default, tuple):
         fits = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-        return None if fits else "a list of finite numbers"
+        return None if fits else "a list of numbers"
     if default is None:
-        return None if value is None or _is_number(value) else "a finite number or null"
+        return None if value is None or _is_number(value) else "a number or null"
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
         return None if _is_number(value) and isinstance(value, int) else "an integer"
     if isinstance(default, float):
-        return None if _is_number(value) else "a finite number"
+        return None if _is_number(value) else "a number"
     return None if isinstance(value, type(default)) else f"a {type(default).__name__}"
 
 
@@ -474,27 +481,20 @@ def _step_plan(cfg: ExperimentConfig, eps: float) -> tuple[int, float, int]:
 # run drivers
 
 
-def run_single(
-    config: ExperimentConfig,
-    eps: float,
-    lane: Executor | None = None,
-    *,
-    _inputs: _RowInputs | None = None,
-) -> SweepRow:
+def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = None) -> SweepRow:
     """One epsilon row: paired propagation, metrics and trajectory statistics.
 
-    Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
-    row invalid with a reason instead of raising.  A valid row carries its
+    The row builds its own inputs from the config (``_row_inputs``) and
+    drops them when it returns, in whichever process runs it.  Monitor
+    aborts (boundary mass, H1 blow-up, trajectory escapes) mark the row
+    invalid with a reason instead of raising.  A valid row carries its
     final states.  With a ``lane`` executor the averaged system is stepped
     and measured there, beside the oscillating one (see ``lockstep``), and
     the Gronwall term is computed there; the row is the same with or
     without it, and no task it puts on the lane outlives it.
-    ``run_sweep`` hands a row it runs in the calling process the inputs
-    it has already built and checked as ``_inputs``; without them, as in
-    a forked sweep, the row builds its own.
     """
     t_start = time.perf_counter()
-    row = _row_inputs(config, eps) if _inputs is None else _inputs
+    row = _row_inputs(config, eps)
     try:
         metrics, final_states = _run_single_metrics(config, eps, row, lane)
     except MonitorAbort as exc:
@@ -532,10 +532,10 @@ def _row_inputs(config: ExperimentConfig, eps: float) -> _RowInputs:
 
     Raises the config's errors (resolution, placement, the quadrature
     order, the analytic mean, a potential outside the theorem's bounded
-    below and subquadratic hypotheses); ``run_sweep`` calls it for every
-    eps before any row starts.  The mean is only checked here: the row
-    builds its effective potential itself.  The step plan keeps the
-    fast-period rule by construction, so it is not re-checked.
+    below and subquadratic hypotheses); ``run_sweep`` checks every eps with
+    it before any row starts, and each row builds from it when it runs.
+    The mean is only checked here: the row builds its effective potential
+    itself.  The step plan keeps the fast-period rule by construction.
     """
     grid = build_grid(config.grid)
     V = build_potential(config.potential, grid)
@@ -599,8 +599,9 @@ def _propagate_and_record(
     calling thread."""
     grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
+    system = OscillatingSystem(V, eps)
     steppers = (
-        StrangStepper(OscillatingSystem(V, eps), grid, row.dt),
+        StrangStepper(system, grid, row.dt),
         StrangStepper(Vstar, grid, row.dt),
     )
 
@@ -629,7 +630,7 @@ def _propagate_and_record(
             u_osc[frame // 2] = d_o.velocity
             u_eff[frame // 2] = d_e.velocity
         if t <= b_horizon:
-            term = (wf_o, wf_e, V, Vstar, eps, t)
+            term = (wf_o, wf_e, system, Vstar)
             if lane is None:
                 b_vals.append(gronwall_integrand(*term, w=steppers[0].w))
             else:
@@ -754,23 +755,23 @@ def run_sweep(
 
     ``threads`` is the worker count; it defaults to the number of CPUs this
     process may run on, and a count below 1 raises ConfigError.  On a grid
-    below ``LANE_MIN_POINTS`` points (every 1D grid), a sweep of two or more
-    rows with two or more workers runs its rows in forked processes, longest
-    first (see ``_run_forked``).  Otherwise the rows run one at a time on
-    the calling thread, and with at least two workers on a large grid the
-    sweep opens one helper thread, on which each row in turn steps and
-    measures its averaged system (see ``run_single``).  A multi-row large
-    grid stays serial: two such rows at once would double the memory of a
-    row.  The count never changes a result.
+    below ``LANE_MIN_POINTS`` points (every 1D grid), the rows are dealt by
+    step count into ``min(workers, rows)`` bins, longest first
+    (``_deal_longest_first``); on a larger grid they form one bin.  The
+    calling process runs bin 0 and a fork pool runs every other bin (see
+    ``_run_rows``).  With at least two workers on a large grid the sweep
+    opens one helper thread, on which each row in turn steps and measures
+    its averaged system (see ``run_single``).  A multi-row large grid stays
+    in one bin: two such rows at once would double the memory of a row.
+    The count never changes a result.
 
-    Every row's grid, potential, initial state and step plan are built and
-    checked first, then ``out_dir`` is created, so a config error or an
-    unusable output directory raises ConfigError before any row starts.
-    A serial row runs from what was built for it and drops it once it has
-    run; a forked sweep drops everything built before its pool opens, and
-    each process builds its own rows again from the config.  A row that
-    raises (other than a monitor abort, which makes it invalid) ends the
-    sweep with no report.
+    Every row's grid, potential, initial state and step plan are built,
+    checked and dropped first, keeping only each row's step count and
+    ``dt``; then ``out_dir`` is created.  So a config error or an unusable
+    output directory raises ConfigError before any row starts, and each
+    row builds its own inputs again in whichever process runs it.  A row
+    that raises (other than a monitor abort, which makes it invalid) ends
+    the sweep with no report.
 
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
@@ -779,9 +780,8 @@ def run_sweep(
     if threads is not None and threads < 1:
         raise ConfigError(f"the worker count must be >= 1, got {threads}")
     eps_list = config.sweep.eps_list
-    # config errors surface here, before any row starts
-    row_inputs = [_row_inputs(config, eps) for eps in eps_list]
-    dt_per_eps = {_format_delta(e): inputs.dt for e, inputs in zip(eps_list, row_inputs)}
+    # config errors surface here, before any row starts; no inputs outlive their check
+    plans = [(r.n_steps, r.dt) for r in (_row_inputs(config, eps) for eps in eps_list)]
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         try:
@@ -791,21 +791,23 @@ def run_sweep(
     workers = threads or _default_workers()
     small_grid = config.grid.n_per_axis**config.grid.dim < LANE_MIN_POINTS
     processes = min(workers, len(eps_list)) if small_grid else 1
-
-    if processes >= 2:
-        row_inputs.clear()  # each process builds its own rows
-        rows = _run_forked(config, processes)
-    else:
-        # the lane thread is joined on every way out
-        with ThreadPoolExecutor(max_workers=1) if workers >= 2 and not small_grid else nullcontext() as lane:
-            # each row takes its inputs out of the list, so none outlives its row
-            rows = [run_single(config, eps, lane, _inputs=row_inputs.pop(0)) for eps in eps_list]
+    bins = _deal_longest_first([n_steps for n_steps, _ in plans], processes)
+    # the lane thread and the pool are shut down on every way out
+    with (
+        ThreadPoolExecutor(max_workers=1) if workers >= 2 and not small_grid else nullcontext() as lane,
+        _fork_pool(len(bins) - 1) if len(bins) > 1 else nullcontext() as pool,
+    ):
+        futures = [pool.submit(_run_rows, config, b) for b in bins[1:]]
+        by_index = dict(zip(bins[0], _run_rows(config, bins[0], lane)))
+        for b, future in zip(bins[1:], futures):
+            by_index.update(zip(b, future.result()))
+    rows = [by_index[i] for i in range(len(eps_list))]
 
     metadata = {
         "config_hash": config.config_hash(),
         "code_version": __version__,
         "config": config.to_mapping(),
-        "dt_per_eps": dt_per_eps,
+        "dt_per_eps": {_format_delta(e): dt for e, (_, dt) in zip(eps_list, plans)},
     }
     report = ConvergenceReport(rows=tuple(rows), metadata=metadata)
 
@@ -823,21 +825,28 @@ def run_sweep(
 
 def _deal_longest_first(n_steps: list[int], bins: int) -> list[list[int]]:
     """Row indices dealt longest first, each into the least loaded of
-    ``bins`` bins (the first such on a tie); bin 0 holds the longest row.
-    The split depends only on the step counts."""
+    ``bins`` bins (the first such on a tie); bin 0 holds the longest row,
+    and each bin lists its rows in ``eps_list`` order.  The split depends
+    only on the step counts."""
     loads = [0] * bins
     dealt: list[list[int]] = [[] for _ in range(bins)]
     for i in sorted(range(len(n_steps)), key=lambda i: -n_steps[i]):
         b = loads.index(min(loads))
         dealt[b].append(i)
         loads[b] += n_steps[i]
-    return dealt
+    return [sorted(b) for b in dealt]
 
 
-def _run_rows(config: ExperimentConfig, indices: list[int]) -> list[SweepRow]:
-    """The rows ``indices`` of ``config``'s sweep, each built from the
-    config and run, one after another."""
-    return [run_single(config, config.sweep.eps_list[i]) for i in indices]
+def _run_rows(
+    config: ExperimentConfig, indices: list[int], lane: Executor | None = None
+) -> list[SweepRow]:
+    """The rows ``indices`` of ``config``'s sweep, one after another, each
+    through ``run_single`` with ``lane``.  This is every row's one path:
+    the calling process runs bin 0 here, and a fork pool child runs its
+    bin here with no lane.  Only the config and a bin's indices cross the
+    pipe, so a child needs nothing it inherits; its exception reaches the
+    caller as raised, and a child that dies raises ``BrokenProcessPool``."""
+    return [run_single(config, config.sweep.eps_list[i], lane) for i in indices]
 
 
 def _fork_pool(processes: int) -> Executor:
@@ -846,24 +855,6 @@ def _fork_pool(processes: int) -> Executor:
     from multiprocessing import get_context
 
     return ProcessPoolExecutor(processes, mp_context=get_context("fork"))
-
-
-def _run_forked(config: ExperimentConfig, workers: int) -> list[SweepRow]:
-    """Every row, dealt by step count into ``workers`` bins: the calling
-    process runs bin 0, and a fork pool of ``workers - 1`` processes the
-    others, one task per bin.  Only the config and a bin's indices cross
-    the pipe, and each process builds its rows from them, so a child needs
-    nothing it inherits.  A child's exception reaches the caller as raised;
-    a child that dies raises ``BrokenProcessPool``.  Rows come back in
-    ``eps_list`` order."""
-    eps_list = config.sweep.eps_list
-    bins = _deal_longest_first([_step_plan(config, eps)[0] for eps in eps_list], workers)
-    with _fork_pool(workers - 1) as pool:
-        futures = [pool.submit(_run_rows, config, b) for b in bins[1:]]
-        rows = dict(zip(bins[0], _run_rows(config, bins[0])))
-        for b, future in zip(bins[1:], futures):
-            rows.update(zip(b, future.result()))
-    return [rows[i] for i in range(len(eps_list))]
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def trajectory_deviation_measure(
     output time at a time; the count is exact, so the fraction equals the
     mean over the whole (times x samples) array bit for bit.
     """
-    if delta < 0:
+    if not delta >= 0:  # NaN included
         raise UsageError(f"delta must be nonnegative, got {delta}")
     if ens_eps.times.shape != ens_eff.times.shape or not np.array_equal(
         ens_eps.times, ens_eff.times

@@ -331,14 +331,19 @@ def _snap_index(t: float, dt: float, n_steps: int, T: float) -> int:
 # diagnostics
 
 
-def h1_distance(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
-    """H1 norm of the difference; requires matching grid and time stamp."""
+def _check_paired(psi_a: WaveFunction, psi_b: WaveFunction) -> None:
+    """Raise UsageError unless the states share a grid and a time stamp."""
     if psi_a.grid != psi_b.grid:
         raise UsageError("wave functions live on different grids")
     if abs(psi_a.time - psi_b.time) > 1e-9 * max(1.0, abs(psi_a.time)):
         raise UsageError(
             f"wave functions are stamped at different times: {psi_a.time} vs {psi_b.time}"
         )
+
+
+def h1_distance(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
+    """H1 norm of the difference; requires matching grid and time stamp."""
+    _check_paired(psi_a, psi_b)
     diff = ComplexField._adopt(psi_a.grid, psi_a.values - psi_b.values)
     return norms(diff).h1
 
@@ -346,26 +351,27 @@ def h1_distance(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
 def gronwall_integrand(
     psi_eps: WaveFunction,
     psi_eff: WaveFunction,
-    V: TimePeriodicPotential,
+    system: OscillatingSystem,
     Vstar: StaticPotential,
-    eps: float,
-    t: float,
     *,
     w: np.ndarray,
 ) -> float:
     """|<(V(t/eps,.) - V*) psi_eps, Lap(psi_eps - psi_eff)>| on the grid.
 
-    ``w`` is ``V.spatial_values(grid)``, which a caller evaluating the term
-    frame after frame builds once.  This is the forcing term whose
-    vanishing drives the averaged system's H1 error estimate to zero.
+    ``system`` gives ``V`` and ``eps``; ``t`` is the states' common time
+    stamp, and states on different grids or stamped at different times
+    raise UsageError.  ``w`` is ``V.spatial_values(grid)``, which a caller
+    evaluating the term frame after frame builds once.  This is the forcing
+    term whose vanishing drives the averaged system's H1 error estimate to
+    zero.
     """
+    _check_paired(psi_eps, psi_eff)
     grid = psi_eps.grid
-    if psi_eff.grid != grid:
-        raise UsageError("wave functions live on different grids")
     if w.shape != grid.shape:
         raise UsageError(f"spatial values of shape {w.shape} do not match grid shape {grid.shape}")
+    V, t = system.potential, psi_eps.time
     # the arithmetic of evaluate(V, t / eps, grid).values, without its gradient
-    a = float(V.temporal(np.asarray(t / eps, dtype=np.float64)))
+    a = float(V.temporal(np.asarray(t / system.eps, dtype=np.float64)))
     dV = a * w - Vstar.values
     diff = ComplexField._adopt(grid, psi_eps.values - psi_eff.values)
     lap = spectral_laplacian(diff).values

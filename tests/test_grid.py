@@ -35,7 +35,11 @@ class TestMakeGrid:
 
     @pytest.mark.parametrize(
         "dim,n,L",
-        [(1, 17, 8.0), (1, 8, 8.0), (4, 32, 8.0), (0, 32, 8.0), (1, 32, 0.0), (1, 32, -2.0)],
+        [
+            (1, 17, 8.0), (1, 8, 8.0), (4, 32, 8.0), (0, 32, 8.0), (1, 32, 0.0), (1, 32, -2.0),
+            # a non-finite box once built NaN axes under a RuntimeWarning
+            (1, 512, float("inf")), (1, 32, float("nan")), (2, 32, -float("inf")),
+        ],
     )
     def test_invalid_configs(self, dim, n, L):
         with pytest.raises(ConfigError):

@@ -148,6 +148,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             config_from_mapping(data)
 
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            # once a bare OverflowError from the step plan
+            ({"sweep": SweepSpec(horizon=math.inf)}, "sweep.horizon"),
+            # once ran and reported the delta = 0 fraction under the key 'nan'
+            ({"sweep": SweepSpec(delta_list=(math.nan,))}, "sweep.delta_list"),
+            ({"sweep": SweepSpec(eps_list=(0.2, math.nan))}, "sweep.eps_list"),
+            ({"grid": GridSpec(half_width=math.inf)}, "grid.half_width"),
+            ({"solver": SolverSpec(dt_cap=math.inf)}, "solver.dt_cap"),
+            ({"potential": PotentialSpec(analytic_mean=math.nan)}, "potential.analytic_mean"),
+            ({"initial_state": InitialStateSpec(center=(-math.inf,))}, "initial_state.center"),
+        ],
+    )
+    def test_non_finite_number_built_in_python_rejected(self, kwargs, key):
+        with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+            ExperimentConfig(**kwargs)
+
     def test_int_for_a_float_is_kept_as_given(self):
         data = yaml.safe_load(BENCH_YAML)
         data["grid"]["half_width"] = 12
@@ -363,25 +381,35 @@ class TestRowStages:
         frames = (n_steps // stride) // 2 + 1
         assert stored == [(frames, frames, frames * 2 * 256**2 * 8)] * 2
 
-    def test_each_row_is_built_once(self, monkeypatch):
-        # the sweep checks every row's inputs before any row starts, and the
-        # rows run from those same inputs
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_other_rows_inputs_are_alive_during_a_row(self, monkeypatch, threads):
+        # the sweep checks every row's inputs and drops them; each row then
+        # builds its own, so while a row runs no other row's inputs exist,
+        # and none outlives the sweep
         import pilotwave.harness as harness
 
-        built = []
-        real_build = harness.build_initial_state
+        built = []  # (eps, weak reference) per _row_inputs result
+        alive = []  # per row: the eps of every build alive when it steps
+        real_row_inputs = harness._row_inputs
 
-        def counted_build(spec, grid, eps=None):
-            built.append(eps)
-            return real_build(spec, grid, eps=eps)
+        def row_inputs(config, eps):
+            inputs = real_row_inputs(config, eps)
+            built.append((eps, weakref.ref(inputs)))
+            return inputs
 
-        monkeypatch.setattr(harness, "build_initial_state", counted_build)
-        report = run_sweep(small_config(), threads=1)
-        assert all(row.valid for row in report.rows)
-        assert built == [0.2, 0.1]
-        built.clear()
-        assert run_single(small_config(), 0.1).valid
-        assert built == [0.1]
+        def lockstep(*args, **kwargs):
+            gc.collect()
+            alive.append([eps for eps, ref in built if ref() is not None])
+            raise BoundaryMassExceeded("stepping is not under test")
+
+        monkeypatch.setattr(harness, "_row_inputs", row_inputs)
+        monkeypatch.setattr(harness, "lockstep", lockstep)
+        report = run_sweep(tiny_2d_config(eps_list=(0.2, 0.1)), threads=threads)
+        assert [r.eps for r in report.rows] == [0.2, 0.1]
+        assert alive == [[0.2], [0.1]]
+        assert [eps for eps, _ in built] == [0.2, 0.1, 0.2, 0.1]  # checks, then rows
+        gc.collect()
+        assert all(ref() is None for _, ref in built)
 
     @pytest.mark.parametrize("escape", [False, True])
     def test_pair_list_is_built_once_per_row(self, monkeypatch, escape):
@@ -610,10 +638,10 @@ class TestForkedRows:
         parent = os.getpid()
         real_run_single = harness.run_single
 
-        def run_single(config, eps, lane=None, *, _inputs=None):
+        def run_single(config, eps, lane=None):
             if eps == 0.2 and os.getpid() != parent:
                 fail()
-            return real_run_single(config, eps, lane, _inputs=_inputs)
+            return real_run_single(config, eps, lane)
 
         monkeypatch.setattr(harness, "run_single", run_single)
 
@@ -735,7 +763,7 @@ class TestLanes:
         real_pool = harness.ThreadPoolExecutor
         real_fork_pool = harness._fork_pool
 
-        def run_single(config, eps, lane=None, *, _inputs=None):
+        def run_single(config, eps, lane=None):
             seen.append((eps, threading.get_ident(), lane))
             # where the row ran travels back in its reason, across the pipe
             where = (os.getpid(), lane is not None, threading.active_count())
@@ -778,31 +806,42 @@ class TestLanes:
     def test_rows_are_dealt_longest_first_into_the_least_loaded_bin(self):
         import pilotwave.harness as harness
 
-        # the canon's rows cost 1 : 2 : 4 : 8
-        assert harness._deal_longest_first([160, 320, 640, 1280], 2) == [[3], [2, 1, 0]]
-        assert harness._deal_longest_first([160, 320, 640, 1280], 3) == [[3], [2], [1, 0]]
+        # the canon's rows cost 1 : 2 : 4 : 8; each bin lists its rows in
+        # eps_list order
+        assert harness._deal_longest_first([160, 320, 640, 1280], 2) == [[3], [0, 1, 2]]
+        assert harness._deal_longest_first([160, 320, 640, 1280], 3) == [[3], [2], [0, 1]]
         assert harness._deal_longest_first([160, 320, 640], 3) == [[2], [1], [0]]
+        # one bin is the serial sweep, in eps_list order
+        assert harness._deal_longest_first([160, 320, 640, 1280], 1) == [[0, 1, 2, 3]]
         # ties keep eps_list order and go to the first least loaded bin
         assert harness._deal_longest_first([320, 320, 320], 2) == [[0, 2], [1]]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_row_drops_its_inputs_once_it_has_run(self, monkeypatch, threads):
+        # the sweep keeps none of the inputs it checked, and a row's own
+        # inputs are gone when the next row starts
         import pilotwave.harness as harness
 
-        first_psi0 = []
-        alive_during_row_1 = []
+        built = []
+        alive_at_row_start = []
+        real_row_inputs = harness._row_inputs
 
-        def run_single(config, eps, lane=None, *, _inputs=None):
-            if not first_psi0:
-                first_psi0.append(weakref.ref(_inputs.psi0.values))
-            else:
-                gc.collect()
-                alive_during_row_1.append(first_psi0[0]() is not None)
+        def row_inputs(config, eps):
+            inputs = real_row_inputs(config, eps)
+            built.append(weakref.ref(inputs.psi0.values))
+            return inputs
+
+        def run_single(config, eps, lane=None):
+            gc.collect()
+            alive_at_row_start.append(sum(ref() is not None for ref in built))
+            harness._row_inputs(config, eps)  # as the row builds its own
             return SweepRow(eps=eps, valid=False, reason="not run", wall_time=0.0)
 
+        monkeypatch.setattr(harness, "_row_inputs", row_inputs)
         monkeypatch.setattr(harness, "run_single", run_single)
         report = run_sweep(tiny_2d_config(eps_list=(0.2, 0.1)), threads=threads)
-        assert alive_during_row_1 == [False]
+        assert len(built) == 4
+        assert alive_at_row_start == [0, 0]
         assert list(report.metadata["dt_per_eps"]) == ["0.2", "0.1"]
 
     @pytest.mark.parametrize("where", ["monitors", "gronwall"])

@@ -261,6 +261,14 @@ class TestTrajectoryDeviation:
         assert trajectory_deviation_measure(a, a, 0.0) == 0.0
         assert trajectory_deviation_measure(a, b, 0.0) > 0.99
 
+    @pytest.mark.parametrize("delta", [-0.05, float("nan")])
+    def test_negative_or_nan_delta_rejected(self, delta):
+        # NaN once fell into the strict-positive branch and reported
+        # the delta = 0 fraction
+        a, b = self._paired_ensembles()
+        with pytest.raises(UsageError, match="delta must be nonnegative"):
+            trajectory_deviation_measure(a, b, delta)
+
     def test_monotone_in_delta(self):
         a, b = self._paired_ensembles()
         deltas = (0.005, 0.02, 0.05, 0.1, 0.3)

@@ -353,8 +353,10 @@ class TestGronwallIntegrand:
         Vstar = effective_potential(V, g)
         psi = gaussian_packet(g, width=1.0)
         other = gaussian_packet(g, width=0.8)
+        psi, other = (WaveFunction(wf.field, 0.33) for wf in (psi, other))
         # V == V* makes the pairing weight vanish identically
-        assert gronwall_integrand(psi, other, V, Vstar, 0.1, 0.33, w=V.spatial_values(g)) < 1e-12
+        system = OscillatingSystem(V, 0.1)
+        assert gronwall_integrand(psi, other, system, Vstar, w=V.spatial_values(g)) < 1e-12
 
     def test_matches_evaluated_potential_bit_for_bit(self):
         from pilotwave.grid import spectral_laplacian
@@ -363,20 +365,21 @@ class TestGronwallIntegrand:
         g = make_grid(1, 256, 12.0)
         V = harmonic_cos_potential()
         Vstar = effective_potential(V, g)
-        a = gaussian_packet(g, width=1.0, momentum=0.5)
-        b = gaussian_packet(g, width=0.9)
         eps, t = 0.1, 0.37
+        a = WaveFunction(gaussian_packet(g, width=1.0, momentum=0.5).field, t)
+        b = WaveFunction(gaussian_packet(g, width=0.9).field, t)
         dV = evaluate(V, t / eps, g).values - Vstar.values
         lap = spectral_laplacian(ComplexField(g, a.values - b.values)).values
         want = float(abs(np.sum(dV * a.values * np.conj(lap)) * g.cell_volume))
-        assert gronwall_integrand(a, b, V, Vstar, eps, t, w=V.spatial_values(g)) == want
+        assert gronwall_integrand(a, b, OscillatingSystem(V, eps), Vstar, w=V.spatial_values(g)) == want
 
     def test_equal_states_vanish(self):
         g = make_grid(1, 256, 12.0)
         V = harmonic_cos_potential()
         Vstar = effective_potential(V, g)
         psi = gaussian_packet(g, width=1.0)
-        assert gronwall_integrand(psi, psi, V, Vstar, 0.1, 0.0, w=V.spatial_values(g)) == 0.0
+        system = OscillatingSystem(V, 0.1)
+        assert gronwall_integrand(psi, psi, system, Vstar, w=V.spatial_values(g)) == 0.0
 
     def test_mismatched_spatial_values_rejected(self):
         g = make_grid(1, 256, 12.0)
@@ -385,7 +388,17 @@ class TestGronwallIntegrand:
         psi = gaussian_packet(g, width=1.0)
         w = V.spatial_values(make_grid(1, 128, 12.0))
         with pytest.raises(UsageError):
-            gronwall_integrand(psi, psi, V, Vstar, 0.1, 0.0, w=w)
+            gronwall_integrand(psi, psi, OscillatingSystem(V, 0.1), Vstar, w=w)
+
+    def test_states_stamped_at_different_times_rejected(self):
+        # the term reads its time from the stamps, as h1_distance does
+        g = make_grid(1, 256, 12.0)
+        V = harmonic_cos_potential()
+        Vstar = effective_potential(V, g)
+        psi = gaussian_packet(g, width=1.0)
+        later = WaveFunction(psi.field, 0.25)
+        with pytest.raises(UsageError, match="different times"):
+            gronwall_integrand(psi, later, OscillatingSystem(V, 0.1), Vstar, w=V.spatial_values(g))
 
     def test_time_average_decays_along_eps(self):
         # sweep oracle: averaged forcing shrinks by >= 4x from eps=0.1 to 0.0125
