@@ -39,7 +39,6 @@ from .harness import (
     emit_json,
     harmonic_benchmark_config,
     load_config,
-    run_single,
     run_sweep,
 )
 from .measure import (

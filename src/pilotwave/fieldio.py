@@ -7,6 +7,7 @@ values in C order, each one real/imag float64 pair (``'<c16'``).
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -32,8 +33,8 @@ def save_field(path: str | Path, wf: WaveFunction) -> None:
 
 def load_field(path: str | Path) -> WaveFunction:
     """The snapshot at ``path``; a short header, a header no grid can have,
-    or a payload of any other size than the header's grid asks for, raises
-    InputError naming it.
+    a non-finite time stamp, or a payload of any other size than the
+    header's grid asks for, raises InputError naming it.
 
     The payload size is checked from the header's integers before a grid is
     built, so a corrupt ``n_per_axis`` allocates nothing.  A ``dim`` past 3
@@ -44,6 +45,8 @@ def load_field(path: str | Path) -> WaveFunction:
         if len(raw) != HEADER_STRUCT.size:
             raise InputError(f"{path}: truncated header")
         dim, n, half_width, time = HEADER_STRUCT.unpack(raw)
+        if not math.isfinite(time):
+            raise InputError(f"{path}: time stamp {time} is not finite")
         payload = fh.read()
     if dim <= 3:
         expected = n**dim * PAYLOAD_DTYPE.itemsize

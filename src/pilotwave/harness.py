@@ -3,8 +3,8 @@
 A sweep propagates the oscillating and averaged systems side by side from
 the same initial state, records velocity fields on a fast-scale-resolving
 mesh, integrates paired trajectory ensembles from a shared seed, and
-reports every convergence metric per epsilon.  Every row runs one way:
-it builds its own inputs from the config, in whichever process runs it.
+reports every convergence metric per epsilon.  The config is checked
+once; then every row builds its own inputs, in whichever process runs it.
 With a spare worker, the rows of a small-grid sweep are dealt longest
 first to the calling process and forked ones; on a large grid they run
 one at a time, and each row steps and measures its averaged system on the
@@ -82,7 +82,6 @@ __all__ = [
     "load_config",
     "config_from_mapping",
     "harmonic_benchmark_config",
-    "run_single",
     "run_sweep",
     "emit_csv",
     "emit_json",
@@ -484,10 +483,10 @@ def _step_plan(cfg: ExperimentConfig, eps: float) -> tuple[int, float, int]:
 def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = None) -> SweepRow:
     """One epsilon row: paired propagation, metrics and trajectory statistics.
 
-    The row builds its own inputs from the config (``_row_inputs``) and
-    drops them when it returns, in whichever process runs it.  Monitor
-    aborts (boundary mass, H1 blow-up, trajectory escapes) mark the row
-    invalid with a reason instead of raising.  A valid row carries its
+    The row builds its own inputs (``_row_inputs``) and drops them when it
+    returns; it checks no config, so ``run_sweep`` is the way to run rows.
+    Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
+    row invalid with a reason instead of raising.  A valid row carries its
     final states.  With a ``lane`` executor the averaged system is stepped
     and measured there, beside the oscillating one (see ``lockstep``), and
     the Gronwall term is computed there; the row is the same with or
@@ -530,13 +529,21 @@ class _RowInputs:
 def _row_inputs(config: ExperimentConfig, eps: float) -> _RowInputs:
     """Grid, potential, initial state and step plan of the ``eps`` row.
 
-    Raises the config's errors (resolution, placement, the quadrature
-    order, the analytic mean, a potential outside the theorem's bounded
-    below and subquadratic hypotheses); ``run_sweep`` checks every eps with
-    it before any row starts, and each row builds from it when it runs.
-    The mean is only checked here: the row builds its effective potential
-    itself.  The step plan keeps the fast-period rule by construction.
+    Builds only: ``_check_config`` has checked the config before any row,
+    and the row meets the quadrature mean's errors again in its own
+    ``effective_potential``.  The step plan keeps the fast-period rule by
+    construction.
     """
+    grid = build_grid(config.grid)
+    V = build_potential(config.potential, grid)
+    psi0 = build_initial_state(config.initial_state, grid, eps=eps)
+    return _RowInputs(grid, V, psi0, *_step_plan(config, eps))
+
+
+def _check_config(config: ExperimentConfig) -> None:
+    """Raise the config's errors once, before any row: quadrature order,
+    analytic mean, the theorem's hypotheses (for every eps or none), then
+    each eps's initial state (resolution and placement)."""
     grid = build_grid(config.grid)
     V = build_potential(config.potential, grid)
     period_mean(V, config.solver.quad_order)
@@ -547,9 +554,8 @@ def _row_inputs(config: ExperimentConfig, eps: float) -> _RowInputs:
             f"max |a| * max |d^2 W| = {bounds.max_second_derivative:.6g} "
             f"(bound {SUBQUADRATIC_BOUND:g}), min V = {bounds.min_value:.6g} (must be finite)"
         )
-    psi0 = build_initial_state(config.initial_state, grid, eps=eps)
-    n_steps, dt, stride = _step_plan(config, eps)
-    return _RowInputs(grid, V, psi0, n_steps, dt, stride)
+    for eps in config.sweep.eps_list:
+        build_initial_state(config.initial_state, grid, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -765,13 +771,11 @@ def run_sweep(
     in one bin: two such rows at once would double the memory of a row.
     The count never changes a result.
 
-    Every row's grid, potential, initial state and step plan are built,
-    checked and dropped first, keeping only each row's step count and
-    ``dt``; then ``out_dir`` is created.  So a config error or an unusable
-    output directory raises ConfigError before any row starts, and each
-    row builds its own inputs again in whichever process runs it.  A row
-    that raises (other than a monitor abort, which makes it invalid) ends
-    the sweep with no report.
+    The config is checked (``_check_config``), then ``out_dir`` is created,
+    so a config error or an unusable output directory raises ConfigError
+    before any row starts; each row builds its own inputs.  A row that
+    raises (other than a monitor abort, which makes it invalid) ends the
+    sweep with no report.
 
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
@@ -780,8 +784,8 @@ def run_sweep(
     if threads is not None and threads < 1:
         raise ConfigError(f"the worker count must be >= 1, got {threads}")
     eps_list = config.sweep.eps_list
-    # config errors surface here, before any row starts; no inputs outlive their check
-    plans = [(r.n_steps, r.dt) for r in (_row_inputs(config, eps) for eps in eps_list)]
+    _check_config(config)
+    plans = [_step_plan(config, eps) for eps in eps_list]
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         try:
@@ -791,7 +795,7 @@ def run_sweep(
     workers = threads or _default_workers()
     small_grid = config.grid.n_per_axis**config.grid.dim < LANE_MIN_POINTS
     processes = min(workers, len(eps_list)) if small_grid else 1
-    bins = _deal_longest_first([n_steps for n_steps, _ in plans], processes)
+    bins = _deal_longest_first([n_steps for n_steps, _, _ in plans], processes)
     # the lane thread and the pool are shut down on every way out
     with (
         ThreadPoolExecutor(max_workers=1) if workers >= 2 and not small_grid else nullcontext() as lane,
@@ -807,7 +811,7 @@ def run_sweep(
         "config_hash": config.config_hash(),
         "code_version": __version__,
         "config": config.to_mapping(),
-        "dt_per_eps": {_format_delta(e): dt for e, (_, dt) in zip(eps_list, plans)},
+        "dt_per_eps": {_format_delta(e): dt for e, (_, dt, _) in zip(eps_list, plans)},
     }
     report = ConvergenceReport(rows=tuple(rows), metadata=metadata)
 

@@ -97,6 +97,8 @@ class FeatureDictionary:
 
     @classmethod
     def make(cls, dim: int, size: int, seed) -> "FeatureDictionary":
+        if size < 1:
+            raise UsageError(f"dictionary size must be >= 1, got {size}")
         rng = np.random.default_rng(seed)
         d = 2 * dim
         direction = rng.normal(size=(size, d))

@@ -276,7 +276,8 @@ def propagate(
     T must be finite and nonnegative.  ``dt`` must be positive and finite,
     must divide T, and for an ``OscillatingSystem`` must keep the
     fast-period rule ``dt <= eps / MIN_STEPS_PER_FAST_PERIOD``; each breach
-    raises ConfigError.  Snapshot times are rounded to the nearest step.
+    raises ConfigError.  Snapshot times are rounded to the nearest step; a
+    time outside [0, T], NaN included, raises ConfigError.
     At every snapshot the monitors of ``check_monitors`` run with the given
     boundary tolerance.
     """
@@ -321,7 +322,7 @@ def propagate(
 
 
 def _snap_index(t: float, dt: float, n_steps: int, T: float) -> int:
-    if t < -1e-12 or t > T * (1.0 + 1e-12):
+    if not (-1e-12 <= t <= T * (1.0 + 1e-12)):  # NaN fails too
         raise ConfigError(f"snapshot time {t} outside [0, {T}]")
     idx = int(round(t / dt))
     return min(max(idx, 0), n_steps)

@@ -205,15 +205,17 @@ class TestBenchmarkRegressionCanon:
         canon = json.loads(canon_path.read_text())
         fresh = json.loads(json.dumps(report.to_mapping()))
         assert fresh["metadata"]["config_hash"] == canon["metadata"]["config_hash"]
+        assert len(fresh["rows"]) == len(canon["rows"])
         for got, want in zip(fresh["rows"], canon["rows"]):
+            assert set(got) <= set(want), f"not in the canon: {sorted(set(got) - set(want))}"
             for key, expected in want.items():
                 if key == "wall_time":
                     continue
                 value = got[key]
                 if isinstance(expected, float):
-                    assert value == pytest.approx(expected, rel=1e-12, abs=1e-300), key
+                    assert value == pytest.approx(expected, rel=1e-12, abs=1e-300, nan_ok=True), key
                 elif isinstance(expected, dict):
                     for sub, exp_v in expected.items():
-                        assert value[sub] == pytest.approx(exp_v, rel=1e-12, abs=1e-300), (key, sub)
+                        assert value[sub] == pytest.approx(exp_v, rel=1e-12, abs=1e-300, nan_ok=True), (key, sub)
                 else:
                     assert value == expected, key

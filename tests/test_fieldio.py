@@ -104,17 +104,19 @@ def test_cut_payload_rejected_naming_the_file(tmp_path, cut):
 
 
 @pytest.mark.parametrize(
-    "dim, n, payload_bytes, message",
+    "dim, n, time, payload_bytes, message",
     [
-        (7, 16, 16, "dim must be 1, 2 or 3, got 7"),
-        (1, 17, 17 * 16, "n_per_axis must be a power of two >= 16, got 17"),
+        (7, 16, 0.0, 16, "dim must be 1, 2 or 3, got 7"),
+        (1, 17, 0.0, 17 * 16, "n_per_axis must be a power of two >= 16, got 17"),
         # 2**32 points would take 32 GiB to build; the size check comes first
-        (2, 65536, 32, "payload holds 32 bytes, expected 68719476736"),
+        (2, 65536, 0.0, 32, "payload holds 32 bytes, expected 68719476736"),
+        (1, 16, np.nan, 16 * 16, "time stamp nan is not finite"),
+        (1, 16, np.inf, 16 * 16, "time stamp inf is not finite"),
     ],
-    ids=["dim7", "n17", "n65536"],
+    ids=["dim7", "n17", "n65536", "time_nan", "time_inf"],
 )
-def test_corrupt_header_rejected_naming_the_file(tmp_path, dim, n, payload_bytes, message):
+def test_corrupt_header_rejected_naming_the_file(tmp_path, dim, n, time, payload_bytes, message):
     path = tmp_path / "corrupt.field"
-    path.write_bytes(HEADER_STRUCT.pack(dim, n, 8.0, 0.0) + bytes(payload_bytes))
+    path.write_bytes(HEADER_STRUCT.pack(dim, n, 8.0, time) + bytes(payload_bytes))
     with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
         load_field(path)

@@ -383,9 +383,9 @@ class TestRowStages:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_no_other_rows_inputs_are_alive_during_a_row(self, monkeypatch, threads):
-        # the sweep checks every row's inputs and drops them; each row then
-        # builds its own, so while a row runs no other row's inputs exist,
-        # and none outlives the sweep
+        # the sweep checks its config without building any row's inputs;
+        # each row builds its own, so while a row runs no other row's
+        # inputs exist, and none outlives the sweep
         import pilotwave.harness as harness
 
         built = []  # (eps, weak reference) per _row_inputs result
@@ -407,9 +407,36 @@ class TestRowStages:
         report = run_sweep(tiny_2d_config(eps_list=(0.2, 0.1)), threads=threads)
         assert [r.eps for r in report.rows] == [0.2, 0.1]
         assert alive == [[0.2], [0.1]]
-        assert [eps for eps, _ in built] == [0.2, 0.1, 0.2, 0.1]  # checks, then rows
+        assert [eps for eps, _ in built] == [0.2, 0.1]  # one build per row
         gc.collect()
         assert all(ref() is None for _, ref in built)
+
+    def test_config_is_checked_once_and_each_row_built_once(self, monkeypatch):
+        # the theorem's hypotheses do not depend on eps: one check per
+        # sweep, and a row only builds its inputs
+        import pilotwave.harness as harness
+
+        checked, built = [], []
+        real_check, real_row_inputs = harness.check_subquadratic, harness._row_inputs
+
+        def check_subquadratic(V, grid):
+            checked.append(grid.n_per_axis)
+            return real_check(V, grid)
+
+        def row_inputs(config, eps):
+            built.append(eps)
+            return real_row_inputs(config, eps)
+
+        def lockstep(*args, **kwargs):
+            raise BoundaryMassExceeded("stepping is not under test")
+
+        monkeypatch.setattr(harness, "check_subquadratic", check_subquadratic)
+        monkeypatch.setattr(harness, "_row_inputs", row_inputs)
+        monkeypatch.setattr(harness, "lockstep", lockstep)
+        report = run_sweep(small_config(eps_list=(0.2, 0.1)), threads=1)
+        assert [r.eps for r in report.rows] == [0.2, 0.1]
+        assert checked == [256]
+        assert built == [0.2, 0.1]
 
     @pytest.mark.parametrize("escape", [False, True])
     def test_pair_list_is_built_once_per_row(self, monkeypatch, escape):
@@ -818,8 +845,8 @@ class TestLanes:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_row_drops_its_inputs_once_it_has_run(self, monkeypatch, threads):
-        # the sweep keeps none of the inputs it checked, and a row's own
-        # inputs are gone when the next row starts
+        # the sweep builds no row's inputs to check its config, and a row's
+        # own inputs are gone when the next row starts
         import pilotwave.harness as harness
 
         built = []
@@ -840,7 +867,7 @@ class TestLanes:
         monkeypatch.setattr(harness, "_row_inputs", row_inputs)
         monkeypatch.setattr(harness, "run_single", run_single)
         report = run_sweep(tiny_2d_config(eps_list=(0.2, 0.1)), threads=threads)
-        assert len(built) == 4
+        assert len(built) == 2  # one build per row
         assert alive_at_row_start == [0, 0]
         assert list(report.metadata["dt_per_eps"]) == ["0.2", "0.1"]
 

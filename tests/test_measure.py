@@ -139,6 +139,15 @@ class TestFlatDistance:
         with pytest.raises(UsageError):
             flat_distance(a, b)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_dictionary_size_below_one_rejected(self, size):
+        a = gaussian_cloud(0)
+        with pytest.raises(UsageError, match=f"dictionary size must be >= 1, got {size}"):
+            flat_distance(a, a, dictionary_size=size)
+        d = densities(gaussian_packet(make_grid(1, 256, 16.0), width=1.0))
+        with pytest.raises(UsageError, match=f"dictionary size must be >= 1, got {size}"):
+            monokinetic_deviation(bohmian_measure(d), d, dictionary_size=size)
+
     def test_deterministic_in_seed(self):
         a, b = gaussian_cloud(3), gaussian_cloud(4)
         d1 = flat_distance(a, b, seed=42)

@@ -241,6 +241,13 @@ class TestPropagate:
         with pytest.raises(ConfigError, match="finite and nonnegative"):
             propagate(psi, effective_potential(zero_potential(), psi.grid), T, 1e-3, [])
 
+    @pytest.mark.parametrize("t", [-0.05, 0.2, np.nan])
+    def test_snapshot_time_outside_the_horizon_rejected(self, t):
+        # a NaN time fails the range test too, not int(round(nan)) later
+        psi = gaussian_packet(make_grid(1, 256, 16.0), width=1.0)
+        with pytest.raises(ConfigError, match=f"snapshot time {t} outside"):
+            propagate(psi, effective_potential(zero_potential(), psi.grid), 0.1, 0.01, [t])
+
     def test_dt_must_divide_horizon(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)

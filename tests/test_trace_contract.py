@@ -2,10 +2,11 @@
 
 It stops a traced benchmark run when one of them is gone or records no
 call, so a refactor that renames or stops calling such a name fails here
-first.  The tracer module is loaded from its file.  Three tests install its
-wrappers around tiny sweeps (1D, 1D with forked rows, and 2D with and
-without a lane thread) and turn the spans into the per-layer metrics, as a
-traced benchmark call does; every name it wraps is restored afterwards.
+first.  The tracer module is loaded from its file.  Four tests install its
+wrappers around tiny sweeps (1D with one row, two serial rows or forked
+rows, and 2D with and without a lane thread) and turn the spans into the
+per-layer metrics, as a traced benchmark call does; every name it wraps is
+restored afterwards.
 """
 
 import functools
@@ -65,6 +66,17 @@ def tiny_config(tmp_path):
     path.write_text(
         "grid: {dim: 1, n_per_axis: 256, half_width: 12.0}\n"
         "sweep: {horizon: 0.25, eps_list: [0.2], ensemble_size: 100}\n"
+        "measure: {dictionary_size: 32}\n"
+        "output: {save_fields: true}\n"
+    )
+    return path
+
+
+def tiny_two_row_config(tmp_path):
+    path = tmp_path / "tiny_two_rows.yaml"
+    path.write_text(
+        "grid: {dim: 1, n_per_axis: 256, half_width: 12.0}\n"
+        "sweep: {horizon: 0.25, eps_list: [0.2, 0.1], ensemble_size: 100}\n"
         "measure: {dictionary_size: 32}\n"
         "output: {save_fields: true}\n"
     )
@@ -131,18 +143,20 @@ def test_traced_sweep_yields_every_layer_metric(spans, monkeypatch, tmp_path):
     assert 0 < metrics["measure.feature_matrix_bytes"] <= 256 * 32 * 8
 
 
+def test_traced_serial_sweep_counts_one_computation_per_row(spans, monkeypatch, tmp_path):
+    # the config check before the rows must call no name that starts a
+    # row computation, or a traced sweep would count more than it ran
+    path = tiny_two_row_config(tmp_path)
+    metrics, _ = traced_sweep(spans, monkeypatch, path, tmp_path / "out", "--threads", "1")
+    assert metrics["harness.row_computations"] == metrics["harness.rows"] == 2
+
+
 def test_traced_forked_sweep_records_every_layer_in_the_calling_process(
     spans, monkeypatch, tmp_path
 ):
     # the tracer sees only the calling process: it must keep running a
     # share of the rows (the longest), or every layer goes silent
-    path = tmp_path / "tiny_two_rows.yaml"
-    path.write_text(
-        "grid: {dim: 1, n_per_axis: 256, half_width: 12.0}\n"
-        "sweep: {horizon: 0.25, eps_list: [0.2, 0.1], ensemble_size: 100}\n"
-        "measure: {dictionary_size: 32}\n"
-        "output: {save_fields: true}\n"
-    )
+    path = tiny_two_row_config(tmp_path)
     metrics, _ = traced_sweep(spans, monkeypatch, path, tmp_path / "out", "--threads", "2")
     # eps 0.1, T=0.25: 80 steps per system; eps 0.2 runs in the child
     assert metrics["harness.rows"] == 1
