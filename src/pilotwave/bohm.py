@@ -10,7 +10,8 @@ drawn from rho0, which keeps them away from nodes almost surely.
 Trajectories are integrated with classical RK4 on top of cubic
 (Catmull-Rom) interpolation in space; in time nothing is interpolated: the
 output times are mapped to history frames once, and every RK4 stage reads
-a stored velocity frame by its number.
+a stored velocity frame by its number.  A run builds one workspace and its
+steps write into it, so stepping allocates nothing.
 """
 
 from __future__ import annotations
@@ -279,6 +280,11 @@ def integrate_trajectories(
     first stage.  Samples leaving the box are frozen, marked invalid, and
     the run fails if more than 5% escape.  The history must carry one
     velocity component per grid axis (UsageError otherwise).
+
+    Besides its outputs the run allocates one workspace, the lookup's
+    buffers and four (M, dim) stage arrays; the stage points, the update
+    and each step's end velocity are written in place, with every
+    operation in the order of the formulas above.
     """
     x0 = np.atleast_2d(np.asarray(initial_points, dtype=np.float64))
     if x0.shape[1] != history.grid.dim:
@@ -304,31 +310,45 @@ def integrate_trajectories(
 
     M = x0.shape[0]
     K = t_out.size
+    dim = x0.shape[1]
     grid = history.grid
     L = grid.half_width
     u = history.values
 
-    positions = np.empty((K, M, grid.dim))
-    momenta = np.empty((K, M, grid.dim))
+    positions = np.empty((K, M, dim))
+    momenta = np.empty((K, M, dim))
     alive = np.ones(M, dtype=bool)
 
-    X = x0.copy()
-    positions[0] = X
-    momenta[0] = _interp_space(grid, u[frames[0]], X)
+    # one workspace for the whole run: the lookup's, the stage points and
+    # slopes, and the escape test's; each step only writes into it
+    work = _interp_work(dim, M)
+    stage, k2, k3, k4 = np.empty((4, M, dim))
+    peak = np.empty(M)
+    escaped = np.empty(M, dtype=bool)
+
+    positions[0] = x0
+    _interp_space(grid, u[frames[0]], positions[0], out=momenta[0], work=work)
     for k, f in enumerate(frames[:-1]):
         u_mid, u_end = u[f + s // 2], u[f + s]
-        k1 = momenta[k]  # u(t, X), recorded when the last step ended
-        k2 = _interp_space(grid, u_mid, X + 0.5 * h * k1)
-        k3 = _interp_space(grid, u_mid, X + 0.5 * h * k2)
-        k4 = _interp_space(grid, u_end, X + h * k3)
-        X_new = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        escaped = np.abs(X_new).max(axis=1) > L
-        if escaped.any():
-            X_new[escaped] = X[escaped]  # freeze at last in-box position
+        X, k1 = positions[k], momenta[k]  # k1 = u(t, X), recorded when the last step ended
+        np.add(X, np.multiply(0.5 * h, k1, out=stage), out=stage)
+        _interp_space(grid, u_mid, stage, out=k2, work=work)
+        np.add(X, np.multiply(0.5 * h, k2, out=stage), out=stage)
+        _interp_space(grid, u_mid, stage, out=k3, work=work)
+        np.add(X, np.multiply(h, k3, out=stage), out=stage)
+        _interp_space(grid, u_end, stage, out=k4, work=work)
+        # X_new = X + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=stage)
+        stage += np.multiply(2.0, k3, out=k3)
+        stage += k4
+        np.add(X, np.multiply(h / 6.0, stage, out=stage), out=stage)
+        np.max(np.abs(stage, out=k4), axis=1, out=peak)
+        if np.greater(peak, L, out=escaped).any():
             alive &= ~escaped
-        X = np.where(alive[:, None], X_new, X)
-        positions[k + 1] = X
-        momenta[k + 1] = _interp_space(grid, u_end, X)
+        X_next = positions[k + 1]
+        X_next[...] = X  # an escaped sample stays at its last in-box position
+        np.copyto(X_next, stage, where=alive[:, None])
+        _interp_space(grid, u_end, X_next, out=momenta[k + 1], work=work)
 
     escaped_frac = 1.0 - alive.mean()
     if escaped_frac > ESCAPE_FRACTION_CAP:
@@ -346,46 +366,98 @@ def integrate_trajectories(
     )
 
 
-def _catmull_weights(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    f2 = f * f
-    f3 = f2 * f
-    return (
-        0.5 * (-f3 + 2.0 * f2 - f),
-        0.5 * (3.0 * f3 - 5.0 * f2 + 2.0),
-        0.5 * (-3.0 * f3 + 4.0 * f2 + f),
-        0.5 * (f3 - f2),
+class _InterpWork(NamedTuple):
+    """Reusable buffers of ``_interp_space`` for M points in ``dim`` axes."""
+
+    weights: np.ndarray  # (dim, 4, M): the four Catmull-Rom weights per axis
+    indices: np.ndarray  # (dim, 4, M): wrapped stencil indices times the axis stride
+    scratch: np.ndarray  # (4, M) float
+    index: np.ndarray  # (M,) flat index of one stencil point
+
+
+def _interp_work(dim: int, M: int) -> _InterpWork:
+    return _InterpWork(
+        weights=np.empty((dim, 4, M)),
+        indices=np.empty((dim, 4, M), dtype=np.intp),
+        scratch=np.empty((4, M)),
+        index=np.empty(M, dtype=np.intp),
     )
 
 
-def _interp_space(grid: Grid, field: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _interp_space(
+    grid: Grid,
+    field: np.ndarray,
+    X: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    work: _InterpWork | None = None,
+) -> np.ndarray:
     """Periodic tensor-product Catmull-Rom interpolation of field components.
 
     ``field`` has shape (n_components, *grid.shape); ``X`` is (M, dim).
-    Returns (M, n_components).
+    Returns (M, n_components), written into ``out`` when given.  ``work``
+    is a workspace from ``_interp_work(dim, M)``; with both, the lookup
+    allocates nothing, and without them it makes its own.  Either way the
+    weights of the fractional coordinate f are evaluated as written,
+    ``0.5 * (-f3 + 2.0 * f2 - f)``, ``0.5 * (3.0 * f3 - 5.0 * f2 + 2.0)``,
+    ``0.5 * (-3.0 * f3 + 4.0 * f2 + f)`` and ``0.5 * (f3 - f2)`` with
+    ``f2 = f * f`` and ``f3 = f2 * f``, and the stencil is summed from zeros
+    in ``np.ndindex`` order, so every call gives the same bits.
     """
     n = grid.n_per_axis
-    M = X.shape[0]
+    M, dim = X.shape
     ncomp = field.shape[0]
-    g = (X + grid.half_width) / grid.dx  # fractional grid coordinates
-    base = np.floor(g).astype(np.int64)
-    frac = g - base
+    if out is None:
+        out = np.empty((M, ncomp))
+    if work is None:
+        work = _interp_work(dim, M)
+    weights, indices, base = work.weights, work.indices, work.index
+    f, f2, f3, t = work.scratch
 
     # per axis: four weights and the (4, M) wrapped indices of the stencil;
     # Grid requires a power-of-two n, so & (n - 1) wraps exactly as np.mod
-    axis_weights = [_catmull_weights(frac[:, axis]) for axis in range(grid.dim)]
-    offsets = np.arange(-1, 3)[:, None]
-    axis_indices = [(base[:, axis] + offsets) & (n - 1) for axis in range(grid.dim)]
+    for axis in range(dim):
+        g = np.divide(np.add(X[:, axis], grid.half_width, out=t), grid.dx, out=t)
+        base[...] = np.floor(g, out=f3)
+        np.subtract(g, f3, out=f)  # the fractional grid coordinate
+        np.multiply(f, f, out=f2)
+        np.multiply(f2, f, out=f3)
+        # the four weight polynomials, operation for operation
+        w0, w1, w2, w3 = weights[axis]
+        np.negative(f3, out=w0)
+        w0 += np.multiply(2.0, f2, out=t)
+        w0 -= f
+        np.multiply(3.0, f3, out=w1)
+        w1 -= np.multiply(5.0, f2, out=t)
+        w1 += 2.0
+        np.multiply(-3.0, f3, out=w2)
+        w2 += np.multiply(4.0, f2, out=t)
+        w2 += f
+        np.subtract(f3, f2, out=w3)
+        weights[axis] *= 0.5
+        stride = n ** (dim - 1 - axis)
+        for idx, offset in zip(indices[axis], range(-1, 3)):
+            np.add(base, offset, out=idx)
+            idx &= n - 1
+            if stride > 1:
+                idx *= stride
 
     flat = field.reshape(ncomp, -1)
-    strides = [n ** (grid.dim - 1 - a) for a in range(grid.dim)]
-    out = np.zeros((M, ncomp))
-    for combo in np.ndindex(*(4,) * grid.dim):
-        w = axis_weights[0][combo[0]]
-        flat_idx = axis_indices[0][combo[0]] * strides[0]
-        for axis in range(1, grid.dim):
-            w = w * axis_weights[axis][combo[axis]]
-            flat_idx = flat_idx + axis_indices[axis][combo[axis]] * strides[axis]
-        out += w[:, None] * flat[:, flat_idx].T
+    w, values = work.scratch[:2]
+    out[...] = 0.0
+    for combo in np.ndindex(*(4,) * dim):
+        if dim == 1:
+            w, flat_idx = weights[0, combo[0]], indices[0, combo[0]]
+        else:
+            flat_idx = work.index
+            np.multiply(weights[0, combo[0]], weights[1, combo[1]], out=w)
+            np.add(indices[0, combo[0]], indices[1, combo[1]], out=flat_idx)
+            for axis in range(2, dim):
+                w *= weights[axis, combo[axis]]
+                flat_idx += indices[axis, combo[axis]]
+        for c in range(ncomp):
+            np.take(flat[c], flat_idx, out=values, mode="clip")  # in range, so never clipped
+            out[:, c] += np.multiply(w, values, out=values)
     return out
 
 

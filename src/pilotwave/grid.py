@@ -4,7 +4,8 @@ Transform convention (fixed package-wide): forward transform is numpy's
 unnormalized FFT, the inverse carries the 1/n factor.  Every transform in
 the package goes through ``fftn``/``ifftn`` below, which run scipy.fft's
 pocketfft over the axes in numpy's order (last axis first) on complex128
-input, a real input being cast to complex first.  They equal
+input, a real input being cast to complex first; a 1D array goes through
+the one-axis ``scipy.fft.fft``/``ifft``.  They equal
 ``np.fft.fftn``/``ifftn`` bit for bit (tests/test_grid.py checks it), so
 results hang on the numpy and scipy versions together.  Per-axis wavenumbers
 are k = pi*m/half_width for integer m in [-n/2, n/2), stored in numpy's
@@ -184,15 +185,21 @@ def fftn(values: np.ndarray) -> np.ndarray:
     """``np.fft.fftn(values)`` bit for bit, on scipy.fft's faster pocketfft.
 
     The cast keeps scipy off its real-to-complex path, whose bits differ
-    from numpy's; the reversed axes give numpy's order of 1D passes.
+    from numpy's; the reversed axes give numpy's order of 1D passes.  A 1D
+    array goes to the one-axis ``scipy.fft.fft``, which runs the same pass
+    without the n-dimensional dispatch.
     """
     x = np.asarray(values, dtype=np.complex128)
+    if x.ndim == 1:
+        return scipy.fft.fft(x)
     return scipy.fft.fftn(x, axes=tuple(reversed(range(x.ndim))))
 
 
 def ifftn(values: np.ndarray) -> np.ndarray:
     """``np.fft.ifftn(values)`` bit for bit; see ``fftn``."""
     x = np.asarray(values, dtype=np.complex128)
+    if x.ndim == 1:
+        return scipy.fft.ifft(x)
     return scipy.fft.ifftn(x, axes=tuple(reversed(range(x.ndim))))
 
 

@@ -244,8 +244,10 @@ def injectivity_pairs(ens: TrajectoryEnsemble) -> NeighbourPairs:
     # key = min(i, j) * m + max(i, j) per (sample, neighbour), self-match
     # dropped; the tree is queried QUERY_BLOCK samples at a time and each
     # block's keys are formed in place in one preallocated array, which is
-    # then sorted in place: that beats np.unique's hashing at this size
-    keys = np.empty((m, k - 1), dtype=np.int64)
+    # then sorted in place: that beats np.unique's hashing at this size.
+    # The keys are int32 while m * m fits (m <= 46340), else int64
+    key_type = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+    keys = np.empty((m, k - 1), dtype=key_type)
     for start in range(0, m, QUERY_BLOCK):
         stop = min(start + QUERY_BLOCK, m)
         cols = tree.query(x0[start:stop], k=k)[1][:, 1:]  # distances dropped at once
@@ -262,8 +264,8 @@ def injectivity_pairs(ens: TrajectoryEnsemble) -> NeighbourPairs:
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     pair_keys = keys[first]
     del keys, first
-    # the keys need int64 (m**2 outgrows int32), but one sample index fits
-    # int32 at any ensemble size, which halves the kept pair list
+    # one sample index fits int32 at any ensemble size, which halves the
+    # kept pair list
     lo = np.floor_divide(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
     hi = np.remainder(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
     del pair_keys

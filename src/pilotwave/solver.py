@@ -277,7 +277,7 @@ def propagate(
     must divide T, and for an ``OscillatingSystem`` must keep the
     fast-period rule ``dt <= eps / MIN_STEPS_PER_FAST_PERIOD``; each breach
     raises ConfigError.  Snapshot times are rounded to the nearest step; a
-    time outside [0, T], NaN included, raises ConfigError.
+    time outside [0, T], NaN included, raises ConfigError, at T == 0 too.
     At every snapshot the monitors of ``check_monitors`` run with the given
     boundary tolerance.
     """
@@ -292,14 +292,13 @@ def propagate(
                 f"dt={dt} violates the fast-period rule: need "
                 f"dt <= eps/{MIN_STEPS_PER_FAST_PERIOD} = {limit}"
             )
-    if T == 0:
-        return [psi0]
-
     n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+    if T > 0 and (n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T)):
         raise ConfigError(f"dt={dt} does not divide the horizon T={T}")
 
     wanted = {_snap_index(t, dt, n_steps, T) for t in snapshot_times}
+    if T == 0:
+        return [psi0]
     stepper = StrangStepper(system, psi0.grid, dt)
     h1_initial = norms(psi0.field).h1
 

@@ -213,15 +213,25 @@ class TestSampling:
         assert abs(pts[:, 1].mean() + 2.0) < 3.0 * 1.0 / np.sqrt(M)
 
 
+def catmull_weights(f):
+    """The four Catmull-Rom weights of the fractional coordinate f."""
+    f2 = f * f
+    f3 = f2 * f
+    return (
+        0.5 * (-f3 + 2.0 * f2 - f),
+        0.5 * (3.0 * f3 - 5.0 * f2 + 2.0),
+        0.5 * (-3.0 * f3 + 4.0 * f2 + f),
+        0.5 * (f3 - f2),
+    )
+
+
 def interp_space_reference(grid, field, X):
     """Catmull-Rom lookup with np.mod wrapping and stacked weights."""
-    from pilotwave.bohm import _catmull_weights
-
     n = grid.n_per_axis
     g = (X + grid.half_width) / grid.dx
     base = np.floor(g).astype(np.int64)
     frac = g - base
-    weights = [np.stack(_catmull_weights(frac[:, a])) for a in range(grid.dim)]
+    weights = [np.stack(catmull_weights(frac[:, a])) for a in range(grid.dim)]
     indices = [
         np.stack([np.mod(base[:, a] + o, n) for o in (-1, 0, 1, 2)]) for a in range(grid.dim)
     ]
@@ -240,11 +250,9 @@ def interp_space_reference(grid, field, X):
 
 def blended_field_at(history, t):
     """The Catmull-Rom time blend that field reads once made (clamped ends)."""
-    from pilotwave.bohm import _catmull_weights
-
     g = (t - history.times[0]) / history.dt
     j = min(max(int(np.floor(g)), 0), len(history.times) - 2)
-    w = _catmull_weights(np.asarray(g - j))
+    w = catmull_weights(np.asarray(g - j))
     jm = max(j - 1, 0)
     jp = min(j + 2, len(history.times) - 1)
     v = history.values
@@ -279,6 +287,37 @@ def blended_trajectories(history, x0, times):
     return np.stack(positions), np.stack(momenta), alive
 
 
+def allocating_trajectories(history, x0, times):
+    """The RK4 loop before the workspace: fresh arrays at every stage and
+    step, velocities from ``interp_space_reference``."""
+    h = float(times[1] - times[0])
+    L = history.grid.half_width
+    s = int(round((times[1] - times[0]) / history.dt))
+    frames = np.rint((times - history.times[0]) / history.dt).astype(np.int64)
+    u = history.values
+
+    def u_at(f, X):
+        return interp_space_reference(history.grid, u[f], X)
+
+    X = x0.copy()
+    positions, momenta = [X], [u_at(frames[0], X)]
+    alive = np.ones(len(x0), dtype=bool)
+    for f in frames[:-1]:
+        k1 = momenta[-1]
+        k2 = u_at(f + s // 2, X + 0.5 * h * k1)
+        k3 = u_at(f + s // 2, X + 0.5 * h * k2)
+        k4 = u_at(f + s, X + h * k3)
+        X_new = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        escaped = np.abs(X_new).max(axis=1) > L
+        if escaped.any():
+            X_new[escaped] = X[escaped]
+            alive &= ~escaped
+        X = np.where(alive[:, None], X_new, X)
+        positions.append(X)
+        momenta.append(u_at(f + s, X))
+    return np.stack(positions), np.stack(momenta), alive
+
+
 class TestFieldHistory:
     def test_mesh_times_return_the_stored_frame(self, monkeypatch):
         # frame j holds the constant j/1000, so each velocity lookup names
@@ -289,9 +328,9 @@ class TestFieldHistory:
         read = []
         real_interp = bohm._interp_space
 
-        def recorded(grid, field, X):
+        def recorded(grid, field, X, **kwargs):
             read.append(int(round(1000 * field[0, 0])))
-            return real_interp(grid, field, X)
+            return real_interp(grid, field, X, **kwargs)
 
         monkeypatch.setattr(bohm, "_interp_space", recorded)
         g = make_grid(1, 32, 4.0)
@@ -320,17 +359,23 @@ class TestFieldHistory:
 class TestTrajectories:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_interp_space_matches_mod_reference(self, dim):
-        # RK4 stages may probe points outside [-L, L) before escapes are frozen
-        from pilotwave.bohm import _interp_space
+        # RK4 stages may probe points outside [-L, L) before escapes are frozen;
+        # one workspace serves lookups of different fields, each into its out
+        from pilotwave.bohm import _interp_space, _interp_work
 
         g = make_grid(dim, 16, 2.0)
         L = g.half_width
         rng = np.random.default_rng(dim)
         X = rng.uniform(-3.0 * L, 3.0 * L, size=(300, dim))
         X[0], X[1], X[2] = -L, L, np.nextafter(L, 0.0)
-        for ncomp in (1, dim):
+        work = _interp_work(dim, 300)
+        for ncomp in (1, dim, 1):
             field = rng.normal(size=(ncomp,) + g.shape)
-            assert np.array_equal(_interp_space(g, field, X), interp_space_reference(g, field, X))
+            want = interp_space_reference(g, field, X)
+            assert np.array_equal(_interp_space(g, field, X), want)
+            out = np.full((300, ncomp), np.nan)
+            assert _interp_space(g, field, X, out=out, work=work) is out
+            assert np.array_equal(out, want)
 
     def test_constant_velocity_exact(self):
         g = make_grid(1, 64, 8.0)
@@ -369,9 +414,9 @@ class TestTrajectories:
         calls = []
         real_interp = bohm._interp_space
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[2].shape[0])
-            return real_interp(*args)
+            return real_interp(*args, **kwargs)
 
         monkeypatch.setattr(bohm, "_interp_space", counted)
         g = make_grid(dim, 16, 8.0)
@@ -381,6 +426,47 @@ class TestTrajectories:
         ens = integrate_trajectories(hist, x0, times[::2])
         assert ens.times.size == K
         assert calls == [7] * (4 * (K - 1) + 1)
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+    def test_workspace_gives_the_allocating_loop(self, dim, n):
+        # a drift drives 19 of the 400 samples out of the box: they freeze at
+        # their last position while the rest keep stepping
+        g = make_grid(dim, n, 4.0)
+        rng = np.random.default_rng(20 + dim)
+        times = np.arange(41) * 0.025
+        hist = FieldHistory(g, times, 0.5 + 0.5 * rng.normal(size=(41, dim) + g.shape))
+        x0 = rng.uniform(-3.7, 3.7, size=(400, dim))
+        ens = integrate_trajectories(hist, x0, times[::4])
+        positions, momenta, valid = allocating_trajectories(hist, x0, times[::4])
+        assert 0 < (~valid).sum() <= 20
+        assert np.array_equal(ens.positions, positions)
+        assert np.array_equal(ens.momenta, momenta)
+        assert np.array_equal(ens.valid, valid)
+
+    def test_steps_allocate_only_the_outputs_and_one_workspace(self):
+        # the bohm_ensemble row: M = 20000 samples, 41 output times
+        import tracemalloc
+
+        from pilotwave.bohm import _interp_work
+
+        g = make_grid(1, 64, 8.0)
+        M, K = 20000, 41
+        times = np.arange(2 * K - 1) * 0.025
+        hist = FieldHistory(g, times, np.full((times.size, 1) + g.shape, 0.1))
+        x0 = np.linspace(-4.0, 4.0, M)[:, None]
+        tracemalloc.start()
+        try:
+            ens = integrate_trajectories(hist, x0, times[::2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.valid.all()
+        outputs = ens.positions.nbytes + ens.momenta.nbytes + ens.valid.nbytes
+        # the lookup's buffers, four (M, 1) stage arrays and the escape
+        # test's; the slack covers numpy's fixed-size ufunc buffers.  The
+        # loop that allocated per stage peaked 0.3 MB above this bound
+        workspace = sum(a.nbytes for a in _interp_work(1, M)) + 4 * M * 8 + M * 9
+        assert peak < outputs + workspace + 160 * 1024
 
     def test_free_gaussian_scaling_oracle(self):
         # X(t, x0) = x0 sqrt(1 + t^2/4); at t = 2 the map is x0 sqrt(2)

@@ -316,7 +316,7 @@ class TestFrameDiagnostics:
         import pilotwave.harness as harness
 
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("fft", "ifft", "fftn", "ifftn"):  # 1D arrays take the one-axis pair
             def counted(*args, _real=getattr(scipy.fft, name), **kwargs):
                 calls.append(1)
                 return _real(*args, **kwargs)

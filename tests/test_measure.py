@@ -409,6 +409,20 @@ class TestInjectivityMonitor:
             got = flow_injectivity_monitor(ens, pairs=pairs)
             assert got == flow_injectivity_monitor(ens, pairs=wide)
 
+    @pytest.mark.parametrize("m", [300, 46500])
+    def test_pair_keys_switch_to_int64_when_m_squared_outgrows_int32(self, monkeypatch, m):
+        # int32 keys min(i, j) * m + max(i, j) overflow from m = 46342 on
+        monkeypatch.setattr(measure, "N_NEIGHBORS", 2)
+        rng = np.random.default_rng(m)
+        ens = random_ensemble(rng, 1, m, n_times=2)
+        x0 = ens.initial_points.copy()
+        x0[1] += 1e-6  # no coincident pair
+        ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
+        pairs = injectivity_pairs(ens)
+        cols = cKDTree(x0).query(x0, k=3)[1][:, 1:].tolist()
+        want = sorted({(min(i, j), max(i, j)) for i in range(m) for j in cols[i]})
+        assert list(zip(pairs.lo.tolist(), pairs.hi.tolist())) == want
+
     def test_pair_list_of_other_samples_rejected(self):
         rng = np.random.default_rng(5)
         ens = random_ensemble(rng, 1, 40)
@@ -567,8 +581,8 @@ class TestMeasureMemory:
         peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens, pairs=pairs))
         assert peak < limit
         # building the list needs little beyond the list and its sorted keys,
-        # one int64 per (sample, neighbour)
+        # one int32 per (sample, neighbour) while m * m fits int32
         peak, built = self._traced_peak(lambda: injectivity_pairs(ens))
         list_bytes = built.lo.nbytes + built.hi.nbytes + built.base.nbytes
-        keys_bytes = m * 64 * 8
+        keys_bytes = m * 64 * 4
         assert peak < list_bytes + keys_bytes

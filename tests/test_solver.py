@@ -248,6 +248,15 @@ class TestPropagate:
         with pytest.raises(ConfigError, match=f"snapshot time {t} outside"):
             propagate(psi, effective_potential(zero_potential(), psi.grid), 0.1, 0.01, [t])
 
+    @pytest.mark.parametrize("t", [np.nan, 5.0, -0.05])
+    def test_snapshot_time_checked_at_zero_horizon(self, t):
+        # the T == 0 return once came before any time was looked at
+        psi = gaussian_packet(make_grid(1, 256, 16.0), width=1.0)
+        Vstar = effective_potential(zero_potential(), psi.grid)
+        with pytest.raises(ConfigError, match=f"snapshot time {t} outside"):
+            propagate(psi, Vstar, 0.0, 0.01, [0.0, t, 7.0])
+        assert propagate(psi, Vstar, 0.0, 0.01, [0.0]) == [psi]
+
     def test_dt_must_divide_horizon(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
