@@ -7,10 +7,9 @@ from .bohm import (
     DensityFields,
     FieldHistory,
     TrajectoryEnsemble,
+    continuity_residual,
     densities,
-    hydrodynamic_residual,
     integrate_trajectories,
-    newton_residual,
     quantum_potential,
     sample_initial_positions,
     velocity,

@@ -1,5 +1,5 @@
 """Bohmian hydrodynamics: densities, velocity, quantum potential,
-ensemble sampling, trajectory integration and residual checks.
+ensemble sampling, trajectory integration and the continuity residual.
 
 Velocity and quantum-potential fields hold the density above a fixed floor,
 1e-12 of its maximum, which acts near nodes and in the far tails of a
@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
 from .grid import Grid, _norms_from_gradient, gradient_values, laplacian_values
-from .potential import StaticPotential, evaluate
-from .solver import OscillatingSystem, WaveFunction
+from .solver import WaveFunction
 
 __all__ = [
     "DensityFields",
@@ -32,14 +31,12 @@ __all__ = [
     "FieldHistory",
     "VelocityField",
     "QuantumPotential",
-    "HydroResidual",
     "densities",
     "velocity",
     "quantum_potential",
     "sample_initial_positions",
     "integrate_trajectories",
-    "hydrodynamic_residual",
-    "newton_residual",
+    "continuity_residual",
 ]
 
 DENSITY_FLOOR_SCALE = 1e-12
@@ -93,9 +90,9 @@ class FieldHistory:
     """Time-indexed fields on a uniform mesh, e.g. velocity snapshots.
 
     ``values`` has shape (n_times, n_components, *grid.shape); scalar
-    histories use a single component.  Readers take frames by number:
-    ``integrate_trajectories`` and ``newton_residual`` map their output
-    times to frames once, and nothing is interpolated in time.
+    histories use a single component.  The times advance by one positive
+    step.  ``integrate_trajectories`` reads frames by number: it maps its
+    output times to frames once, and nothing is interpolated in time.
     """
 
     grid: Grid
@@ -109,6 +106,8 @@ class FieldHistory:
         dt = np.diff(t)
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
             raise ConfigError("history times must be uniformly spaced")
+        if not dt[0] > 0:
+            raise ConfigError(f"history times must advance, got a step of {float(dt[0])!r}")
         v = np.asarray(self.values)
         if v.shape[0] != t.size or v.shape[2:] != self.grid.shape:
             raise ConfigError(
@@ -121,11 +120,6 @@ class FieldHistory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-
-class HydroResidual(NamedTuple):
-    continuity: float
-    momentum: float
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +273,8 @@ def integrate_trajectories(
     P(t) = u(t, X(t)), and each step's end velocity is the next step's
     first stage.  Samples leaving the box are frozen, marked invalid, and
     the run fails if more than 5% escape.  The history must carry one
-    velocity component per grid axis (UsageError otherwise).
+    velocity component per grid axis (UsageError otherwise), and every
+    initial point must be finite (InputError otherwise).
 
     Besides its outputs the run allocates one workspace, the lookup's
     buffers and four (M, dim) stage arrays; the stage points, the update
@@ -289,6 +284,9 @@ def integrate_trajectories(
     x0 = np.atleast_2d(np.asarray(initial_points, dtype=np.float64))
     if x0.shape[1] != history.grid.dim:
         raise UsageError(f"initial points must have {history.grid.dim} columns")
+    finite = np.isfinite(x0).all(axis=1)
+    if not finite.all():
+        raise InputError(f"initial point {x0[np.argmin(finite)].tolist()} is not finite")
     if history.values.shape[1] != history.grid.dim:
         raise UsageError(
             f"a velocity history needs {history.grid.dim} components on a "
@@ -389,28 +387,24 @@ def _interp_space(
     field: np.ndarray,
     X: np.ndarray,
     *,
-    out: np.ndarray | None = None,
-    work: _InterpWork | None = None,
+    out: np.ndarray,
+    work: _InterpWork,
 ) -> np.ndarray:
     """Periodic tensor-product Catmull-Rom interpolation of field components.
 
     ``field`` has shape (n_components, *grid.shape); ``X`` is (M, dim).
-    Returns (M, n_components), written into ``out`` when given.  ``work``
-    is a workspace from ``_interp_work(dim, M)``; with both, the lookup
-    allocates nothing, and without them it makes its own.  Either way the
-    weights of the fractional coordinate f are evaluated as written,
-    ``0.5 * (-f3 + 2.0 * f2 - f)``, ``0.5 * (3.0 * f3 - 5.0 * f2 + 2.0)``,
-    ``0.5 * (-3.0 * f3 + 4.0 * f2 + f)`` and ``0.5 * (f3 - f2)`` with
-    ``f2 = f * f`` and ``f3 = f2 * f``, and the stencil is summed from zeros
-    in ``np.ndindex`` order, so every call gives the same bits.
+    Writes the (M, n_components) values into ``out`` and returns it.
+    ``work`` is a workspace from ``_interp_work(dim, M)``, so the lookup
+    allocates nothing.  The weights of the fractional coordinate f are
+    evaluated as written, ``0.5 * (-f3 + 2.0 * f2 - f)``,
+    ``0.5 * (3.0 * f3 - 5.0 * f2 + 2.0)``, ``0.5 * (-3.0 * f3 + 4.0 * f2 + f)``
+    and ``0.5 * (f3 - f2)`` with ``f2 = f * f`` and ``f3 = f2 * f``, and the
+    stencil is summed from zeros in ``np.ndindex`` order, so every call
+    gives the same bits.
     """
     n = grid.n_per_axis
     M, dim = X.shape
     ncomp = field.shape[0]
-    if out is None:
-        out = np.empty((M, ncomp))
-    if work is None:
-        work = _interp_work(dim, M)
     weights, indices, base = work.weights, work.indices, work.index
     f, f2, f3, t = work.scratch
 
@@ -462,19 +456,16 @@ def _interp_space(
 
 
 # ---------------------------------------------------------------------------
-# residual diagnostics
+# continuity residual
 
 
-def hydrodynamic_residual(
-    snapshots: list[DensityFields],
-    system: OscillatingSystem | StaticPotential,
-) -> HydroResidual:
-    """L1 residuals of the quantum hydrodynamic system driven by ``system``.
+def continuity_residual(snapshots: list[DensityFields]) -> float:
+    """L1 residual ||d rho/dt + div J||_L1 of the continuity law, with
+    centred time differencing and spectral divergence, averaged over the
+    interior snapshots.
 
-    continuity: ||d rho/dt + div J||_L1 with centred time differencing and
-    spectral divergence, averaged over interior snapshots.
-    momentum: L1 norm of d J/dt + div(J (x) J / rho) + rho grad V
-    - rho grad Q, restricted to the region rho > 1e-6 * max(rho).
+    The snapshots must be at least three, uniformly spaced by a positive
+    time step (UsageError otherwise).
     """
     if len(snapshots) < 3:
         raise UsageError("need at least 3 consecutive snapshots for centred differencing")
@@ -483,68 +474,17 @@ def hydrodynamic_residual(
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise UsageError("snapshots must be uniformly spaced in time")
     dt = float(dts[0])
+    if not dt > 0:
+        raise UsageError(f"snapshots must advance in time, got a step of {dt!r}")
     dv = grid.cell_volume
 
     cont_vals = []
-    mom_vals = []
     for k in range(1, len(snapshots) - 1):
         prev, cur, nxt = snapshots[k - 1], snapshots[k], snapshots[k + 1]
         drho_dt = (nxt.rho - prev.rho) / (2.0 * dt)
         div_j = _divergence(grid, cur.current)
         cont_vals.append(float(np.sum(np.abs(drho_dt + div_j)) * dv))
-
-        dj_dt = (nxt.current - prev.current) / (2.0 * dt)
-        rho_safe = np.maximum(cur.rho, _density_floor(cur.rho))
-        stress_div = np.empty_like(cur.current)
-        for i in range(grid.dim):
-            flux = cur.current[i] * cur.current / rho_safe  # (dim, *shape)
-            stress_div[i] = _divergence(grid, flux)
-        grad_v = _potential_gradient(system, cur.time, grid)
-        resid = dj_dt + stress_div + cur.rho * grad_v - _quantum_force_density(grid, cur.rho)
-        region = cur.rho > 1e-6 * cur.rho.max()
-        mom_vals.append(float(np.sum(np.abs(resid[:, region])) * dv))
-
-    return HydroResidual(
-        continuity=float(np.mean(cont_vals)), momentum=float(np.mean(mom_vals))
-    )
-
-
-def newton_residual(
-    ensemble: TrajectoryEnsemble,
-    system: OscillatingSystem | StaticPotential,
-    q_history: FieldHistory,
-) -> float:
-    """Ensemble-mean L1-in-time residual of dP/dt = -grad V + grad Q along
-    paths, V being ``system``'s potential.
-
-    dP/dt uses centred differencing of the recorded momenta; the forces are
-    interpolated at the recorded positions.  Each interior output time reads
-    its Q frame by number (it must lie on the Q history's mesh), and only
-    those frames are differentiated.
-    """
-    t = ensemble.times
-    if t.size < 3:
-        raise UsageError("need at least 3 output times for centred differencing")
-    h = float(t[1] - t[0])
-    grid = ensemble.grid
-    if q_history.values.shape[1] != 1:
-        raise UsageError("q_history must carry a single scalar component")
-
-    frames = _frames(q_history, t)
-
-    valid = ensemble.valid
-    P = ensemble.momenta[:, valid, :]
-    X = ensemble.positions[:, valid, :]
-    resid_sum = np.zeros(valid.sum())
-    for k in range(1, t.size - 1):
-        dP_dt = (P[k + 1] - P[k - 1]) / (2.0 * h)
-        grad_v = _interp_space(grid, _potential_gradient(system, t[k], grid), X[k])
-        # local (finite-difference) gradient: the floored Q field is only
-        # trustworthy where the density is, and a global spectral derivative
-        # would smear its far-tail artifacts over the whole box
-        grad_q = _interp_space(grid, _fd_gradient(grid, q_history.values[frames[k], 0]), X[k])
-        resid_sum += np.linalg.norm(dP_dt + grad_v - grad_q, axis=1)
-    return float(np.mean(resid_sum / (t.size - 2)))
+    return float(np.mean(cont_vals))
 
 
 def _divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
@@ -553,37 +493,3 @@ def _divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     for axis in range(grid.dim):
         out += gradient_values(grid, vec[axis])[axis]
     return out
-
-
-def _quantum_force_density(grid: Grid, rho: np.ndarray) -> np.ndarray:
-    """rho * grad Q via the division-free identity 0.5*(s grad(Lap s) - Lap s grad s)
-    with s = sqrt(rho); avoids differentiating across regularization floors."""
-    s = np.sqrt(np.maximum(rho, 0.0))
-    lap_s = laplacian_values(grid, s)
-    grad_s = gradient_values(grid, s)
-    grad_lap_s = gradient_values(grid, lap_s)
-    return 0.5 * (s * grad_lap_s - lap_s * grad_s)
-
-
-def _fd_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """4th-order centred finite-difference gradient with periodic wrap."""
-    inv = 1.0 / (12.0 * grid.dx)
-    out = np.empty((grid.dim,) + grid.shape)
-    for axis in range(grid.dim):
-        out[axis] = (
-            np.roll(values, 2, axis=axis)
-            - 8.0 * np.roll(values, 1, axis=axis)
-            + 8.0 * np.roll(values, -1, axis=axis)
-            - np.roll(values, -2, axis=axis)
-        ) * inv
-    return out
-
-
-def _potential_gradient(
-    system: OscillatingSystem | StaticPotential, t: float, grid: Grid
-) -> np.ndarray:
-    """grad V on the grid at time t."""
-    if isinstance(system, StaticPotential):
-        return system.gradient()
-    return evaluate(system.potential, t / system.eps, grid).gradient()
-

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import i0
 
 from .errors import ConfigError, InconsistencyError, InputError
-from .grid import Grid, gradient_values
+from .grid import Grid
 
 __all__ = [
     "TemporalProfile",
@@ -62,16 +62,15 @@ class TemporalProfile:
 
 @dataclass(frozen=True)
 class SpatialProfile:
-    """Spatial factor W(x) with optional analytic derivatives.
+    """Spatial factor W(x) with an optional analytic second derivative.
 
     ``func`` maps a list of coordinate arrays (one per axis) to W values.
-    ``gradient`` and ``second_derivative`` return per-axis arrays; they are
-    used by force evaluations and the subquadratic check when present.
+    ``second_derivative`` returns per-axis arrays of d^2 W / dx_i^2; the
+    subquadratic check reads it when present.
     """
 
     name: str
     func: Callable[[list[np.ndarray]], np.ndarray]
-    gradient: Callable[[list[np.ndarray]], list[np.ndarray]] | None = None
     second_derivative: Callable[[list[np.ndarray]], list[np.ndarray]] | None = None
 
     def __call__(self, coords):
@@ -113,16 +112,11 @@ class TimePeriodicPotential:
 
 @dataclass(frozen=True)
 class StaticPotential:
-    """Time-independent potential on a grid, with optional analytic gradient.
-
-    ``analytic_gradient`` evaluates the (dim, *grid.shape) gradient when
-    called; it is built only where it is read, since it is as large as
-    ``dim`` potentials and a sweep never reads it.
-    """
+    """Time-independent potential on a grid: finite values, stored
+    read-only."""
 
     grid: Grid
     values: np.ndarray
-    analytic_gradient: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -132,12 +126,6 @@ class StaticPotential:
             raise InputError("potential contains non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def gradient(self) -> np.ndarray:
-        """Per-axis force field -- analytic when available, else spectral."""
-        if self.analytic_gradient is not None:
-            return self.analytic_gradient()
-        return gradient_values(self.grid, self.values)
 
 
 @dataclass(frozen=True)
@@ -192,7 +180,6 @@ def harmonic() -> SpatialProfile:
     return SpatialProfile(
         name="harmonic",
         func=lambda coords: sum(0.5 * c * c for c in coords),
-        gradient=lambda coords: [c.copy() for c in coords],
         second_derivative=lambda coords: [np.ones_like(c) for c in coords],
     )
 
@@ -206,17 +193,12 @@ def gaussian_well(depth: float = 1.0, width: float = 1.0) -> SpatialProfile:
         r2 = sum(c * c for c in coords)
         return -depth * np.exp(-r2 / (2.0 * w2))
 
-    def grad(coords):
-        r2 = sum(c * c for c in coords)
-        e = np.exp(-r2 / (2.0 * w2))
-        return [depth * c / w2 * e for c in coords]
-
     def second(coords):
         r2 = sum(c * c for c in coords)
         e = np.exp(-r2 / (2.0 * w2))
         return [depth / w2 * e * (1.0 - c * c / w2) for c in coords]
 
-    return SpatialProfile("gaussian_well", func, grad, second)
+    return SpatialProfile("gaussian_well", func, second)
 
 
 def cosine_lattice(amplitude: float, periods: int, half_width: float) -> SpatialProfile:
@@ -228,7 +210,6 @@ def cosine_lattice(amplitude: float, periods: int, half_width: float) -> Spatial
     return SpatialProfile(
         name="cosine_lattice",
         func=lambda coords: sum(amplitude * np.cos(k * c) for c in coords),
-        gradient=lambda coords: [-amplitude * k * np.sin(k * c) for c in coords],
         second_derivative=lambda coords: [-amplitude * k * k * np.cos(k * c) for c in coords],
     )
 
@@ -315,12 +296,8 @@ def check_subquadratic(V: TimePeriodicPotential, grid: Grid) -> SubquadraticRepo
 
 
 def _scaled_spatial(V: TimePeriodicPotential, a: float, grid: Grid) -> StaticPotential:
-    """a * W on the grid, whose gradient is a * grad W, evaluated on demand,
-    when the profile has a gradient."""
-    w = V.spatial_values(grid)
-    gradient = V.spatial.gradient
-    grad = None if gradient is None else (lambda: a * np.stack(gradient(grid.meshgrid())))
-    return StaticPotential(grid, a * w, grad)
+    """a * W on the grid."""
+    return StaticPotential(grid, a * V.spatial_values(grid))
 
 
 @functools.cache

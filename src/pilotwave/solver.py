@@ -370,7 +370,7 @@ def gronwall_integrand(
     if w.shape != grid.shape:
         raise UsageError(f"spatial values of shape {w.shape} do not match grid shape {grid.shape}")
     V, t = system.potential, psi_eps.time
-    # the arithmetic of evaluate(V, t / eps, grid).values, without its gradient
+    # the arithmetic of evaluate(V, t / eps, grid).values, on the caller's w
     a = float(V.temporal(np.asarray(t / system.eps, dtype=np.float64)))
     dV = a * w - Vstar.values
     diff = ComplexField._adopt(grid, psi_eps.values - psi_eff.values)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bohm import FieldHistory, densities, hydrodynamic_residual, integrate_trajectories, quantum_potential
+from .bohm import FieldHistory, continuity_residual, densities, integrate_trajectories, quantum_potential
 from .errors import UsageError
 from .grid import make_grid
 from .harness import build_grid, build_potential, harmonic_benchmark_config
@@ -141,7 +141,7 @@ def _suite_continuity() -> list[CheckResult]:
     def residual(tau: float) -> float:
         t0 = 0.5
         snaps = propagate(psi0, Vstar, t0 + tau, tau, [t0 - tau, t0, t0 + tau])
-        return hydrodynamic_residual([densities(s) for s in snaps], Vstar).continuity
+        return continuity_residual([densities(s) for s in snaps])
 
     r1 = residual(1e-3)
     r2 = residual(5e-4)

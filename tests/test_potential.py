@@ -17,7 +17,6 @@ from pilotwave.potential import (
     harmonic,
     one_plus_cos,
     one_plus_half_sin,
-    period_mean,
 )
 from pilotwave.potential import _gauss_nodes
 
@@ -109,27 +108,6 @@ class TestEffectivePotential:
         V = TimePeriodicPotential(one_plus_cos(), harmonic())
         with pytest.raises(ConfigError):
             effective_potential(V, g, quad_order=4)
-
-    def test_gradient_attached_for_builtin_profiles(self):
-        g = make_grid(2, 32, 8.0)
-        V = TimePeriodicPotential(one_plus_cos(), harmonic())
-        star = effective_potential(V, g)
-        mesh = g.meshgrid()
-        assert np.allclose(star.gradient()[0], mesh[0], atol=1e-12)
-        assert np.allclose(star.gradient()[1], mesh[1], atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "spatial", [harmonic(), gaussian_well(2.0, 1.5), cosine_lattice(0.5, 2, 8.0)]
-    )
-    def test_gradient_on_demand_equals_the_stored_array(self, spatial):
-        # bit for bit the a * grad W array that was once built with every V*
-        g = make_grid(2, 32, 8.0)
-        V = TimePeriodicPotential(one_plus_cos(), spatial)
-        for pot, a in (
-            (effective_potential(V, g), period_mean(V)),
-            (evaluate(V, 0.3, g), float(V.temporal(np.asarray(0.3)))),
-        ):
-            assert (pot.gradient() == a * np.stack(spatial.gradient(g.meshgrid()))).all()
 
 
 class TestCheckSubquadratic:
