@@ -29,7 +29,7 @@ from .errors import (
     WaveBlowUp,
 )
 from .fieldio import load_field, save_field
-from .grid import ComplexField, Grid, make_grid, norms, spectral_laplacian
+from .grid import Grid, make_grid, norms
 from .harness import (
     ConvergenceReport,
     ExperimentConfig,

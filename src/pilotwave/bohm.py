@@ -72,9 +72,9 @@ class DensityFields:
 class TrajectoryEnsemble:
     """Sampled Bohmian paths X(t, x0) and momenta P(t, x0) = u(t, X).
 
-    ``valid`` marks samples that stayed inside the box for the whole run;
-    escaped samples keep their last position frozen and are excluded from
-    all statistics.
+    ``valid`` marks samples that stayed inside the box, at finite
+    positions, for the whole run; escaped samples keep their last position
+    frozen and are excluded from all statistics.
     """
 
     grid: Grid
@@ -271,10 +271,11 @@ def integrate_trajectories(
     ``f`` reads its stages as frames ``f``, ``f + s/2`` and ``f + s``, as
     stored, never blended in time.  Momenta are recorded as
     P(t) = u(t, X(t)), and each step's end velocity is the next step's
-    first stage.  Samples leaving the box are frozen, marked invalid, and
-    the run fails if more than 5% escape.  The history must carry one
-    velocity component per grid axis (UsageError otherwise), and every
-    initial point must be finite (InputError otherwise).
+    first stage.  Samples leaving the box, or reaching a non-finite
+    position, are frozen, marked invalid, and the run fails if more than 5%
+    escape.  The history must carry one velocity component per grid axis
+    (UsageError otherwise), and every initial point must be finite
+    (InputError otherwise).
 
     Besides its outputs the run allocates one workspace, the lookup's
     buffers and four (M, dim) stage arrays; the stage points, the update
@@ -322,7 +323,7 @@ def integrate_trajectories(
     work = _interp_work(dim, M)
     stage, k2, k3, k4 = np.empty((4, M, dim))
     peak = np.empty(M)
-    escaped = np.empty(M, dtype=bool)
+    inside = np.empty(M, dtype=bool)
 
     positions[0] = x0
     _interp_space(grid, u[frames[0]], positions[0], out=momenta[0], work=work)
@@ -341,8 +342,8 @@ def integrate_trajectories(
         stage += k4
         np.add(X, np.multiply(h / 6.0, stage, out=stage), out=stage)
         np.max(np.abs(stage, out=k4), axis=1, out=peak)
-        if np.greater(peak, L, out=escaped).any():
-            alive &= ~escaped
+        if not np.less_equal(peak, L, out=inside).all():  # a NaN peak is outside too
+            alive &= inside
         X_next = positions[k + 1]
         X_next[...] = X  # an escaped sample stays at its last in-box position
         np.copyto(X_next, stage, where=alive[:, None])
@@ -412,7 +413,8 @@ def _interp_space(
     # Grid requires a power-of-two n, so & (n - 1) wraps exactly as np.mod
     for axis in range(dim):
         g = np.divide(np.add(X[:, axis], grid.half_width, out=t), grid.dx, out=t)
-        base[...] = np.floor(g, out=f3)
+        with np.errstate(invalid="ignore"):  # a NaN stage point, left to the escape test
+            base[...] = np.floor(g, out=f3)
         np.subtract(g, f3, out=f)  # the fractional grid coordinate
         np.multiply(f, f, out=f2)
         np.multiply(f2, f, out=f3)
@@ -464,12 +466,14 @@ def continuity_residual(snapshots: list[DensityFields]) -> float:
     centred time differencing and spectral divergence, averaged over the
     interior snapshots.
 
-    The snapshots must be at least three, uniformly spaced by a positive
-    time step (UsageError otherwise).
+    The snapshots must be at least three, on one grid, uniformly spaced by
+    a positive time step (UsageError otherwise).
     """
     if len(snapshots) < 3:
         raise UsageError("need at least 3 consecutive snapshots for centred differencing")
     grid = snapshots[0].grid
+    if any(s.grid != grid for s in snapshots):
+        raise UsageError("snapshots live on different grids")
     dts = np.diff([s.time for s in snapshots])
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise UsageError("snapshots must be uniformly spaced in time")

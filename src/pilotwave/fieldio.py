@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .grid import ComplexField, make_grid
+from .grid import make_grid
 from .solver import WaveFunction
 
 __all__ = ["save_field", "load_field", "HEADER_STRUCT"]
@@ -57,4 +57,4 @@ def load_field(path: str | Path) -> WaveFunction:
     except ConfigError as exc:
         raise InputError(f"{path}: {exc}") from exc
     values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE).reshape(grid.shape)
-    return WaveFunction(field=ComplexField._adopt(grid, values), time=time)
+    return WaveFunction._adopt(grid, values, time)

@@ -1,5 +1,9 @@
 """Periodic spatial grids with FFT-based spectral differentiation and norms.
 
+The functions here take a grid and a plain array of values on it; the one
+checked state type, which holds its grid, values and time, is
+``solver.WaveFunction``.
+
 Transform convention (fixed package-wide): forward transform is numpy's
 unnormalized FFT, the inverse carries the 1/n factor.  Every transform in
 the package goes through ``fftn``/``ifftn`` below, which run scipy.fft's
@@ -23,14 +27,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft  # imported with the package, so that no row pays the import
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 __all__ = [
     "Grid",
-    "ComplexField",
     "Norms",
     "make_grid",
-    "spectral_laplacian",
     "norms",
 ]
 
@@ -46,11 +48,11 @@ class Grid:
     dim: int
     n_per_axis: int
     half_width: float
-    dx: float = field(init=False)
-    axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _inner_box: np.ndarray = field(init=False, repr=False)
-    _k_squared: np.ndarray = field(init=False, repr=False)
+    dx: float = field(init=False, compare=False)
+    axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _inner_box: np.ndarray = field(init=False, repr=False, compare=False)
+    _k_squared: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -109,56 +111,6 @@ class Grid:
         """Read-only boolean mask of points with max-norm |x| <= half_width/2."""
         return self._inner_box
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.n_per_axis == other.n_per_axis
-            and self.half_width == other.half_width
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.n_per_axis, self.half_width))
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    """Immutable complex amplitude field on a Grid.
-
-    ``ComplexField(grid, values)`` copies a complex128 input, so a caller's
-    array can never change under a field.  Inside the package, ``_adopt``
-    wraps an array that was just computed and that nobody else holds.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = _checked_values(self.grid, self.values)
-        v = v.copy() if v is self.values else v
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _adopt(cls, grid: Grid, values: np.ndarray) -> "ComplexField":
-        """Wrap a freshly computed array without copying it; it becomes read-only."""
-        v = _checked_values(grid, values)
-        v.setflags(write=False)
-        f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "values", v)
-        return f
-
-
-def _checked_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape != grid.shape:
-        raise InputError(f"field shape {v.shape} does not match grid shape {grid.shape}")
-    if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
-        raise InputError("field contains non-finite values")
-    return v
-
 
 class Norms(NamedTuple):
     l2: float
@@ -171,13 +123,13 @@ def make_grid(dim: int, n_per_axis: int, half_width: float) -> Grid:
     return Grid(dim=dim, n_per_axis=int(n_per_axis), half_width=float(half_width))
 
 
-def boundary_mass_fraction(f: ComplexField) -> float:
-    """Fraction of |f|^2 mass outside the inner half-box |x|_inf <= L/2."""
-    rho = np.abs(f.values) ** 2
+def boundary_mass_fraction(grid: Grid, values: np.ndarray) -> float:
+    """Fraction of |values|^2 mass outside the inner half-box |x|_inf <= L/2."""
+    rho = np.abs(values) ** 2
     total = rho.sum()
     if total == 0.0:
         return 0.0
-    inner = f.grid.inner_box_mask()
+    inner = grid.inner_box_mask()
     return float(rho[~inner].sum() / total)
 
 
@@ -203,11 +155,6 @@ def ifftn(values: np.ndarray) -> np.ndarray:
     return scipy.fft.ifftn(x, axes=tuple(reversed(range(x.ndim))))
 
 
-def spectral_laplacian(f: ComplexField) -> ComplexField:
-    """Laplacian via the transform multiplier -|k|^2."""
-    return ComplexField._adopt(f.grid, laplacian_values(f.grid, f.values))
-
-
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Spectral gradient of a raw array; returns shape (dim, *grid.shape).
 
@@ -228,9 +175,9 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return res.real if np.isrealobj(values) else res
 
 
-def norms(f: ComplexField) -> Norms:
+def norms(grid: Grid, values: np.ndarray) -> Norms:
     """L2 norm, H1 seminorm (via the spectral gradient) and full H1 norm."""
-    return _norms_from_gradient(f.grid, f.values, gradient_values(f.grid, f.values))
+    return _norms_from_gradient(grid, values, gradient_values(grid, values))
 
 
 def _norms_from_gradient(grid: Grid, values: np.ndarray, grad: np.ndarray) -> Norms:

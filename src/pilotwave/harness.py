@@ -41,7 +41,7 @@ from .bohm import (
 )
 from .errors import ConfigError, MonitorAbort, UsageError
 from .fieldio import save_field
-from .grid import ComplexField, Grid, boundary_mass_fraction, make_grid, norms
+from .grid import Grid, boundary_mass_fraction, make_grid, norms
 from .measure import (
     bohmian_measure,
     flow_injectivity_monitor,
@@ -615,7 +615,7 @@ def _propagate_and_record(
     u_osc = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
     u_eff = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
 
-    h1_initial = norms(psi0.field).h1
+    h1_initial = norms(grid, psi0.values).h1
     b_horizon = min(1.0, config.sweep.horizon) * (1.0 + 1e-12)
     boundary_max = 0.0
     reg_max = [0.0, 0.0]
@@ -625,10 +625,10 @@ def _propagate_and_record(
 
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         nonlocal boundary_max, final_densities
-        wf_o, wf_e = (WaveFunction(ComplexField._adopt(grid, v), t) for v in states)
+        wf_o, wf_e = (WaveFunction._adopt(grid, v, t) for v in states)
         d_o, d_e = side_by_side(lane, densities, (wf_o, wf_e))
         for i, (wf, d) in enumerate(((wf_o, d_o), (wf_e, d_e))):
-            bmass = boundary_mass_fraction(wf.field)
+            bmass = boundary_mass_fraction(grid, wf.values)
             boundary_max = max(boundary_max, bmass)
             check_monitors(bmass, d.h1, h1_initial, t)
             reg_max[i] = max(reg_max[i], d.regularized_fraction)
@@ -656,7 +656,7 @@ def _propagate_and_record(
         wait(b_futures)
     T = config.sweep.horizon
     recording = _Recording(
-        final_states=tuple(WaveFunction(ComplexField._adopt(grid, v), T) for v in finals),
+        final_states=tuple(WaveFunction._adopt(grid, v, T) for v in finals),
         final_densities=final_densities,
         b_eps_avg=float(np.mean(b_vals)),
         boundary_mass=boundary_max,

@@ -1,5 +1,8 @@
 """Strang-split spectral propagation for the oscillating and averaged systems.
 
+A state is a ``WaveFunction``: its grid, its values on the grid and its
+time stamp, checked once when it is built.
+
 Units: hbar = m = 1, Hamiltonian -0.5*Laplacian + V.  One Strang step is
 half kinetic / full potential phase / half kinetic; the potential phase for
 the fast-oscillating system uses the exact time integral of the temporal
@@ -18,20 +21,13 @@ import numpy as np
 from .errors import (
     BoundaryMassExceeded,
     ConfigError,
+    InputError,
     PlacementError,
     ResolutionError,
     UsageError,
     WaveBlowUp,
 )
-from .grid import (
-    ComplexField,
-    Grid,
-    boundary_mass_fraction,
-    fftn,
-    ifftn,
-    norms,
-    spectral_laplacian,
-)
+from .grid import Grid, boundary_mass_fraction, fftn, ifftn, laplacian_values, norms
 from .potential import StaticPotential, TimePeriodicPotential
 
 __all__ = [
@@ -62,18 +58,44 @@ _Out = TypeVar("_Out")
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex field snapshot with its time stamp."""
+    """A complex state on a grid with its time stamp; immutable.
 
-    field: ComplexField
+    ``WaveFunction(grid, values, time)`` copies a complex128 input into a
+    read-only array, so a caller's array can never change under a state;
+    values of another shape than the grid's, or not finite, raise
+    InputError.  Inside the package, ``_adopt`` wraps an array that was
+    just computed and that nobody else holds.
+    """
+
+    grid: Grid
+    values: np.ndarray
     time: float
 
-    @property
-    def grid(self) -> Grid:
-        return self.field.grid
+    def __post_init__(self) -> None:
+        v = _checked_values(self.grid, self.values)
+        v = v.copy() if v is self.values else v
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray, time: float) -> "WaveFunction":
+        """Wrap a freshly computed array without copying it; it becomes read-only."""
+        v = _checked_values(grid, values)
+        v.setflags(write=False)
+        wf = object.__new__(cls)
+        object.__setattr__(wf, "grid", grid)
+        object.__setattr__(wf, "values", v)
+        object.__setattr__(wf, "time", time)
+        return wf
+
+
+def _checked_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    v = np.asarray(values, dtype=np.complex128)
+    if v.shape != grid.shape:
+        raise InputError(f"field shape {v.shape} does not match grid shape {grid.shape}")
+    if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
+        raise InputError("field contains non-finite values")
+    return v
 
 
 @dataclass(frozen=True)
@@ -120,14 +142,14 @@ def _finalize_initial(grid: Grid, values: np.ndarray) -> WaveFunction:
     mass = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)
     if mass <= 0 or not np.isfinite(mass):
         raise ConfigError("initial state has no usable mass")
-    field = ComplexField._adopt(grid, values / math.sqrt(mass))
-    bmass = boundary_mass_fraction(field)
+    psi = WaveFunction._adopt(grid, values / math.sqrt(mass), 0.0)
+    bmass = boundary_mass_fraction(grid, psi.values)
     if bmass > BOUNDARY_MASS_TOL:
         raise PlacementError(
             f"initial state keeps {bmass:.3e} of its mass outside |x| <= L/2 "
             f"(budget {BOUNDARY_MASS_TOL}); enlarge the box or recentre"
         )
-    return WaveFunction(field=field, time=0.0)
+    return psi
 
 
 def _as_vector(grid: Grid, value, name: str) -> np.ndarray:
@@ -270,14 +292,17 @@ def propagate(
     *,
     boundary_tol: float = BOUNDARY_MASS_TOL,
 ) -> list[WaveFunction]:
-    """March ``system`` to time T in steps of ``dt``, returning snapshots at
-    the requested times.
+    """March ``system`` from ``psi0`` for a time ``T`` in steps of ``dt``,
+    returning snapshots at the requested times.
 
-    T must be finite and nonnegative.  ``dt`` must be positive and finite,
-    must divide T, and for an ``OscillatingSystem`` must keep the
-    fast-period rule ``dt <= eps / MIN_STEPS_PER_FAST_PERIOD``; each breach
-    raises ConfigError.  Snapshot times are rounded to the nearest step; a
-    time outside [0, T], NaN included, raises ConfigError, at T == 0 too.
+    ``T`` and the snapshot times are measured from ``psi0.time``: from a
+    state stamped ``t0``, the run ends at ``t0 + T`` and the snapshot at
+    time ``s`` is stamped ``t0 + s``.  T must be finite and nonnegative.
+    ``dt`` must be positive and finite, must divide T, and for an
+    ``OscillatingSystem`` must keep the fast-period rule
+    ``dt <= eps / MIN_STEPS_PER_FAST_PERIOD``; each breach raises
+    ConfigError.  Snapshot times are rounded to the nearest step; a time
+    outside [0, T], NaN included, raises ConfigError, at T == 0 too.
     At every snapshot the monitors of ``check_monitors`` run with the given
     boundary tolerance.
     """
@@ -300,16 +325,16 @@ def propagate(
     if T == 0:
         return [psi0]
     stepper = StrangStepper(system, psi0.grid, dt)
-    h1_initial = norms(psi0.field).h1
+    h1_initial = norms(psi0.grid, psi0.values).h1
 
     out: list[WaveFunction] = []
 
     def snapshot(idx: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         if idx in wanted:
-            wf = psi0 if idx == 0 else WaveFunction(ComplexField._adopt(psi0.grid, states[0]), t)
+            wf = psi0 if idx == 0 else WaveFunction._adopt(psi0.grid, states[0], t)
             check_monitors(
-                boundary_mass_fraction(wf.field),
-                norms(wf.field).h1,
+                boundary_mass_fraction(wf.grid, wf.values),
+                norms(wf.grid, wf.values).h1,
                 h1_initial,
                 t,
                 boundary_tol=boundary_tol,
@@ -344,8 +369,7 @@ def _check_paired(psi_a: WaveFunction, psi_b: WaveFunction) -> None:
 def h1_distance(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
     """H1 norm of the difference; requires matching grid and time stamp."""
     _check_paired(psi_a, psi_b)
-    diff = ComplexField._adopt(psi_a.grid, psi_a.values - psi_b.values)
-    return norms(diff).h1
+    return norms(psi_a.grid, psi_a.values - psi_b.values).h1
 
 
 def gronwall_integrand(
@@ -359,21 +383,23 @@ def gronwall_integrand(
     """|<(V(t/eps,.) - V*) psi_eps, Lap(psi_eps - psi_eff)>| on the grid.
 
     ``system`` gives ``V`` and ``eps``; ``t`` is the states' common time
-    stamp, and states on different grids or stamped at different times
-    raise UsageError.  ``w`` is ``V.spatial_values(grid)``, which a caller
-    evaluating the term frame after frame builds once.  This is the forcing
+    stamp, and states on different grids or stamped at different times, or
+    a ``Vstar`` on another grid than theirs, raise UsageError.  ``w`` is
+    ``V.spatial_values(grid)``, which a caller evaluating the term frame
+    after frame builds once.  This is the forcing
     term whose vanishing drives the averaged system's H1 error estimate to
     zero.
     """
     _check_paired(psi_eps, psi_eff)
     grid = psi_eps.grid
+    if Vstar.grid != grid:
+        raise UsageError("V* lives on a different grid than the wave functions")
     if w.shape != grid.shape:
         raise UsageError(f"spatial values of shape {w.shape} do not match grid shape {grid.shape}")
     V, t = system.potential, psi_eps.time
     # the arithmetic of evaluate(V, t / eps, grid).values, on the caller's w
     a = float(V.temporal(np.asarray(t / system.eps, dtype=np.float64)))
     dV = a * w - Vstar.values
-    diff = ComplexField._adopt(grid, psi_eps.values - psi_eff.values)
-    lap = spectral_laplacian(diff).values
+    lap = laplacian_values(grid, psi_eps.values - psi_eff.values)
     inner = np.sum(dV * psi_eps.values * np.conj(lap)) * grid.cell_volume
     return float(abs(inner))

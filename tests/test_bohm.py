@@ -12,7 +12,7 @@ from pilotwave.bohm import (
     velocity,
 )
 from pilotwave.errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
-from pilotwave.grid import ComplexField, gradient_values, laplacian_values, make_grid, norms
+from pilotwave.grid import gradient_values, laplacian_values, make_grid, norms
 from pilotwave.potential import (
     StaticPotential,
     TimePeriodicPotential,
@@ -30,7 +30,7 @@ def free_static(grid):
 def plane_wave_state(grid, mode):
     k = np.pi * mode / grid.half_width
     vals = np.exp(1j * k * grid.axes[0]) * (2.0 * grid.half_width) ** -0.5
-    return WaveFunction(ComplexField(grid, vals), 0.0), k
+    return WaveFunction(grid, vals, 0.0), k
 
 
 def free_gaussian_history(grid, T, h, extra_fields=False):
@@ -79,8 +79,8 @@ class TestDensities:
         for _ in range(3):
             coeffs = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
             vals = np.fft.ifftn(coeffs * np.exp(-g.k_squared()))
-            psi = WaveFunction(ComplexField(g, vals), 0.25)
-            assert densities(psi).h1 == norms(psi.field).h1
+            psi = WaveFunction(g, vals, 0.25)
+            assert densities(psi).h1 == norms(psi.grid, psi.values).h1
 
     @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32), (3, 16)])
     def test_current_owns_its_data(self, dim, n):
@@ -89,7 +89,7 @@ class TestDensities:
         rng = np.random.default_rng(10 + dim)
         coeffs = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         vals = np.fft.ifftn(coeffs * np.exp(-g.k_squared()))
-        d = densities(WaveFunction(ComplexField(g, vals), 0.0))
+        d = densities(WaveFunction(g, vals, 0.0))
         view = np.imag(np.conj(vals) * gradient_values(g, vals))
         assert d.current.flags.owndata
         assert d.current.dtype == np.float64
@@ -115,7 +115,7 @@ class TestVelocity:
         x = g.axes[0]
         vals = x * np.exp(-(x**2) / 4.0) * np.exp(1j * 0.5 * x)
         vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * g.dx)
-        d = densities(WaveFunction(ComplexField(g, vals), 0.0))
+        d = densities(WaveFunction(g, vals, 0.0))
         assert d.regularized_fraction > 0.0
         assert np.all(np.isfinite(d.velocity))
 
@@ -560,6 +560,26 @@ class TestTrajectories:
         assert ens.valid.sum() == 40
         assert list(np.flatnonzero(~ens.valid)) == [40]
 
+    def test_non_finite_velocity_counts_as_an_escape(self):
+        # a NaN patch once gave valid samples with NaN positions, because
+        # the escape test peak > L is false for NaN
+        g = make_grid(1, 256, 8.0)
+        times = np.linspace(0.0, 1.0, 41)
+        u = np.full((41, 1) + g.shape, 0.1)
+        x0 = np.linspace(-4.0, 4.0, 201)[:, None]
+        clean = integrate_trajectories(FieldHistory(g, times, u), x0, times[::4])
+        u[20, 0, 128] = np.nan  # x = 0 at t = 0.5
+        ens = integrate_trajectories(FieldHistory(g, times, u), x0, times[::4])
+        assert np.isfinite(ens.positions).all()
+        assert list(np.flatnonzero(~ens.valid)) == list(range(96, 102))
+        assert np.array_equal(ens.positions[:, ens.valid], clean.positions[:, ens.valid])
+        # frozen at the last finite position, from the step that met the patch on
+        assert np.array_equal(ens.positions[:5, ~ens.valid], clean.positions[:5, ~ens.valid])
+        assert (ens.positions[5:, ~ens.valid] == ens.positions[5, ~ens.valid]).all()
+        u[20, 0, 96:160] = np.nan  # met by far more than 5% of the samples
+        with pytest.raises(TrajectoryEscape):
+            integrate_trajectories(FieldHistory(g, times, u), x0, times[::4])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_initial_point_raises(self, bad):
         # such a sample once came back valid, with NaN paths and cast warnings
@@ -664,7 +684,7 @@ class TestHydrodynamicResidual:
         for j in range(3):
             t = j * tau
             vals = psi.values * np.exp(-1j * k * k * t / 2.0)
-            ds.append(densities(WaveFunction(ComplexField(g, vals), t)))
+            ds.append(densities(WaveFunction(g, vals, t)))
         assert continuity_residual(ds) < 1e-10
         assert momentum_residual(ds, np.zeros((1,) + g.shape)) < 1e-10
 
@@ -688,6 +708,17 @@ class TestHydrodynamicResidual:
         d = densities(psi)
         with pytest.raises(UsageError):
             continuity_residual([d, d])
+
+    @pytest.mark.parametrize("n, L", [(512, 20.0), (256, 16.0)])
+    def test_snapshots_on_different_grids_raise(self, n, L):
+        # the first snapshot's grid once served all: another box of the same
+        # shape gave a residual, another shape a bare numpy ValueError
+        def stamped(grid, t):
+            return densities(WaveFunction(grid, gaussian_packet(grid, width=1.0).values, t))
+
+        g, other = make_grid(1, 512, 16.0), make_grid(1, n, L)
+        with pytest.raises(UsageError, match="different grids"):
+            continuity_residual([stamped(g, 0.0), stamped(other, 1e-3), stamped(g, 2e-3)])
 
     def test_snapshots_at_one_time_raise(self):
         # a zero step once gave 0/0 differences and a NaN residual

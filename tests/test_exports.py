@@ -29,8 +29,7 @@ PUBLIC_NAMES = {
     "MonitorAbort", "PilotwaveError", "PlacementError", "ResolutionError",
     "SamplingError", "TrajectoryEscape", "UsageError", "WaveBlowUp",
     # fieldio, grid
-    "load_field", "save_field", "ComplexField", "Grid", "make_grid", "norms",
-    "spectral_laplacian",
+    "load_field", "save_field", "Grid", "make_grid", "norms",
     # harness
     "ConvergenceReport", "ExperimentConfig", "SweepRow", "emit_csv", "emit_json",
     "harmonic_benchmark_config", "load_config", "run_sweep",

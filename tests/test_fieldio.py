@@ -13,7 +13,7 @@ from pilotwave.solver import WaveFunction, gaussian_packet
 def test_round_trip(tmp_path):
     g = make_grid(1, 256, 16.0)
     psi = gaussian_packet(g, width=1.0, momentum=1.5)
-    psi = WaveFunction(psi.field, 0.75)
+    psi = WaveFunction(psi.grid, psi.values, 0.75)
     path = tmp_path / "state.field"
     save_field(path, psi)
     back = load_field(path)
@@ -23,12 +23,10 @@ def test_round_trip(tmp_path):
 
 
 def test_round_trip_2d(tmp_path):
-    from pilotwave.grid import ComplexField
-
     g = make_grid(2, 32, 6.0)
     rng = np.random.default_rng(4)
     vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-    wf = WaveFunction(ComplexField(g, vals), 0.3)
+    wf = WaveFunction(g, vals, 0.3)
     path = tmp_path / "state2d.field"
     save_field(path, wf)
     back = load_field(path)
@@ -38,13 +36,11 @@ def test_round_trip_2d(tmp_path):
 
 def test_reload_keeps_every_bit(tmp_path):
     # the payload decodes as complex128, so signed zeros survive a reload
-    from pilotwave.grid import ComplexField
-
     g = make_grid(1, 16, 8.0)
     vals = np.full(g.shape, complex(-0.0, 1.0))
     vals[1] = complex(-0.0, -0.0)
     first, second = tmp_path / "first.field", tmp_path / "second.field"
-    save_field(first, WaveFunction(ComplexField(g, vals), 0.5))
+    save_field(first, WaveFunction(g, vals, 0.5))
     save_field(second, load_field(first))
     assert first.read_bytes() == second.read_bytes()
 
@@ -54,9 +50,7 @@ def test_byte_layout(tmp_path):
     # payload: interleaved re/im f64 in C order
     g = make_grid(1, 16, 8.0)
     vals = (np.arange(16) + 1j * np.arange(16, 32)).astype(complex)
-    from pilotwave.grid import ComplexField
-
-    wf = WaveFunction(ComplexField(g, vals), 0.25)
+    wf = WaveFunction(g, vals, 0.25)
     path = tmp_path / "layout.field"
     save_field(path, wf)
     raw = path.read_bytes()
@@ -76,10 +70,8 @@ def test_truncated_file_rejected(tmp_path):
 
 
 def test_short_payload_rejected(tmp_path):
-    from pilotwave.grid import ComplexField
-
     g = make_grid(1, 16, 8.0)
-    wf = WaveFunction(ComplexField(g, np.ones(g.shape, dtype=complex)), 0.0)
+    wf = WaveFunction(g, np.ones(g.shape, dtype=complex), 0.0)
     path = tmp_path / "short.field"
     save_field(path, wf)
     data = path.read_bytes()
@@ -92,10 +84,8 @@ def test_short_payload_rejected(tmp_path):
 def test_cut_payload_rejected_naming_the_file(tmp_path, cut):
     # the size is checked before decoding, so a cut in the middle of a
     # float is a clean error naming the file, like a cut between values
-    from pilotwave.grid import ComplexField
-
     g = make_grid(1, 16, 8.0)
-    wf = WaveFunction(ComplexField(g, np.ones(g.shape, dtype=complex)), 0.0)
+    wf = WaveFunction(g, np.ones(g.shape, dtype=complex), 0.0)
     path = tmp_path / "cut.field"
     save_field(path, wf)
     path.write_bytes(path.read_bytes()[:-cut])

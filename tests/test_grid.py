@@ -3,15 +3,15 @@ import pytest
 
 from pilotwave.errors import ConfigError, InputError
 from pilotwave.grid import (
-    ComplexField,
     boundary_mass_fraction,
     fftn,
     gradient_values,
     ifftn,
+    laplacian_values,
     make_grid,
     norms,
-    spectral_laplacian,
 )
+from pilotwave.solver import WaveFunction
 
 
 def plane_wave(grid, mode):
@@ -19,7 +19,7 @@ def plane_wave(grid, mode):
     k = np.pi * mode / grid.half_width
     mesh = grid.meshgrid()
     phase = sum(k * m for m in mesh)
-    return ComplexField(grid, np.exp(1j * phase)), k
+    return np.exp(1j * phase), k
 
 
 class TestMakeGrid:
@@ -45,6 +45,20 @@ class TestMakeGrid:
         with pytest.raises(ConfigError):
             make_grid(dim, n, L)
 
+    def test_equality_hash_repr_and_pickle_read_the_parameters(self):
+        import pickle
+
+        g = make_grid(2, 32, 8.0)
+        same = make_grid(2, 32, 8.0)
+        assert g == same and g is not same and hash(g) == hash(same) == hash((2, 32, 8.0))
+        for other in (make_grid(1, 32, 8.0), make_grid(2, 64, 8.0), make_grid(2, 32, 10.0)):
+            assert g != other
+        assert g != (2, 32, 8.0)
+        assert repr(g) == "Grid(dim=2, n_per_axis=32, half_width=8.0, dx=0.5)"
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert np.array_equal(copy.k_squared(), g.k_squared())
+
     def test_wavenumber_convention(self):
         g = make_grid(1, 32, 8.0)
         k = g.wavenumbers[0]
@@ -54,29 +68,32 @@ class TestMakeGrid:
     def test_field_shape_and_finiteness_validated(self):
         g = make_grid(1, 32, 8.0)
         with pytest.raises(InputError):
-            ComplexField(g, np.zeros(16))
+            WaveFunction(g, np.zeros(16), 0.0)
         bad = np.zeros(32, dtype=complex)
         bad[3] = np.nan
         with pytest.raises(InputError):
-            ComplexField(g, bad)
+            WaveFunction(g, bad, 0.0)
 
     def test_public_field_copies_and_private_field_adopts(self):
         g = make_grid(1, 32, 8.0)
         arr = np.exp(1j * g.axes[0])
-        public = ComplexField(g, arr)
+        public = WaveFunction(g, arr, 0.5)
         assert not np.shares_memory(public.values, arr)
         assert arr.flags.writeable
         assert not public.values.flags.writeable
-        adopted = ComplexField._adopt(g, arr)
+        assert public.values.dtype == np.complex128
+        real = WaveFunction(g, np.ones(32), 0.5)  # cast, so a fresh complex128 array
+        assert real.values.dtype == np.complex128 and not real.values.flags.writeable
+        adopted = WaveFunction._adopt(g, arr, 0.5)
         assert adopted.values is arr
         assert not arr.flags.writeable
-        assert adopted.grid == g
+        assert (adopted.grid, adopted.time) == (g, 0.5)
         bad = np.zeros(32, dtype=complex)
         bad[3] = np.nan
         with pytest.raises(InputError):
-            ComplexField._adopt(g, bad)
+            WaveFunction._adopt(g, bad, 0.0)
         with pytest.raises(InputError):
-            ComplexField._adopt(g, np.zeros(16, dtype=complex))
+            WaveFunction._adopt(g, np.zeros(16, dtype=complex), 0.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_inner_box_mask_cached_read_only(self, dim):
@@ -93,25 +110,23 @@ class TestMakeGrid:
 class TestSpectralGradient:
     def test_constant_field(self):
         g = make_grid(1, 64, 8.0)
-        f = ComplexField(g, np.full(g.shape, 2.3 + 0.5j))
-        (df,) = gradient_values(g, f.values)
+        (df,) = gradient_values(g, np.full(g.shape, 2.3 + 0.5j))
         assert np.max(np.abs(df)) < 1e-14
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_plane_wave_eigenfunction(self, dim):
         g = make_grid(dim, 32, 8.0)
         f, k = plane_wave(g, mode=3)
-        grads = gradient_values(g, f.values)
+        grads = gradient_values(g, f)
         for df in grads:
-            assert np.max(np.abs(df - 1j * k * f.values)) < 1e-12
+            assert np.max(np.abs(df - 1j * k * f)) < 1e-12
 
     def test_matches_fourth_order_finite_differences(self):
         # oracle: 5-point centred stencil, exact up to (max|f^(5)|/30) dx^4
         g = make_grid(1, 64, 8.0)
         x = g.axes[0]
         f_vals = np.sin(np.pi * x / g.half_width).astype(complex)
-        f = ComplexField(g, f_vals)
-        (df,) = gradient_values(g, f.values)
+        (df,) = gradient_values(g, f_vals)
 
         h = g.dx
         fd = (
@@ -127,24 +142,22 @@ class TestSpectralGradient:
 class TestSpectralLaplacian:
     def test_constant_field(self):
         g = make_grid(2, 32, 8.0)
-        f = ComplexField(g, np.ones(g.shape, dtype=complex))
-        lap = spectral_laplacian(f)
-        assert np.max(np.abs(lap.values)) < 1e-13
+        lap = laplacian_values(g, np.ones(g.shape, dtype=complex))
+        assert np.max(np.abs(lap)) < 1e-13
 
     def test_plane_wave_eigenfunction(self):
         g = make_grid(1, 64, 8.0)
         f, k = plane_wave(g, mode=5)
-        lap = spectral_laplacian(f)
-        assert np.max(np.abs(lap.values + k * k * f.values)) < 1e-11
+        lap = laplacian_values(g, f)
+        assert np.max(np.abs(lap + k * k * f)) < 1e-11
 
     def test_gaussian_matches_symbolic_oracle(self):
         # d^2/dx^2 e^{-x^2/2} = (x^2 - 1) e^{-x^2/2}
         g = make_grid(1, 256, 16.0)
         x = g.axes[0]
-        f = ComplexField(g, np.exp(-(x**2) / 2.0).astype(complex))
-        lap = spectral_laplacian(f)
+        lap = laplacian_values(g, np.exp(-(x**2) / 2.0).astype(complex))
         exact = (x**2 - 1.0) * np.exp(-(x**2) / 2.0)
-        assert np.max(np.abs(lap.values - exact)) < 1e-8
+        assert np.max(np.abs(lap - exact)) < 1e-8
 
 
 class TestNorms:
@@ -153,12 +166,12 @@ class TestNorms:
         x = g.axes[0]
         vals = np.exp(-(x**2) / 4.0).astype(complex)
         vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * g.dx)
-        n = norms(ComplexField(g, vals))
+        n = norms(g, vals)
         assert abs(n.l2 - 1.0) < 1e-10
 
     def test_zero_field(self):
         g = make_grid(1, 32, 8.0)
-        n = norms(ComplexField(g, np.zeros(g.shape, dtype=complex)))
+        n = norms(g, np.zeros(g.shape, dtype=complex))
         assert n.l2 == 0.0 and n.h1 == 0.0 and n.h1_semi == 0.0
 
     @pytest.mark.parametrize("dim,mode", [(1, 4), (2, 2)])
@@ -166,8 +179,8 @@ class TestNorms:
         # normalized plane wave: |grad psi| = |k| pointwise, so h1_semi = |k|
         g = make_grid(dim, 32, 8.0)
         f, k_axis = plane_wave(g, mode)
-        vals = f.values * (2.0 * g.half_width) ** (-dim / 2.0)
-        n = norms(ComplexField(g, vals))
+        vals = f * (2.0 * g.half_width) ** (-dim / 2.0)
+        n = norms(g, vals)
         k_norm = np.sqrt(dim) * k_axis
         assert abs(n.h1_semi - k_norm) < 1e-10
         assert abs(n.h1 - np.sqrt(1.0 + k_norm**2)) < 1e-10
@@ -201,8 +214,7 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         g = make_grid(1, 128, 8.0)
         vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-        f = ComplexField(g, vals)
-        l2_phys = norms(f).l2
+        l2_phys = norms(g, vals).l2
         coeffs = np.fft.fftn(vals)
         l2_spec = np.sqrt(np.sum(np.abs(coeffs) ** 2) / g.size * g.cell_volume)
         assert abs(l2_phys - l2_spec) < 1e-12 * l2_phys
@@ -210,17 +222,17 @@ class TestInvariants:
     def test_linearity(self):
         rng = np.random.default_rng(11)
         g = make_grid(2, 16, 4.0)
-        f = ComplexField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
-        h = ComplexField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        h = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         a, b = 1.7 - 0.3j, -0.4 + 2.1j
-        combo = ComplexField(g, a * f.values + b * h.values)
-        lap_combo = spectral_laplacian(combo).values
-        lap_sep = a * spectral_laplacian(f).values + b * spectral_laplacian(h).values
+        combo = a * f + b * h
+        lap_combo = laplacian_values(g, combo)
+        lap_sep = a * laplacian_values(g, f) + b * laplacian_values(g, h)
         scale = np.max(np.abs(lap_sep)) + 1e-30
         assert np.max(np.abs(lap_combo - lap_sep)) < 1e-12 * scale
-        grad_combo = gradient_values(g, combo.values)
-        grad_f = gradient_values(g, f.values)
-        grad_h = gradient_values(g, h.values)
+        grad_combo = gradient_values(g, combo)
+        grad_f = gradient_values(g, f)
+        grad_h = gradient_values(g, h)
         for gc, gf, gh in zip(grad_combo, grad_f, grad_h):
             diff = gc - (a * gf + b * gh)
             assert np.max(np.abs(diff)) < 1e-12 * (np.max(np.abs(gc)) + 1e-30)
@@ -230,10 +242,9 @@ class TestInvariants:
         g = make_grid(dim, 32, 6.0)
         mesh = g.meshgrid()
         vals = np.exp(-sum(m * m for m in mesh) / 2.0).astype(complex)
-        f = ComplexField(g, vals)
-        lap = spectral_laplacian(f).values
+        lap = laplacian_values(g, vals)
         div_grad = np.zeros_like(lap)
-        for axis, df in enumerate(gradient_values(g, f.values)):
+        for axis, df in enumerate(gradient_values(g, vals)):
             div_grad += gradient_values(g, df)[axis]
         scale = np.max(np.abs(lap))
         assert np.max(np.abs(lap - div_grad)) < 1e-10 * scale
@@ -241,7 +252,7 @@ class TestInvariants:
     def test_boundary_mass_fraction(self):
         g = make_grid(1, 256, 16.0)
         x = g.axes[0]
-        centered = ComplexField(g, np.exp(-(x**2)).astype(complex))
-        offset = ComplexField(g, np.exp(-((x - 7.5) ** 2)).astype(complex))
-        assert boundary_mass_fraction(centered) < 1e-12
-        assert boundary_mass_fraction(offset) > 0.1
+        centered = np.exp(-(x**2)).astype(complex)
+        offset = np.exp(-((x - 7.5) ** 2)).astype(complex)
+        assert boundary_mass_fraction(g, centered) < 1e-12
+        assert boundary_mass_fraction(g, offset) > 0.1

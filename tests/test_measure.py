@@ -14,7 +14,7 @@ from pilotwave.bohm import (
 )
 import pilotwave.measure as measure
 from pilotwave.errors import UsageError
-from pilotwave.grid import ComplexField, make_grid
+from pilotwave.grid import make_grid
 from pilotwave.measure import (
     FEATURE_BLOCK,
     FeatureDictionary,
@@ -39,7 +39,7 @@ from pilotwave.solver import (
 def plane_wave_state(grid, mode):
     k = np.pi * mode / grid.half_width
     vals = np.exp(1j * k * grid.axes[0]) * (2.0 * grid.half_width) ** -0.5
-    return WaveFunction(ComplexField(grid, vals), 0.0), k
+    return WaveFunction(grid, vals, 0.0), k
 
 
 def gaussian_cloud(seed, m=2000):

@@ -108,7 +108,7 @@ class Test3D:
         T = 16 * dt
         snaps_o = propagate(psi0, OscillatingSystem(V, eps), T, dt, [T])
         snaps_e = propagate(psi0, Vstar, T, dt, [T])
-        assert abs(norms(snaps_o[-1].field).l2 - 1.0) < 1e-9
+        assert abs(norms(snaps_o[-1].grid, snaps_o[-1].values).l2 - 1.0) < 1e-9
         assert h1_distance(snaps_o[-1], snaps_e[-1]) < 0.05
 
     def test_constant_advection_3d(self):

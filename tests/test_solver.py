@@ -13,7 +13,7 @@ from pilotwave.errors import (
     UsageError,
     WaveBlowUp,
 )
-from pilotwave.grid import ComplexField, make_grid, norms
+from pilotwave.grid import laplacian_values, make_grid, norms
 from pilotwave.potential import (
     TimePeriodicPotential,
     constant_profile,
@@ -50,7 +50,7 @@ def zero_potential():
 def step(psi, system, dt):
     """One Strang step of ``system`` from ``psi``; any dt, even negative."""
     values = StrangStepper(system, psi.grid, dt).advance(psi.values, psi.time)
-    return WaveFunction(ComplexField(psi.grid, values), psi.time + dt)
+    return WaveFunction(psi.grid, values, psi.time + dt)
 
 
 class TestInitialize:
@@ -92,7 +92,7 @@ class TestStepOscillating:
         g = make_grid(1, 256, 8.0)
         k = np.pi * 6 / g.half_width
         vals = np.exp(1j * k * g.axes[0]) / np.sqrt(2 * g.half_width)
-        psi = WaveFunction(ComplexField(g, vals), 0.0)
+        psi = WaveFunction(g, vals, 0.0)
         dt = 1e-3
         out = step(psi, OscillatingSystem(zero_potential(), eps=0.5), dt)
         expected = np.exp(-1j * k * k * dt / 2.0) * vals
@@ -203,8 +203,8 @@ class TestPropagate:
             eps / 32,
             np.linspace(0.1, 1.0, 10),
         )
-        h1_0 = norms(psi.field).h1
-        assert max(norms(s.field).h1 for s in snaps) <= 3.0 * h1_0
+        h1_0 = norms(psi.grid, psi.values).h1
+        assert max(norms(s.grid, s.values).h1 for s in snaps) <= 3.0 * h1_0
 
     def test_blow_up_flag(self, monkeypatch):
         g = make_grid(1, 256, 16.0)
@@ -256,6 +256,20 @@ class TestPropagate:
         with pytest.raises(ConfigError, match=f"snapshot time {t} outside"):
             propagate(psi, Vstar, 0.0, 0.01, [0.0, t, 7.0])
         assert propagate(psi, Vstar, 0.0, 0.01, [0.0]) == [psi]
+
+    def test_times_are_measured_from_the_initial_stamp(self):
+        # from a state stamped 0.5, the horizon and the snapshot times count
+        # from 0.5, so the continuation ends where a run from 0 to 1 does
+        g = make_grid(1, 512, 16.0)
+        system = OscillatingSystem(harmonic_cos_potential(), 0.1)
+        dt = 0.1 / 32
+        mid, end = propagate(gaussian_packet(g, width=1.0), system, 1.0, dt, [0.5, 1.0])
+        assert mid.time == 0.5
+        cont = propagate(mid, system, 0.5, dt, [0.25, 0.5])
+        assert [wf.time for wf in cont] == [0.75, 1.0]
+        assert h1_distance(cont[-1], end) < 1e-12
+        with pytest.raises(ConfigError, match="snapshot time 0.75 outside"):
+            propagate(mid, system, 0.5, dt, [0.75, 1.0])
 
     def test_dt_must_divide_horizon(self):
         g = make_grid(1, 256, 16.0)
@@ -336,8 +350,8 @@ class TestH1Distance:
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0, momentum=1.5)
         theta = np.pi / 3.0
-        rotated = WaveFunction(ComplexField(g, np.exp(1j * theta) * psi.values), psi.time)
-        expected = abs(np.exp(1j * theta) - 1.0) * norms(psi.field).h1
+        rotated = WaveFunction(g, np.exp(1j * theta) * psi.values, psi.time)
+        expected = abs(np.exp(1j * theta) - 1.0) * norms(psi.grid, psi.values).h1
         assert h1_distance(psi, rotated) == pytest.approx(expected, rel=1e-12)
 
     def test_reversibility(self):
@@ -357,7 +371,7 @@ class TestH1Distance:
         b = gaussian_packet(g2, width=1.0)
         with pytest.raises(UsageError):
             h1_distance(a, b)
-        c = WaveFunction(a.field, 1.0)
+        c = WaveFunction(a.grid, a.values, 1.0)
         with pytest.raises(UsageError):
             h1_distance(a, c)
 
@@ -369,23 +383,22 @@ class TestGronwallIntegrand:
         Vstar = effective_potential(V, g)
         psi = gaussian_packet(g, width=1.0)
         other = gaussian_packet(g, width=0.8)
-        psi, other = (WaveFunction(wf.field, 0.33) for wf in (psi, other))
+        psi, other = (WaveFunction(wf.grid, wf.values, 0.33) for wf in (psi, other))
         # V == V* makes the pairing weight vanish identically
         system = OscillatingSystem(V, 0.1)
         assert gronwall_integrand(psi, other, system, Vstar, w=V.spatial_values(g)) < 1e-12
 
     def test_matches_evaluated_potential_bit_for_bit(self):
-        from pilotwave.grid import spectral_laplacian
         from pilotwave.potential import evaluate
 
         g = make_grid(1, 256, 12.0)
         V = harmonic_cos_potential()
         Vstar = effective_potential(V, g)
         eps, t = 0.1, 0.37
-        a = WaveFunction(gaussian_packet(g, width=1.0, momentum=0.5).field, t)
-        b = WaveFunction(gaussian_packet(g, width=0.9).field, t)
+        a = WaveFunction(g, gaussian_packet(g, width=1.0, momentum=0.5).values, t)
+        b = WaveFunction(g, gaussian_packet(g, width=0.9).values, t)
         dV = evaluate(V, t / eps, g).values - Vstar.values
-        lap = spectral_laplacian(ComplexField(g, a.values - b.values)).values
+        lap = laplacian_values(g, a.values - b.values)
         want = float(abs(np.sum(dV * a.values * np.conj(lap)) * g.cell_volume))
         assert gronwall_integrand(a, b, OscillatingSystem(V, eps), Vstar, w=V.spatial_values(g)) == want
 
@@ -406,13 +419,22 @@ class TestGronwallIntegrand:
         with pytest.raises(UsageError):
             gronwall_integrand(psi, psi, OscillatingSystem(V, 0.1), Vstar, w=w)
 
+    def test_effective_potential_on_another_box_rejected(self):
+        # a V* of the states' shape on another box once gave a number
+        g = make_grid(1, 256, 16.0)
+        V = harmonic_cos_potential()
+        Vstar = effective_potential(V, make_grid(1, 256, 20.0))
+        psi = gaussian_packet(g, width=1.0)
+        with pytest.raises(UsageError, match="different grid"):
+            gronwall_integrand(psi, psi, OscillatingSystem(V, 0.1), Vstar, w=V.spatial_values(g))
+
     def test_states_stamped_at_different_times_rejected(self):
         # the term reads its time from the stamps, as h1_distance does
         g = make_grid(1, 256, 12.0)
         V = harmonic_cos_potential()
         Vstar = effective_potential(V, g)
         psi = gaussian_packet(g, width=1.0)
-        later = WaveFunction(psi.field, 0.25)
+        later = WaveFunction(psi.grid, psi.values, 0.25)
         with pytest.raises(UsageError, match="different times"):
             gronwall_integrand(psi, later, OscillatingSystem(V, 0.1), Vstar, w=V.spatial_values(g))
 
