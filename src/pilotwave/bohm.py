@@ -17,13 +17,13 @@ steps write into it, so stepping allocates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
 from .grid import Grid, _norms_from_gradient, gradient_values, laplacian_values
-from .solver import WaveFunction
+from .solver import WaveFunction, _check_paired
 
 __all__ = [
     "DensityFields",
@@ -54,7 +54,7 @@ class QuantumPotential(NamedTuple):
     regularized_fraction: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityFields:
     """Position density, current density and velocity at one instant,
     with the state's H1 norm from the same gradient (equal to ``norms``)."""
@@ -68,7 +68,7 @@ class DensityFields:
     regularized_fraction: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
     """Sampled Bohmian paths X(t, x0) and momenta P(t, x0) = u(t, X).
 
@@ -85,7 +85,7 @@ class TrajectoryEnsemble:
     valid: np.ndarray  # (M,) bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldHistory:
     """Time-indexed fields on a uniform mesh, e.g. velocity snapshots.
 
@@ -126,23 +126,39 @@ class FieldHistory:
 # densities and derived fields
 
 
-def densities(psi: WaveFunction) -> DensityFields:
+def densities(
+    psi: WaveFunction | Sequence[WaveFunction],
+) -> DensityFields | tuple[DensityFields, ...]:
     """rho = |psi|^2, J = Im(conj(psi) grad psi), u = J/rho (``velocity``,
-    fixed floor), and the H1 norm of psi; one forward transform serves all."""
-    rho = np.abs(psi.values) ** 2
-    grad = gradient_values(psi.grid, psi.values)
-    # a real copy: the imaginary part is a view that would pin the complex
-    # product, twice its size, for as long as the fields are kept
-    current = np.imag(np.conj(psi.values) * grad).copy()
-    u, frac = velocity(rho, current)
-    return DensityFields(
-        grid=psi.grid,
-        time=psi.time,
-        rho=rho,
-        current=current,
-        velocity=u,
-        h1=_norms_from_gradient(psi.grid, psi.values, grad).h1,
-        regularized_fraction=frac,
+    fixed floor), and the H1 norm of psi; one forward transform serves all.
+
+    Given a sequence of states on one grid at one time (UsageError
+    otherwise), returns their fields in order, computed over one stack of
+    the states in one pass, each equal bit for bit to the state's own.
+    """
+    if isinstance(psi, WaveFunction):
+        return _stacked_densities(psi.grid, psi.time, psi.values[np.newaxis])[0]
+    states = tuple(psi)
+    for other in states[1:]:
+        _check_paired(states[0], other)
+    return _stacked_densities(
+        states[0].grid, states[0].time, np.stack([s.values for s in states])
+    )
+
+
+def _stacked_densities(grid: Grid, time: float, values: np.ndarray) -> tuple[DensityFields, ...]:
+    """The fields of each row of a ``(k, *grid.shape)`` stack; every
+    reduction runs over one row at a time, as for a lone state."""
+    rho = np.abs(values) ** 2
+    grad = gradient_values(grid, values)
+    # real copies, row by row: the imaginary part is a view that would pin
+    # the complex product, twice its size, for as long as the fields are kept
+    current = [j.copy() for j in np.imag(np.conj(values)[:, np.newaxis] * grad)]
+    u, frac = _stacked_velocity(rho, current, grid.dim)
+    h1 = _norms_from_gradient(grid, rho, grad).h1
+    return tuple(
+        DensityFields(grid, time, r, j, v, h, float(f))
+        for r, j, v, h, f in zip(rho, current, u, h1, frac)
     )
 
 
@@ -153,9 +169,19 @@ def velocity(rho: np.ndarray, current: np.ndarray) -> VelocityField:
     state.  The returned fraction counts the floored grid points, so it
     mostly measures how much of the box the state leaves empty.
     """
-    floor = _density_floor(rho)
-    u = current / np.maximum(rho, floor)
-    return VelocityField(values=u, regularized_fraction=float((rho < floor).mean()))
+    u, frac = _stacked_velocity(rho[np.newaxis], [current], rho.ndim)
+    return VelocityField(values=u[0], regularized_fraction=float(frac[0]))
+
+
+def _stacked_velocity(
+    rho: np.ndarray, current: Sequence[np.ndarray], dim: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``velocity`` of each row of a stack of densities ``(k, *shape)``
+    and their currents ``(dim, *shape)``, each row with its own floor."""
+    space = tuple(range(-dim, 0))
+    floor = _density_floor(rho, space)
+    u = [j / r for j, r in zip(current, np.maximum(rho, floor))]
+    return u, (rho < floor).mean(axis=space)
 
 
 def quantum_potential(rho: np.ndarray, grid: Grid) -> QuantumPotential:
@@ -170,10 +196,11 @@ def quantum_potential(rho: np.ndarray, grid: Grid) -> QuantumPotential:
     return QuantumPotential(values=q, regularized_fraction=float((rho < floor).mean()))
 
 
-def _density_floor(rho: np.ndarray) -> float:
-    """The fixed floor, 1e-12 * max(rho), of every division by the density."""
-    floor = DENSITY_FLOOR_SCALE * float(rho.max())
-    if not (floor > 0):
+def _density_floor(rho: np.ndarray, axis: tuple[int, ...] | None = None) -> np.ndarray:
+    """The fixed floor, 1e-12 * max(rho), of every division by the density;
+    with ``axis``, one floor per state of a stack, kept broadcastable."""
+    floor = DENSITY_FLOOR_SCALE * rho.max(axis=axis, keepdims=axis is not None)
+    if not (floor > 0).all():
         raise InputError("density has no positive value to set a floor from")
     return floor
 

@@ -8,14 +8,18 @@ Transform convention (fixed package-wide): forward transform is numpy's
 unnormalized FFT, the inverse carries the 1/n factor.  Every transform in
 the package goes through ``fftn``/``ifftn`` below, which run scipy.fft's
 pocketfft over the axes in numpy's order (last axis first) on complex128
-input, a real input being cast to complex first; a 1D array goes through
-the one-axis ``scipy.fft.fft``/``ifft``.  They equal
+input, a real input being cast to complex first; a transform over one
+axis goes through the one-axis ``scipy.fft.fft``/``ifft``.  They equal
 ``np.fft.fftn``/``ifftn`` bit for bit (tests/test_grid.py checks it), so
-results hang on the numpy and scipy versions together.  Per-axis wavenumbers
-are k = pi*m/half_width for integer m in [-n/2, n/2), stored in numpy's
-standard FFT ordering (0, 1, ..., n/2-1, -n/2, ..., -1 scaled).  All
-integrals are plain dx^N Riemann sums, which on a periodic grid coincide
-with the trapezoidal rule and are spectrally accurate for smooth fields.
+results hang on the numpy and scipy versions together.  A stack of
+states, an array of shape ``(k, *grid.shape)``, is transformed over its
+last ``grid.dim`` axes in one call, and each state's transform equals its
+own bit for bit; ``gradient_values`` takes such a stack too.  Per-axis
+wavenumbers are k = pi*m/half_width for integer m in [-n/2, n/2), stored
+in numpy's standard FFT ordering (0, 1, ..., n/2-1, -n/2, ..., -1
+scaled).  All integrals are plain dx^N Riemann sums, which on a periodic
+grid coincide with the trapezoidal rule and are spectrally accurate for
+smooth fields.
 """
 
 from __future__ import annotations
@@ -123,9 +127,9 @@ def make_grid(dim: int, n_per_axis: int, half_width: float) -> Grid:
     return Grid(dim=dim, n_per_axis=int(n_per_axis), half_width=float(half_width))
 
 
-def boundary_mass_fraction(grid: Grid, values: np.ndarray) -> float:
-    """Fraction of |values|^2 mass outside the inner half-box |x|_inf <= L/2."""
-    rho = np.abs(values) ** 2
+def boundary_mass_fraction(grid: Grid, rho: np.ndarray) -> float:
+    """Fraction of the mass of a density ``rho`` (|psi|^2, of shape
+    ``grid.shape``) outside the inner half-box |x|_inf <= L/2."""
     total = rho.sum()
     if total == 0.0:
         return 0.0
@@ -133,37 +137,52 @@ def boundary_mass_fraction(grid: Grid, values: np.ndarray) -> float:
     return float(rho[~inner].sum() / total)
 
 
-def fftn(values: np.ndarray) -> np.ndarray:
+def fftn(values: np.ndarray, dim: int | None = None) -> np.ndarray:
     """``np.fft.fftn(values)`` bit for bit, on scipy.fft's faster pocketfft.
 
-    The cast keeps scipy off its real-to-complex path, whose bits differ
-    from numpy's; the reversed axes give numpy's order of 1D passes.  A 1D
-    array goes to the one-axis ``scipy.fft.fft``, which runs the same pass
-    without the n-dimensional dispatch.
+    With ``dim``, only the last ``dim`` axes are transformed: a stack of
+    states of shape ``(k, *grid.shape)`` goes through one call with
+    ``dim=grid.dim``, and each state comes out as its own transform would,
+    bit for bit.  The cast keeps scipy off its real-to-complex path, whose
+    bits differ from numpy's; the reversed axes give numpy's order of 1D
+    passes.  One transformed axis goes to the one-axis ``scipy.fft.fft``,
+    which runs the same pass without the n-dimensional dispatch.
     """
     x = np.asarray(values, dtype=np.complex128)
-    if x.ndim == 1:
+    axes = _last_axes(x, dim)
+    if len(axes) == 1:
         return scipy.fft.fft(x)
-    return scipy.fft.fftn(x, axes=tuple(reversed(range(x.ndim))))
+    return scipy.fft.fftn(x, axes=axes)
 
 
-def ifftn(values: np.ndarray) -> np.ndarray:
+def ifftn(values: np.ndarray, dim: int | None = None) -> np.ndarray:
     """``np.fft.ifftn(values)`` bit for bit; see ``fftn``."""
     x = np.asarray(values, dtype=np.complex128)
-    if x.ndim == 1:
+    axes = _last_axes(x, dim)
+    if len(axes) == 1:
         return scipy.fft.ifft(x)
-    return scipy.fft.ifftn(x, axes=tuple(reversed(range(x.ndim))))
+    return scipy.fft.ifftn(x, axes=axes)
+
+
+def _last_axes(x: np.ndarray, dim: int | None) -> tuple[int, ...]:
+    """The last ``dim`` axes of ``x`` (all of them by default), last first."""
+    return tuple(range(-1, -(x.ndim if dim is None else dim) - 1, -1))
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Spectral gradient of a raw array; returns shape (dim, *grid.shape).
 
-    Real input yields real output (imaginary roundoff is discarded).
+    A stack of arrays of shape ``(k, *grid.shape)`` gives ``(k, dim,
+    *grid.shape)`` from one transform per direction, each state's gradient
+    equal bit for bit to its own.  Real input yields real output (imaginary
+    roundoff is discarded).
     """
-    vhat = fftn(values)
-    out = np.empty((grid.dim,) + grid.shape, dtype=np.complex128)
+    vhat = fftn(values, grid.dim)
+    lead = vhat.shape[: vhat.ndim - grid.dim]
+    out = np.empty(lead + (grid.dim,) + grid.shape, dtype=np.complex128)
+    by_axis = out.swapaxes(0, len(lead))
     for axis in range(grid.dim):
-        out[axis] = ifftn(1j * _axis_multiplier(grid, axis) * vhat)
+        by_axis[axis] = ifftn(1j * _axis_multiplier(grid, axis) * vhat, grid.dim)
     if np.isrealobj(values):
         return out.real
     return out
@@ -177,17 +196,23 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def norms(grid: Grid, values: np.ndarray) -> Norms:
     """L2 norm, H1 seminorm (via the spectral gradient) and full H1 norm."""
-    return _norms_from_gradient(grid, values, gradient_values(grid, values))
+    return _norms_from_gradient(grid, np.abs(values) ** 2, gradient_values(grid, values))
 
 
-def _norms_from_gradient(grid: Grid, values: np.ndarray, grad: np.ndarray) -> Norms:
-    """``norms`` from values and their spectral gradient, for callers that
-    already hold the gradient; one formula, so both give the same bits."""
+def _norms_from_gradient(grid: Grid, rho: np.ndarray, grad: np.ndarray) -> Norms:
+    """``norms`` from the density |values|^2 and the spectral gradient, for
+    callers that already hold both; one formula, so both give the same bits.
+
+    For a stack, ``rho`` of shape ``(k, *grid.shape)`` and ``grad`` of
+    shape ``(k, dim, *grid.shape)``, each norm is an array of ``k``, and
+    every sum runs over one state, as for a lone one.
+    """
     dv = grid.cell_volume
-    l2_sq = float(np.sum(np.abs(values) ** 2) * dv)
+    space = tuple(range(-grid.dim, 0))
+    l2_sq = np.sum(rho, axis=space) * dv
     semi_sq = 0.0
-    for g in grad:
-        semi_sq += float(np.sum(np.abs(g) ** 2) * dv)
+    for g in grad.swapaxes(0, -grid.dim - 1):
+        semi_sq = semi_sq + np.sum(np.abs(g) ** 2, axis=space) * dv
     return Norms(
         l2=np.sqrt(l2_sq),
         h1=np.sqrt(l2_sq + semi_sq),

@@ -596,20 +596,32 @@ def _propagate_and_record(
     The trajectory step is four frames (``_step_plan``), so its RK4 stages
     read only the even frames; the odd ones are measured, never stored.
 
-    With a ``lane``, the effective system's steps and frame densities run
-    on it, and so does each frame's Gronwall term: the lane takes tasks in
-    order, so a frame's term runs just before the effective system's next
-    stride, which is shorter than the oscillating one.  The terms keep
-    frame order, and every one has ended or been cancelled before this
-    returns or raises.  The monitors and the history writes stay on the
-    calling thread."""
+    On a grid below ``LANE_MIN_POINTS`` points the two states march as the
+    rows of one stack through one stepper, and each frame measures the
+    stack in one pass; the monitors still judge each state.  On a larger
+    grid each system has its own stepper.  There, with a ``lane``, the
+    effective system's steps and frame densities run on it, and so does
+    each frame's Gronwall term: the lane takes tasks in order, so a frame's
+    term runs just before the effective system's next stride, which is
+    shorter than the oscillating one.  The terms keep frame order, and
+    every one has ended or been cancelled before this returns or raises.
+    The monitors and the history writes stay on the calling thread.  Either
+    way every state gets the same bits."""
     grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
     system = OscillatingSystem(V, eps)
-    steppers = (
-        StrangStepper(system, grid, row.dt),
-        StrangStepper(Vstar, grid, row.dt),
-    )
+    stacked = grid.size < LANE_MIN_POINTS
+    if stacked:
+        steppers = (StrangStepper((system, Vstar), grid, row.dt),)
+        start = (np.stack((psi0.values, psi0.values)),)
+    else:
+        steppers = (StrangStepper(system, grid, row.dt), StrangStepper(Vstar, grid, row.dt))
+        start = (psi0.values, psi0.values)
+
+    def adopt(states: tuple[np.ndarray, ...], t: float) -> tuple[WaveFunction, ...]:
+        if stacked:
+            return WaveFunction._adopt_rows(grid, states[0], t)
+        return tuple(WaveFunction._adopt(grid, v, t) for v in states)
 
     n_frames = row.n_steps // row.stride
     u_osc = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
@@ -625,10 +637,13 @@ def _propagate_and_record(
 
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         nonlocal boundary_max, final_densities
-        wf_o, wf_e = (WaveFunction._adopt(grid, v, t) for v in states)
-        d_o, d_e = side_by_side(lane, densities, (wf_o, wf_e))
-        for i, (wf, d) in enumerate(((wf_o, d_o), (wf_e, d_e))):
-            bmass = boundary_mass_fraction(grid, wf.values)
+        wf_o, wf_e = adopt(states, t)
+        if stacked:
+            d_o, d_e = densities((wf_o, wf_e))
+        else:
+            d_o, d_e = side_by_side(lane, densities, (wf_o, wf_e))
+        for i, d in enumerate((d_o, d_e)):
+            bmass = boundary_mass_fraction(grid, d.rho)
             boundary_max = max(boundary_max, bmass)
             check_monitors(bmass, d.h1, h1_initial, t)
             reg_max[i] = max(reg_max[i], d.regularized_fraction)
@@ -645,9 +660,7 @@ def _propagate_and_record(
             final_densities = (d_o, d_e)
 
     try:
-        finals = lockstep(
-            steppers, (psi0.values, psi0.values), 0.0, row.n_steps, row.stride, record, lane=lane
-        )
+        finals = lockstep(steppers, start, 0.0, row.n_steps, row.stride, record, lane=lane)
         b_vals.extend(f.result() for f in b_futures)
     finally:
         # no lane task outlives its row, a monitor abort included
@@ -656,7 +669,7 @@ def _propagate_and_record(
         wait(b_futures)
     T = config.sweep.horizon
     recording = _Recording(
-        final_states=tuple(WaveFunction._adopt(grid, v, T) for v in finals),
+        final_states=adopt(tuple(finals), T),
         final_densities=final_densities,
         b_eps_avg=float(np.mean(b_vals)),
         boundary_mass=boundary_max,
@@ -738,9 +751,10 @@ def _measures(
 
 
 # Grids below this many points step too fast for a lane to pay for its
-# hand-offs.  The placement and resolution rules admit no Gaussian row
+# hand-offs; a row on such a grid marches its two systems as one stack
+# instead.  The placement and resolution rules admit no Gaussian row
 # below n = 256 per axis, so every 2D and 3D row takes the lane when a
-# second worker is allowed, and no 1D row does.
+# second worker is allowed, and every 1D row marches as one stack.
 LANE_MIN_POINTS = 2**16
 
 

@@ -40,7 +40,7 @@ N_NEIGHBORS = 64  # initial neighbours per sample in the injectivity pair list
 VIOLATION_RATIO = 1e-3  # stretching ratio below which injectivity counts as lost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSpaceMeasure:
     """Weighted point cloud on (x, p) phase space."""
 
@@ -81,7 +81,7 @@ def bohmian_measure(d: DensityFields) -> PhaseSpaceMeasure:
     return PhaseSpaceMeasure(points_x=x, points_p=p, weights=w, total_mass=total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureDictionary:
     """Seeded random-feature cosines phi(z) = cos(omega.z + b) / max(1, |omega|).
 

@@ -110,7 +110,7 @@ class TimePeriodicPotential:
         return (t1 - t0) * float(np.sum(weights * self.temporal(s / eps)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticPotential:
     """Time-independent potential on a grid: finite values, stored
     read-only."""

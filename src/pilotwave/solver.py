@@ -7,6 +7,8 @@ Units: hbar = m = 1, Hamiltonian -0.5*Laplacian + V.  One Strang step is
 half kinetic / full potential phase / half kinetic; the potential phase for
 the fast-oscillating system uses the exact time integral of the temporal
 factor over the step, so the oscillation is never aliased regardless of dt.
+One ``StrangStepper`` steps one system, or several systems' states stacked
+as the rows of one array, each row equal bit for bit to its own step.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ _In = TypeVar("_In")
 _Out = TypeVar("_Out")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
     """A complex state on a grid with its time stamp; immutable.
 
@@ -64,7 +66,8 @@ class WaveFunction:
     read-only array, so a caller's array can never change under a state;
     values of another shape than the grid's, or not finite, raise
     InputError.  Inside the package, ``_adopt`` wraps an array that was
-    just computed and that nobody else holds.
+    just computed and that nobody else holds, and ``_adopt_rows`` each row
+    of such a stack.  States compare and hash by identity.
     """
 
     grid: Grid
@@ -82,18 +85,30 @@ class WaveFunction:
         """Wrap a freshly computed array without copying it; it becomes read-only."""
         v = _checked_values(grid, values)
         v.setflags(write=False)
+        return cls._wrap(grid, v, time)
+
+    @classmethod
+    def _adopt_rows(cls, grid: Grid, stack: np.ndarray, time: float) -> tuple["WaveFunction", ...]:
+        """``_adopt`` of each row of a freshly computed ``(k, *grid.shape)``
+        stack, checked as one array; the rows are read-only views of it."""
+        v = _checked_values(grid, stack, stacked=True)
+        v.setflags(write=False)
+        return tuple(cls._wrap(grid, row, time) for row in v)
+
+    @classmethod
+    def _wrap(cls, grid: Grid, values: np.ndarray, time: float) -> "WaveFunction":
         wf = object.__new__(cls)
         object.__setattr__(wf, "grid", grid)
-        object.__setattr__(wf, "values", v)
+        object.__setattr__(wf, "values", values)
         object.__setattr__(wf, "time", time)
         return wf
 
 
-def _checked_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+def _checked_values(grid: Grid, values: np.ndarray, stacked: bool = False) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
-    if v.shape != grid.shape:
+    if v.shape[int(stacked):] != grid.shape:
         raise InputError(f"field shape {v.shape} does not match grid shape {grid.shape}")
-    if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
+    if not np.isfinite(v).all():
         raise InputError("field contains non-finite values")
     return v
 
@@ -143,7 +158,7 @@ def _finalize_initial(grid: Grid, values: np.ndarray) -> WaveFunction:
     if mass <= 0 or not np.isfinite(mass):
         raise ConfigError("initial state has no usable mass")
     psi = WaveFunction._adopt(grid, values / math.sqrt(mass), 0.0)
-    bmass = boundary_mass_fraction(grid, psi.values)
+    bmass = boundary_mass_fraction(grid, np.abs(psi.values) ** 2)
     if bmass > BOUNDARY_MASS_TOL:
         raise PlacementError(
             f"initial state keeps {bmass:.3e} of its mass outside |x| <= L/2 "
@@ -165,38 +180,103 @@ def _as_vector(grid: Grid, value, name: str) -> np.ndarray:
 # stepping
 
 
+# numpy runs ``k * t``, ``t`` a temporary of at least this many bytes, as
+# ``multiply(t, k)`` (its temporary elision), and a complex product's last
+# bit depends on the operand order.  A step writes its kinetic products in
+# the order numpy picks for ``kin * fftn(state)`` on one state, so that a
+# state gets the same bits alone or in a stack.
+_ELISION_BYTES = 256 * 1024
+
+
 class StrangStepper:
     """The Strang step of an ``OscillatingSystem`` or a ``StaticPotential``,
-    with its grid-dependent factors cached for a fixed dt.
+    or of a sequence of them marched as one stack, with its grid-dependent
+    factors cached for a fixed dt.
 
-    A raw step: it checks neither the sign of ``dt`` nor the fast-period
-    rule (``propagate`` does).  ``static_phase`` is None for an oscillating
-    system, whose potential phase changes from step to step.
+    Given a sequence, ``advance`` takes and returns a ``(k, *grid.shape)``
+    stack whose row ``i`` is system ``i``'s state, at most one of them
+    oscillating, and each row equals the state its own stepper would give,
+    bit for bit: one transform per half step serves every row, the
+    kinetic factor ``kin`` broadcasts over the rows, the static rows of the
+    potential phase are set once and an oscillating row is rewritten in
+    place each step.  A raw step: it checks neither the sign of ``dt`` nor
+    the fast-period rule (``propagate`` does).  ``static_phase`` is None
+    when the potential phase changes from step to step (an oscillating
+    system, alone or in a stack).
     """
 
-    def __init__(self, system: OscillatingSystem | StaticPotential, grid: Grid, dt: float):
+    def __init__(
+        self,
+        systems: OscillatingSystem | StaticPotential | Sequence[OscillatingSystem | StaticPotential],
+        grid: Grid,
+        dt: float,
+    ):
+        stacked = not isinstance(systems, (OscillatingSystem, StaticPotential))
+        group = tuple(systems) if stacked else (systems,)
+        oscillating = [i for i, s in enumerate(group) if isinstance(s, OscillatingSystem)]
+        if len(oscillating) > 1:
+            raise UsageError("a stepper steps at most one oscillating system")
         self.dt = dt
+        self._dim = grid.dim
         self.kin = np.exp(-1j * grid.k_squared() * dt / 4.0)
-        if isinstance(system, OscillatingSystem):
-            self.w = system.potential.spatial_values(grid)
-            self.V = system.potential
-            self.eps = system.eps
-            self.static_phase = None
-        else:
+        self._elided = grid.size * np.dtype(np.complex128).itemsize >= _ELISION_BYTES
+        # the stack's phase rows, or None for one system's phase
+        self._phases = np.empty((len(group),) + grid.shape, dtype=np.complex128) if stacked else None
+        self.static_phase = None
+        for i, system in enumerate(group):
+            if isinstance(system, OscillatingSystem):
+                self.w = system.potential.spatial_values(grid)
+                self.V = system.potential
+                self.eps = system.eps
+                self._row = i
+                continue
             if system.grid != grid:
                 raise UsageError("potential grid does not match wave function grid")
-            self.static_phase = np.exp(-1j * system.values * dt)
+            phase = np.exp(-1j * system.values * dt)
+            if stacked:
+                self._phases[i] = phase
+            else:
+                self.static_phase = phase
+        if stacked and not oscillating:
+            self.static_phase = self._phases
 
     def advance(self, values: np.ndarray, t: float) -> np.ndarray:
-        """The state one step of ``dt`` after ``values`` at time ``t``."""
-        if self.static_phase is None:
+        """The state (or stack) one step of ``dt`` after ``values`` at time ``t``."""
+        phase = self.static_phase
+        if phase is None:
             scalar = self.V.temporal_integral(t, t + self.dt, self.eps)
-            phase = np.exp(-1j * self.w * scalar)
-        else:
-            phase = self.static_phase
-        v = ifftn(self.kin * fftn(values))
-        v = phase * v
-        return ifftn(self.kin * fftn(v))
+            if self._phases is None:
+                phase = _oscillating_phase(self.w, scalar)
+            else:
+                _oscillating_phase(self.w, scalar, out=self._phases[self._row])
+                phase = self._phases
+        v = ifftn(self._kinetic(fftn(values, self._dim)), self._dim)
+        np.multiply(phase, v, out=v)
+        return ifftn(self._kinetic(fftn(v, self._dim)), self._dim)
+
+    def _kinetic(self, vhat: np.ndarray) -> np.ndarray:
+        """``kin * vhat`` in place, in one state's operand order (``_ELISION_BYTES``)."""
+        if self._elided:
+            return np.multiply(vhat, self.kin, out=vhat)
+        return np.multiply(self.kin, vhat, out=vhat)
+
+
+def _oscillating_phase(w: np.ndarray, s: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(-1j * w * s)`` bit for bit, as ``cos(theta) + i sin(theta)``.
+
+    ``theta = 0.0 - w*s`` is exactly the imaginary part of numpy's argument,
+    whose real part is +0.0, and numpy's complex exp of ``0 + i theta`` is
+    ``cos(theta) + i sin(theta)`` on the pinned numpy, which a test checks;
+    the real pair costs less than the complex exp.  Writes into ``out``
+    (complex128, of ``w``'s shape) when given, else into a new array.
+    """
+    theta = np.multiply(w, s)
+    np.subtract(0.0, theta, out=theta)
+    if out is None:
+        out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def lockstep(
@@ -208,7 +288,8 @@ def lockstep(
     on_frame: Callable[[int, float, tuple[np.ndarray, ...]], None],
     lane: Executor | None = None,
 ) -> list[np.ndarray]:
-    """March each state with its own stepper, side by side at a shared dt.
+    """March each state with its own stepper, side by side at a shared dt;
+    a state may be a stack that its stepper marches as one.
 
     ``stride`` must divide ``n_steps`` (UsageError otherwise).  Calls
     ``on_frame(frame, t, states)`` for frame 0 at ``t0`` and then after
@@ -333,7 +414,7 @@ def propagate(
         if idx in wanted:
             wf = psi0 if idx == 0 else WaveFunction._adopt(psi0.grid, states[0], t)
             check_monitors(
-                boundary_mass_fraction(wf.grid, wf.values),
+                boundary_mass_fraction(wf.grid, np.abs(wf.values) ** 2),
                 norms(wf.grid, wf.values).h1,
                 h1_initial,
                 t,

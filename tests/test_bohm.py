@@ -12,7 +12,8 @@ from pilotwave.bohm import (
     velocity,
 )
 from pilotwave.errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
-from pilotwave.grid import gradient_values, laplacian_values, make_grid, norms
+from pilotwave.grid import boundary_mass_fraction, gradient_values, laplacian_values, make_grid, norms
+from pilotwave.measure import FeatureDictionary, bohmian_measure
 from pilotwave.potential import (
     StaticPotential,
     TimePeriodicPotential,
@@ -94,6 +95,91 @@ class TestDensities:
         assert d.current.flags.owndata
         assert d.current.dtype == np.float64
         assert (d.current == view).all()
+
+
+def old_densities(psi):
+    """rho, current, velocity, H1 and the boundary mass of one state, as
+    plain expressions on its values."""
+    g, v = psi.grid, psi.values
+    rho = np.abs(v) ** 2
+    grad = gradient_values(g, v)
+    current = np.imag(np.conj(v) * grad).copy()
+    u, frac = velocity(rho, current)
+    dv = g.cell_volume
+    l2_sq = float(np.sum(np.abs(v) ** 2) * dv)
+    semi_sq = 0.0
+    for d in grad:
+        semi_sq += float(np.sum(np.abs(d) ** 2) * dv)
+    inner = g.inner_box_mask()
+    bmass = float(rho[~inner].sum() / rho.sum())
+    return rho, current, u, frac, np.sqrt(l2_sq + semi_sq), bmass
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestStackedDensities:
+    # a (2, 8192) stack crosses numpy's 256 KiB temporary-elision size
+    # while one 8,192 row does not; a 16,384 row crosses it alone
+    @pytest.mark.parametrize("dim, n", [(1, 512), (1, 8192), (1, 16384), (2, 32), (2, 256), (3, 16)])
+    def test_each_state_gets_its_own_fields_bit_for_bit(self, dim, n):
+        g = make_grid(dim, n, 16.0)
+        mesh = g.meshgrid()
+        # two packets at one time, one of them moving and far off centre so
+        # that its boundary mass is not zero
+        centred = np.exp(-sum(m**2 for m in mesh) / 4.0)
+        moving = np.exp(-sum((m - 7.0) ** 2 for m in mesh) / 9.0 + 2j * mesh[0])
+        states = (WaveFunction(g, centred, 0.25), WaveFunction(g, moving, 0.25))
+        stacked = densities(states)
+        assert len(stacked) == 2
+        for psi, d in zip(states, stacked):
+            rho, current, u, frac, h1, bmass = old_densities(psi)
+            alone = densities(psi)
+            for fields in (d, alone):
+                assert same_bits(fields.rho, rho)
+                assert same_bits(fields.current, current)
+                assert fields.current.flags.owndata
+                assert same_bits(fields.velocity, u)
+                assert fields.regularized_fraction == frac
+                assert fields.h1 == h1
+                assert fields.h1 == norms(g, psi.values).h1
+                assert boundary_mass_fraction(g, fields.rho) == bmass
+                assert fields.time == psi.time and fields.grid == g
+        assert 0 < stacked[1].regularized_fraction and 0 < old_densities(states[1])[-1]
+
+    def test_states_on_other_grids_or_times_raise(self):
+        g = make_grid(1, 256, 16.0)
+        psi = gaussian_packet(g, width=1.0)
+        later = WaveFunction(g, psi.values, 0.5)
+        other = WaveFunction(make_grid(1, 256, 20.0), psi.values, 0.0)
+        for pair in ((psi, later), (psi, other)):
+            with pytest.raises(UsageError):
+                densities(pair)
+
+
+class TestIdentityEquality:
+    def test_array_records_compare_and_hash_by_identity(self):
+        # a comparison of their arrays would raise; so would a hash
+        g = make_grid(1, 256, 16.0)
+        psi = gaussian_packet(g, width=1.0, momentum=0.5)
+        d = densities(psi)
+        times = np.array([0.0, 0.05, 0.1])
+        x0 = sample_initial_positions(d.rho, g, 20, 7)
+        makers = (
+            lambda: densities(psi),
+            lambda: FieldHistory(g, times, np.stack([d.velocity] * 3)),
+            lambda: integrate_trajectories(FieldHistory(g, times, np.stack([d.velocity] * 3)), x0, times[::2]),
+            lambda: StaticPotential(g, np.zeros(g.shape)),
+            lambda: bohmian_measure(d),
+            lambda: FeatureDictionary.make(1, 8, 3),
+        )
+        for make in makers:
+            a, b = make(), make()
+            assert a == a and not a != a
+            assert a != b
+            assert len({a, b, a}) == 2
 
 
 class TestVelocity:

@@ -254,5 +254,6 @@ class TestInvariants:
         x = g.axes[0]
         centered = np.exp(-(x**2)).astype(complex)
         offset = np.exp(-((x - 7.5) ** 2)).astype(complex)
-        assert boundary_mass_fraction(g, centered) < 1e-12
-        assert boundary_mass_fraction(g, offset) > 0.1
+        # the function takes the density |psi|^2
+        assert boundary_mass_fraction(g, np.abs(centered) ** 2) < 1e-12
+        assert boundary_mass_fraction(g, np.abs(offset) ** 2) > 0.1

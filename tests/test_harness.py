@@ -310,7 +310,10 @@ class TestRunSingle:
 class TestFrameDiagnostics:
     def test_each_frame_transforms_each_state_once(self, monkeypatch):
         # per frame and state: one forward and dim inverse transforms feed the
-        # densities and the H1 monitor together; the Gronwall Laplacian adds 2
+        # densities and the H1 monitor together; the Gronwall Laplacian adds 2.
+        # A 1D row's two states go through each of those transforms as one
+        # stack, so a frame makes 1 + dim + 2 calls and transforms
+        # 2 * (1 + dim) + 2 states' worth of points.
         import scipy.fft
 
         import pilotwave.harness as harness
@@ -318,7 +321,7 @@ class TestFrameDiagnostics:
         calls = []
         for name in ("fft", "ifft", "fftn", "ifftn"):  # 1D arrays take the one-axis pair
             def counted(*args, _real=getattr(scipy.fft, name), **kwargs):
-                calls.append(1)
+                calls.append(np.size(args[0]))
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counted)
@@ -330,7 +333,7 @@ class TestFrameDiagnostics:
             def counted_frame(*args):
                 before = len(calls)
                 on_frame(*args)
-                per_frame.append(len(calls) - before)
+                per_frame.append((len(calls) - before, sum(calls[before:])))
 
             return real_lockstep(steppers, states, t0, n_steps, stride, counted_frame, lane=lane)
 
@@ -338,7 +341,9 @@ class TestFrameDiagnostics:
         cfg = small_config(eps_list=(0.2,))
         assert run_single(cfg, 0.2).valid
         n_steps, _, stride = _step_plan(cfg, 0.2)
-        assert per_frame == [2 * (1 + cfg.grid.dim) + 2] * (n_steps // stride + 1)
+        dim, points = cfg.grid.dim, cfg.grid.n_per_axis**cfg.grid.dim
+        calls_and_points = (1 + dim + 2, (2 * (1 + dim) + 2) * points)
+        assert per_frame == [calls_and_points] * (n_steps // stride + 1)
 
 
 class TestRowStages:
@@ -506,9 +511,9 @@ class TestRowStages:
         real_densities = harness.densities
 
         def tracked(*args, **kwargs):
-            d = real_densities(*args, **kwargs)
-            fractions.append(d.regularized_fraction)
-            return d
+            fields = real_densities(*args, **kwargs)  # one call, a stack of both states
+            fractions.extend(d.regularized_fraction for d in fields)
+            return fields
 
         monkeypatch.setattr(harness, "densities", tracked)
         cfg = small_config(eps_list=(0.2,))

@@ -18,6 +18,7 @@ from pilotwave.potential import (
     TimePeriodicPotential,
     constant_profile,
     effective_potential,
+    gaussian_well,
     harmonic,
     one_plus_cos,
 )
@@ -337,6 +338,95 @@ class TestLockstep:
             assert finished == [1]
             assert side_by_side(lane, lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
         assert side_by_side(None, lambda x: 2 * x, [1, 2]) == [2, 4]
+
+
+def random_values(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def numpy_order_step(kin, phase, values, dim):
+    """One Strang step as the plain expressions ``kin * fft(v)`` and
+    ``phase * v`` evaluate in numpy, temporary elision included."""
+    fft, ifft = (np.fft.fft, np.fft.ifft) if dim == 1 else (np.fft.fftn, np.fft.ifftn)
+    v = ifft(kin * fft(values))
+    v = phase * v
+    return ifft(kin * fft(v))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestStackedStep:
+    # one 1D row of 16,384 points is a 256 KiB temporary, where numpy's
+    # temporary elision swaps the operands of ``kin * fft(v)``; a (2, 8192)
+    # stack crosses that size while its rows do not
+    @pytest.mark.parametrize("dim, n", [(1, 512), (1, 8192), (1, 16384), (2, 32), (2, 128), (3, 16)])
+    def test_each_row_equals_its_own_step_in_numpy_order(self, dim, n):
+        g = make_grid(dim, n, 16.0)
+        V = harmonic_cos_potential()
+        osc, eff = OscillatingSystem(V, 0.1), effective_potential(V, g)
+        dt = 0.1 / 32
+        stacked = StrangStepper((osc, eff), g, dt)
+        assert stacked.static_phase is None
+        kin = np.exp(-1j * g.k_squared() * dt / 4.0)
+        w = V.spatial_values(g)
+        rows = [random_values(g.shape, 1), random_values(g.shape, 2)]
+        stack = np.stack(rows)
+        for k in range(3):
+            t = 0.01 + k * dt
+            stack = stacked.advance(stack, t)
+            s = V.temporal_integral(t, t + dt, 0.1)
+            rows[0] = numpy_order_step(kin, np.exp(-1j * w * s), rows[0], dim)
+            rows[1] = numpy_order_step(kin, np.exp(-1j * eff.values * dt), rows[1], dim)
+            assert same_bits(stack[0], rows[0]) and same_bits(stack[1], rows[1])
+        # a stepper of one system takes the same steps
+        for system, row, start in ((osc, rows[0], 1), (eff, rows[1], 2)):
+            single = StrangStepper(system, g, dt)
+            v = random_values(g.shape, start)
+            for k in range(3):
+                v = single.advance(v, 0.01 + k * dt)
+            assert same_bits(v, row)
+
+    def test_a_stack_of_static_systems_has_a_static_phase(self):
+        g = make_grid(1, 64, 8.0)
+        V = harmonic_cos_potential()
+        eff = effective_potential(V, g)
+        stepper = StrangStepper((eff, eff), g, 0.001)
+        assert stepper.static_phase.shape == (2,) + g.shape
+
+    def test_two_oscillating_systems_in_one_stack_rejected(self):
+        g = make_grid(1, 64, 8.0)
+        osc = OscillatingSystem(harmonic_cos_potential(), 0.1)
+        with pytest.raises(UsageError, match="at most one oscillating"):
+            StrangStepper((osc, osc), g, 0.001)
+
+    @pytest.mark.parametrize(
+        "dim, spatial",
+        [(1, harmonic()), (2, harmonic()), (1, gaussian_well(2.0, 2.0)), (1, None)],
+        ids=["canon", "row_2d", "bohm_ensemble", "w=0"],
+    )
+    def test_phase_equals_numpy_complex_exp_bit_for_bit(self, dim, spatial):
+        # the grids of the three benchmark workloads (n=512, or 256 per
+        # axis in 2D, half width 16), and a zero potential
+        g = make_grid(dim, 512 if dim == 1 else 256, 16.0)
+        w = np.zeros(g.shape) if spatial is None else np.asarray(spatial(g.meshgrid()), float)
+        out = np.empty(g.shape, dtype=np.complex128)
+        for s in np.linspace(-0.05, 0.05, 401):
+            expected = np.exp(-1j * w * s)
+            assert same_bits(solver._oscillating_phase(w, s), expected), s
+            assert solver._oscillating_phase(w, s, out=out) is out
+            assert same_bits(out, expected), s
+
+
+class TestIdentityEquality:
+    def test_states_compare_and_hash_by_identity(self):
+        psi = gaussian_packet(make_grid(1, 256, 16.0), width=1.0)
+        twin = WaveFunction(psi.grid, psi.values, 0.0)
+        assert psi == psi
+        assert psi != twin
+        assert len({psi, twin, psi}) == 2
 
 
 class TestH1Distance:

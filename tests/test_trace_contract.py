@@ -54,6 +54,11 @@ def test_stepper_exposes_system_kind(spans):
     values = np.ones(grid.shape, dtype=np.complex128)
     assert spans._advance_attrs((osc, values, 0.0), {}, None) == 1
     assert spans._advance_attrs((eff, values, 0.0), {}, None) == 0
+    # a stack with an oscillating row has no static phase: its steps count
+    # as the oscillating system's
+    both = StrangStepper((OscillatingSystem(V, 0.1), effective_potential(V, grid)), grid, 0.001)
+    assert both.static_phase is None
+    assert spans._advance_attrs((both, np.stack((values, values)), 0.0), {}, None) == 1
 
 
 def test_trajectory_parameters_keep_their_names():
@@ -131,11 +136,12 @@ def traced_sweep(spans, monkeypatch, cfg_path, out, *argv):
 def test_traced_sweep_yields_every_layer_metric(spans, monkeypatch, tmp_path):
     metrics, _ = traced_sweep(spans, monkeypatch, tiny_config(tmp_path), tmp_path / "out")
     # 1D n=256, T=0.25, eps=0.2: 40 steps per system, 21 frames of which
-    # the 11 even ones hold a stored velocity field
+    # the 11 even ones hold a stored velocity field.  A 1D row marches its
+    # two systems as one stack, so each traced step advances both.
     assert metrics["harness.rows"] == 1
     assert metrics["harness.row_computations"] == 1
     assert metrics["harness.invalid_rows"] == 0
-    assert metrics["solver.steps"] == 80
+    assert metrics["solver.steps"] == 40
     assert metrics["bohm.history_bytes"] == 2 * 11 * 256 * 8
     assert metrics["bohm.traj_velocity_evals"] == 2 * 100 * (5 * 6 - 4)
     assert metrics["measure.injectivity_calls"] == 2
@@ -158,9 +164,10 @@ def test_traced_forked_sweep_records_every_layer_in_the_calling_process(
     # share of the rows (the longest), or every layer goes silent
     path = tiny_two_row_config(tmp_path)
     metrics, _ = traced_sweep(spans, monkeypatch, path, tmp_path / "out", "--threads", "2")
-    # eps 0.1, T=0.25: 80 steps per system; eps 0.2 runs in the child
+    # eps 0.1, T=0.25: 80 steps, each advancing both systems' stack; eps
+    # 0.2 runs in the child
     assert metrics["harness.rows"] == 1
-    assert metrics["solver.steps"] == 160
+    assert metrics["solver.steps"] == 80
     assert metrics["fieldio.save_calls"] == 4  # the parent writes every snapshot
 
 
