@@ -136,14 +136,14 @@ def densities(
     otherwise), returns their fields in order, computed over one stack of
     the states in one pass, each equal bit for bit to the state's own.
     """
-    if isinstance(psi, WaveFunction):
-        return _stacked_densities(psi.grid, psi.time, psi.values[np.newaxis])[0]
-    states = tuple(psi)
+    single = isinstance(psi, WaveFunction)
+    states = (psi,) if single else tuple(psi)
     for other in states[1:]:
         _check_paired(states[0], other)
-    return _stacked_densities(
-        states[0].grid, states[0].time, np.stack([s.values for s in states])
-    )
+    # a lone state's stack is a view of its values, not a copy
+    stack = np.stack([s.values for s in states]) if len(states) > 1 else states[0].values[np.newaxis]
+    fields = _stacked_densities(states[0].grid, states[0].time, stack)
+    return fields[0] if single else fields
 
 
 def _stacked_densities(grid: Grid, time: float, values: np.ndarray) -> tuple[DensityFields, ...]:

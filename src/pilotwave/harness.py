@@ -24,6 +24,7 @@ import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -160,7 +161,7 @@ class ExperimentConfig:
         # every float and list entry: a config built in Python fails as a YAML one does
         for name, section in self.to_mapping().items():
             for key, value in section.items():
-                values = value if isinstance(value, tuple) else (value,)
+                values = value if isinstance(value, (tuple, list)) else (value,)
                 if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                     raise ConfigError(f"config key '{name}.{key}' must be finite, got {value!r}")
         s = self.sweep
@@ -596,32 +597,24 @@ def _propagate_and_record(
     The trajectory step is four frames (``_step_plan``), so its RK4 stages
     read only the even frames; the odd ones are measured, never stored.
 
-    On a grid below ``LANE_MIN_POINTS`` points the two states march as the
-    rows of one stack through one stepper, and each frame measures the
-    stack in one pass; the monitors still judge each state.  On a larger
-    grid each system has its own stepper.  There, with a ``lane``, the
-    effective system's steps and frame densities run on it, and so does
-    each frame's Gronwall term: the lane takes tasks in order, so a frame's
-    term runs just before the effective system's next stride, which is
-    shorter than the oscillating one.  The terms keep frame order, and
-    every one has ended or been cancelled before this returns or raises.
-    The monitors and the history writes stay on the calling thread.  Either
-    way every state gets the same bits."""
+    Each stepper marches a stack: on a grid below ``LANE_MIN_POINTS``
+    points one stepper marches the two states as its two rows, and on a
+    larger grid each system has its own one-row stack.  Each frame measures
+    each stack in one pass; the monitors still judge each state.  On a
+    large grid with a ``lane``, the effective system's steps and frame
+    densities run on it, and so does each frame's Gronwall term: the lane
+    takes tasks in order, so a frame's term runs just before the effective
+    system's next stride, which is shorter than the oscillating one.  The
+    terms keep frame order, and every one has ended or been cancelled
+    before this returns or raises.  The monitors and the history writes
+    stay on the calling thread.  Either way every state gets the same
+    bits."""
     grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
     system = OscillatingSystem(V, eps)
-    stacked = grid.size < LANE_MIN_POINTS
-    if stacked:
-        steppers = (StrangStepper((system, Vstar), grid, row.dt),)
-        start = (np.stack((psi0.values, psi0.values)),)
-    else:
-        steppers = (StrangStepper(system, grid, row.dt), StrangStepper(Vstar, grid, row.dt))
-        start = (psi0.values, psi0.values)
-
-    def adopt(states: tuple[np.ndarray, ...], t: float) -> tuple[WaveFunction, ...]:
-        if stacked:
-            return WaveFunction._adopt_rows(grid, states[0], t)
-        return tuple(WaveFunction._adopt(grid, v, t) for v in states)
+    groups = [(system, Vstar)] if grid.size < LANE_MIN_POINTS else [(system,), (Vstar,)]
+    steppers = [StrangStepper(group, grid, row.dt) for group in groups]
+    start = [np.broadcast_to(psi0.values, (len(group),) + grid.shape) for group in groups]
 
     n_frames = row.n_steps // row.stride
     u_osc = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
@@ -637,11 +630,9 @@ def _propagate_and_record(
 
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         nonlocal boundary_max, final_densities
-        wf_o, wf_e = adopt(states, t)
-        if stacked:
-            d_o, d_e = densities((wf_o, wf_e))
-        else:
-            d_o, d_e = side_by_side(lane, densities, (wf_o, wf_e))
+        stacks = [WaveFunction._adopt_rows(grid, s, t) for s in states]
+        wf_o, wf_e = sum(stacks, ())
+        d_o, d_e = sum(side_by_side(lane, densities, stacks), ())
         for i, d in enumerate((d_o, d_e)):
             bmass = boundary_mass_fraction(grid, d.rho)
             boundary_max = max(boundary_max, bmass)
@@ -669,7 +660,7 @@ def _propagate_and_record(
         wait(b_futures)
     T = config.sweep.horizon
     recording = _Recording(
-        final_states=adopt(tuple(finals), T),
+        final_states=sum((WaveFunction._adopt_rows(grid, s, T) for s in finals), ()),
         final_densities=final_densities,
         b_eps_avg=float(np.mean(b_vals)),
         boundary_mass=boundary_max,
@@ -793,7 +784,9 @@ def run_sweep(
 
     When ``out_dir`` is given, report.csv and report.json are written there,
     then, when the config asks for them, the final-state field snapshots of
-    every valid row (each row's own final states).
+    every valid row (each row's own final states).  A write that fails
+    removes the files written before it and raises ConfigError naming its
+    path.
     """
     if threads is not None and threads < 1:
         raise ConfigError(f"the worker count must be >= 1, got {threads}")
@@ -830,15 +823,28 @@ def run_sweep(
     report = ConvergenceReport(rows=tuple(rows), metadata=metadata)
 
     if out is not None:
-        emit_csv(report, out / "report.csv")
-        emit_json(report, out / "report.json")
-        if config.output.save_fields:
-            for i, row in enumerate(rows):
-                if row.valid:
-                    wf_osc, wf_eff = row.final_states
-                    save_field(out / f"psi_eps{i}_oscillating.field", wf_osc)
-                    save_field(out / f"psi_eps{i}_effective.field", wf_eff)
+        _write_outputs(report, out, config.output.save_fields)
     return report
+
+
+def _write_outputs(report: ConvergenceReport, out: Path, save_fields: bool) -> None:
+    """``run_sweep``'s files, in order; a write that fails removes those
+    written before it and raises ConfigError naming its path."""
+    writes = [
+        (out / "report.csv", partial(emit_csv, report)),
+        (out / "report.json", partial(emit_json, report)),
+    ]
+    for i, row in enumerate(report.rows):
+        if save_fields and row.valid:
+            for kind, wf in zip(("oscillating", "effective"), row.final_states):
+                writes.append((out / f"psi_eps{i}_{kind}.field", partial(save_field, wf=wf)))
+    for k, (path, write) in enumerate(writes):
+        try:
+            write(path)
+        except OSError as exc:
+            for done, _ in writes[:k]:
+                done.unlink(missing_ok=True)
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _deal_longest_first(n_steps: list[int], bins: int) -> list[list[int]]:

@@ -7,8 +7,8 @@ Units: hbar = m = 1, Hamiltonian -0.5*Laplacian + V.  One Strang step is
 half kinetic / full potential phase / half kinetic; the potential phase for
 the fast-oscillating system uses the exact time integral of the temporal
 factor over the step, so the oscillation is never aliased regardless of dt.
-One ``StrangStepper`` steps one system, or several systems' states stacked
-as the rows of one array, each row equal bit for bit to its own step.
+Every state a ``StrangStepper`` steps is a stack: its systems' states as
+the rows of one array, each row equal bit for bit to its own step.
 """
 
 from __future__ import annotations
@@ -184,74 +184,60 @@ def _as_vector(grid: Grid, value, name: str) -> np.ndarray:
 # ``multiply(t, k)`` (its temporary elision), and a complex product's last
 # bit depends on the operand order.  A step writes its kinetic products in
 # the order numpy picks for ``kin * fftn(state)`` on one state, so that a
-# state gets the same bits alone or in a stack.
+# state gets the same bits in a stack of one row or of several.
 _ELISION_BYTES = 256 * 1024
 
 
 class StrangStepper:
-    """The Strang step of an ``OscillatingSystem`` or a ``StaticPotential``,
-    or of a sequence of them marched as one stack, with its grid-dependent
-    factors cached for a fixed dt.
+    """The Strang step of a sequence of ``OscillatingSystem``s and
+    ``StaticPotential``s marched as one stack, at most one of them
+    oscillating, with its grid-dependent factors cached for a fixed dt.
 
-    Given a sequence, ``advance`` takes and returns a ``(k, *grid.shape)``
-    stack whose row ``i`` is system ``i``'s state, at most one of them
-    oscillating, and each row equals the state its own stepper would give,
-    bit for bit: one transform per half step serves every row, the
+    Every state is a stack: ``advance`` takes and returns a
+    ``(k, *grid.shape)`` array whose row ``i`` is system ``i``'s state, and
+    each row equals bit for bit the state that a stepper of its system
+    alone gives.  One transform per half step serves every row, the
     kinetic factor ``kin`` broadcasts over the rows, the static rows of the
     potential phase are set once and an oscillating row is rewritten in
     place each step.  A raw step: it checks neither the sign of ``dt`` nor
     the fast-period rule (``propagate`` does).  ``static_phase`` is None
-    when the potential phase changes from step to step (an oscillating
-    system, alone or in a stack).
+    when a row oscillates, so that the phase changes from step to step.
     """
 
     def __init__(
         self,
-        systems: OscillatingSystem | StaticPotential | Sequence[OscillatingSystem | StaticPotential],
+        systems: Sequence[OscillatingSystem | StaticPotential],
         grid: Grid,
         dt: float,
     ):
-        stacked = not isinstance(systems, (OscillatingSystem, StaticPotential))
-        group = tuple(systems) if stacked else (systems,)
-        oscillating = [i for i, s in enumerate(group) if isinstance(s, OscillatingSystem)]
-        if len(oscillating) > 1:
+        systems = tuple(systems)
+        if sum(isinstance(s, OscillatingSystem) for s in systems) > 1:
             raise UsageError("a stepper steps at most one oscillating system")
         self.dt = dt
         self._dim = grid.dim
         self.kin = np.exp(-1j * grid.k_squared() * dt / 4.0)
         self._elided = grid.size * np.dtype(np.complex128).itemsize >= _ELISION_BYTES
-        # the stack's phase rows, or None for one system's phase
-        self._phases = np.empty((len(group),) + grid.shape, dtype=np.complex128) if stacked else None
-        self.static_phase = None
-        for i, system in enumerate(group):
+        self._phases = np.empty((len(systems),) + grid.shape, dtype=np.complex128)
+        self.static_phase = self._phases
+        for i, system in enumerate(systems):
             if isinstance(system, OscillatingSystem):
                 self.w = system.potential.spatial_values(grid)
                 self.V = system.potential
                 self.eps = system.eps
                 self._row = i
-                continue
-            if system.grid != grid:
+                self.static_phase = None
+            elif system.grid != grid:
                 raise UsageError("potential grid does not match wave function grid")
-            phase = np.exp(-1j * system.values * dt)
-            if stacked:
-                self._phases[i] = phase
             else:
-                self.static_phase = phase
-        if stacked and not oscillating:
-            self.static_phase = self._phases
+                self._phases[i] = np.exp(-1j * system.values * dt)
 
     def advance(self, values: np.ndarray, t: float) -> np.ndarray:
-        """The state (or stack) one step of ``dt`` after ``values`` at time ``t``."""
-        phase = self.static_phase
-        if phase is None:
+        """The stack one step of ``dt`` after ``values`` at time ``t``."""
+        if self.static_phase is None:
             scalar = self.V.temporal_integral(t, t + self.dt, self.eps)
-            if self._phases is None:
-                phase = _oscillating_phase(self.w, scalar)
-            else:
-                _oscillating_phase(self.w, scalar, out=self._phases[self._row])
-                phase = self._phases
+            _oscillating_phase(self.w, scalar, out=self._phases[self._row])
         v = ifftn(self._kinetic(fftn(values, self._dim)), self._dim)
-        np.multiply(phase, v, out=v)
+        np.multiply(self._phases, v, out=v)
         return ifftn(self._kinetic(fftn(v, self._dim)), self._dim)
 
     def _kinetic(self, vhat: np.ndarray) -> np.ndarray:
@@ -261,19 +247,17 @@ class StrangStepper:
         return np.multiply(self.kin, vhat, out=vhat)
 
 
-def _oscillating_phase(w: np.ndarray, s: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.exp(-1j * w * s)`` bit for bit, as ``cos(theta) + i sin(theta)``.
+def _oscillating_phase(w: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """``np.exp(-1j * w * s)`` bit for bit, as ``cos(theta) + i sin(theta)``,
+    written into ``out`` (complex128, of ``w``'s shape) and returned.
 
     ``theta = 0.0 - w*s`` is exactly the imaginary part of numpy's argument,
     whose real part is +0.0, and numpy's complex exp of ``0 + i theta`` is
     ``cos(theta) + i sin(theta)`` on the pinned numpy, which a test checks;
-    the real pair costs less than the complex exp.  Writes into ``out``
-    (complex128, of ``w``'s shape) when given, else into a new array.
+    the real pair costs less than the complex exp.
     """
     theta = np.multiply(w, s)
     np.subtract(0.0, theta, out=theta)
-    if out is None:
-        out = np.empty(theta.shape, dtype=np.complex128)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
@@ -289,7 +273,7 @@ def lockstep(
     lane: Executor | None = None,
 ) -> list[np.ndarray]:
     """March each state with its own stepper, side by side at a shared dt;
-    a state may be a stack that its stepper marches as one.
+    every state is a stack that its stepper marches as one.
 
     ``stride`` must divide ``n_steps`` (UsageError otherwise).  Calls
     ``on_frame(frame, t, states)`` for frame 0 at ``t0`` and then after
@@ -405,14 +389,14 @@ def propagate(
     wanted = {_snap_index(t, dt, n_steps, T) for t in snapshot_times}
     if T == 0:
         return [psi0]
-    stepper = StrangStepper(system, psi0.grid, dt)
+    stepper = StrangStepper((system,), psi0.grid, dt)
     h1_initial = norms(psi0.grid, psi0.values).h1
 
     out: list[WaveFunction] = []
 
     def snapshot(idx: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         if idx in wanted:
-            wf = psi0 if idx == 0 else WaveFunction._adopt(psi0.grid, states[0], t)
+            wf = psi0 if idx == 0 else WaveFunction._adopt(psi0.grid, states[0][0], t)
             check_monitors(
                 boundary_mass_fraction(wf.grid, np.abs(wf.values) ** 2),
                 norms(wf.grid, wf.values).h1,
@@ -422,7 +406,7 @@ def propagate(
             )
             out.append(wf)
 
-    lockstep((stepper,), (psi0.values,), psi0.time, n_steps, 1, snapshot)
+    lockstep((stepper,), (psi0.values[np.newaxis],), psi0.time, n_steps, 1, snapshot)
     return out
 
 
@@ -450,7 +434,7 @@ def _check_paired(psi_a: WaveFunction, psi_b: WaveFunction) -> None:
 def h1_distance(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
     """H1 norm of the difference; requires matching grid and time stamp."""
     _check_paired(psi_a, psi_b)
-    return norms(psi_a.grid, psi_a.values - psi_b.values).h1
+    return float(norms(psi_a.grid, psi_a.values - psi_b.values).h1)
 
 
 def gronwall_integrand(

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import threading
 import time
 import typing
@@ -160,11 +161,27 @@ class TestConfig:
             ({"solver": SolverSpec(dt_cap=math.inf)}, "solver.dt_cap"),
             ({"potential": PotentialSpec(analytic_mean=math.nan)}, "potential.analytic_mean"),
             ({"initial_state": InitialStateSpec(center=(-math.inf,))}, "initial_state.center"),
+            # a list once skipped the check: the sweep ran a whole row before
+            # a UsageError ended it with no report
+            ({"sweep": SweepSpec(delta_list=[math.nan])}, "sweep.delta_list"),
+            ({"initial_state": InitialStateSpec(center=[math.nan])}, "initial_state.center"),
+            ({"initial_state": InitialStateSpec(momentum=[0.0, math.inf])}, "initial_state.momentum"),
         ],
     )
     def test_non_finite_number_built_in_python_rejected(self, kwargs, key):
         with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
             ExperimentConfig(**kwargs)
+
+    def test_a_list_hashes_as_its_tuple(self):
+        as_list = ExperimentConfig(
+            initial_state=InitialStateSpec(center=[0.5], momentum=[1.0]),
+            sweep=SweepSpec(delta_list=[0.05, 0.2]),
+        )
+        as_tuple = ExperimentConfig(
+            initial_state=InitialStateSpec(center=(0.5,), momentum=(1.0,)),
+            sweep=SweepSpec(delta_list=(0.05, 0.2)),
+        )
+        assert as_list.config_hash() == as_tuple.config_hash()
 
     def test_int_for_a_float_is_kept_as_given(self):
         data = yaml.safe_load(BENCH_YAML)
@@ -549,6 +566,27 @@ class TestRunSweep:
         assert len(report.rows) == 1
         assert all(len(v) == 0 for v in report.ratios().values())
         assert not report.partial
+
+    def test_every_float_column_is_a_python_float(self):
+        # h1_wave was once a numpy scalar, the one among the columns
+        row = run_sweep(small_config(eps_list=(0.2,)), threads=1).rows[0]
+        assert row.valid
+        floats = [f.name for f in dataclasses.fields(SweepRow) if f.type == "float"]
+        assert "h1_wave" in floats
+        for name in floats:
+            assert type(getattr(row, name)) is float, name
+        assert all(type(d) is float and type(v) is float for d, v in row.traj_dev)
+
+    @pytest.mark.parametrize("blocked", ["report.csv", "report.json", "psi_eps0_effective.field"])
+    def test_failed_write_leaves_no_partial_report(self, tmp_path, blocked):
+        # a directory in the way of one output; the sweep once raised a raw
+        # IsADirectoryError and left the files written before it
+        cfg = dataclasses.replace(small_config(eps_list=(0.2,)), output=OutputSpec(save_fields=True))
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {out / blocked}")):
+            run_sweep(cfg, threads=1, out_dir=out)
+        assert [p.name for p in out.iterdir()] == [blocked]
 
     def test_rows_ordered_and_ratios(self):
         cfg = small_config()
@@ -1099,6 +1137,17 @@ class TestCli:
         assert (out / "report.json").exists()
         parsed = json.loads((out / "report.json").read_text())
         assert len(parsed["rows"]) == 2
+
+    def test_report_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.yaml"
+        cfg_path.write_text(BENCH_YAML)
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--threads", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'report.json'}")
+        assert [p.name for p in out.iterdir()] == ["report.json"]
 
     def test_config_error_stops_the_sweep_before_any_row(self, tmp_path, monkeypatch, capsys):
         # the eps-scaled bump pushes the eps=1 state past |x| <= L/2; the

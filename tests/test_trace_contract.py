@@ -47,18 +47,18 @@ def test_every_target_resolves(spans):
 def test_stepper_exposes_system_kind(spans):
     grid = make_grid(1, 64, 8.0)
     V = TimePeriodicPotential(one_plus_cos(), harmonic())
-    osc = StrangStepper(OscillatingSystem(V, 0.1), grid, 0.001)
-    eff = StrangStepper(effective_potential(V, grid), grid, 0.001)
+    osc = StrangStepper((OscillatingSystem(V, 0.1),), grid, 0.001)
+    eff = StrangStepper((effective_potential(V, grid),), grid, 0.001)
     assert osc.static_phase is None
     assert eff.static_phase is not None
-    values = np.ones(grid.shape, dtype=np.complex128)
+    values = np.ones((1,) + grid.shape, dtype=np.complex128)
     assert spans._advance_attrs((osc, values, 0.0), {}, None) == 1
     assert spans._advance_attrs((eff, values, 0.0), {}, None) == 0
     # a stack with an oscillating row has no static phase: its steps count
     # as the oscillating system's
     both = StrangStepper((OscillatingSystem(V, 0.1), effective_potential(V, grid)), grid, 0.001)
     assert both.static_phase is None
-    assert spans._advance_attrs((both, np.stack((values, values)), 0.0), {}, None) == 1
+    assert spans._advance_attrs((both, np.concatenate((values, values)), 0.0), {}, None) == 1
 
 
 def test_trajectory_parameters_keep_their_names():
