@@ -14,12 +14,12 @@ axis goes through the one-axis ``scipy.fft.fft``/``ifft``.  They equal
 results hang on the numpy and scipy versions together.  A stack of
 states, an array of shape ``(k, *grid.shape)``, is transformed over its
 last ``grid.dim`` axes in one call, and each state's transform equals its
-own bit for bit; ``gradient_values`` takes such a stack too.  Per-axis
-wavenumbers are k = pi*m/half_width for integer m in [-n/2, n/2), stored
-in numpy's standard FFT ordering (0, 1, ..., n/2-1, -n/2, ..., -1
-scaled).  All integrals are plain dx^N Riemann sums, which on a periodic
-grid coincide with the trapezoidal rule and are spectrally accurate for
-smooth fields.
+own bit for bit; ``gradient_values`` and ``laplacian_values`` take such
+a stack too.  Per-axis wavenumbers are k = pi*m/half_width for integer m
+in [-n/2, n/2), stored in numpy's standard FFT ordering (0, 1, ...,
+n/2-1, -n/2, ..., -1 scaled).  All integrals are plain dx^N Riemann
+sums, which on a periodic grid coincide with the trapezoidal rule and
+are spectrally accurate for smooth fields.
 """
 
 from __future__ import annotations
@@ -189,8 +189,13 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Spectral Laplacian of a raw array, preserving realness of the input."""
-    res = ifftn(-grid.k_squared() * fftn(values))
+    """Spectral Laplacian of a raw array, preserving realness of the input.
+
+    A stack of shape ``(k, *grid.shape)`` is transformed over its last
+    ``grid.dim`` axes only, so each state's Laplacian equals its own bit
+    for bit.
+    """
+    res = ifftn(-grid.k_squared() * fftn(values, grid.dim), grid.dim)
     return res.real if np.isrealobj(values) else res
 
 

@@ -7,8 +7,10 @@ reports every convergence metric per epsilon.  The config is checked
 once; then every row builds its own inputs, in whichever process runs it.
 With a spare worker, the rows of a small-grid sweep are dealt longest
 first to the calling process and forked ones; on a large grid they run
-one at a time, and each row steps and measures its averaged system on the
-sweep's one lane thread.  All randomness comes from per-purpose streams
+one at a time.  A worker left over gives the calling process's rows the
+sweep's one lane thread: there each row builds its injectivity pair list
+and runs one monitor, and a large-grid row also steps and measures its
+averaged system.  All randomness comes from per-purpose streams
 derived from the master seed, and processes and lanes only move whole
 rows and calls, so the worker count cannot affect results.
 """
@@ -44,6 +46,8 @@ from .errors import ConfigError, MonitorAbort, UsageError
 from .fieldio import save_field
 from .grid import Grid, boundary_mass_fraction, make_grid, norms
 from .measure import (
+    PAIR_BLOCK,
+    NeighbourPairs,
     bohmian_measure,
     flow_injectivity_monitor,
     injectivity_pairs,
@@ -488,10 +492,13 @@ def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = Non
     returns; it checks no config, so ``run_sweep`` is the way to run rows.
     Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
     row invalid with a reason instead of raising.  A valid row carries its
-    final states.  With a ``lane`` executor the averaged system is stepped
-    and measured there, beside the oscillating one (see ``lockstep``), and
-    the Gronwall term is computed there; the row is the same with or
-    without it, and no task it puts on the lane outlives it.
+    final states.  With a ``lane`` executor, the pair list of the
+    injectivity monitors is built there while the row's thread integrates
+    the second trajectory ensemble, and one of the two monitors runs there;
+    on a grid of at least ``LANE_MIN_POINTS`` points the averaged system is
+    also stepped and measured there, beside the oscillating one (see
+    ``lockstep``), and the Gronwall term is computed there.  The row is the
+    same with or without it, and no task it puts on the lane outlives it.
     """
     t_start = time.perf_counter()
     row = _row_inputs(config, eps)
@@ -577,13 +584,17 @@ def _run_single_metrics(
     trajectories, measures.
 
     The velocity histories are the row's largest arrays; the trajectory
-    stage is their last user, so they are gone before the flat distance.
+    stage is their last user, so they are gone before the flat distance,
+    and without a lane before the injectivity pair list too.
     """
     recording, velocity_frames = _propagate_and_record(config, eps, row, lane)
     metrics = _wave_metrics(recording)
-    ensembles = _trajectories(config, row, *velocity_frames)
+    ensembles, pairs = _trajectories(config, row, *velocity_frames, lane)
     del velocity_frames
-    metrics.update(_measures(config, recording, ensembles))
+    if pairs is None:
+        ens_osc = ensembles[0]
+        pairs = injectivity_pairs(ens_osc.initial_points, ens_osc.valid)
+    metrics.update(_measures(config, recording, ensembles, pairs, lane))
     return metrics, recording.final_states
 
 
@@ -598,22 +609,27 @@ def _propagate_and_record(
     read only the even frames; the odd ones are measured, never stored.
 
     Each stepper marches a stack: on a grid below ``LANE_MIN_POINTS``
-    points one stepper marches the two states as its two rows, and on a
-    larger grid each system has its own one-row stack.  Each frame measures
-    each stack in one pass; the monitors still judge each state.  On a
-    large grid with a ``lane``, the effective system's steps and frame
-    densities run on it, and so does each frame's Gronwall term: the lane
-    takes tasks in order, so a frame's term runs just before the effective
-    system's next stride, which is shorter than the oscillating one.  The
-    terms keep frame order, and every one has ended or been cancelled
-    before this returns or raises.  The monitors and the history writes
-    stay on the calling thread.  Either way every state gets the same
-    bits."""
+    points one stepper marches the two states as its two rows, and the lane
+    takes no part here (one stack leaves it nothing, and a 1D frame's
+    Gronwall term costs less than its hand-off); on a larger grid each
+    system has its own one-row stack, and the two steppers share one
+    kinetic factor.  Each frame measures each stack in one pass; the
+    monitors still judge each state.  On a large grid with a ``lane``, the
+    effective system's steps and frame densities run on it, and so does
+    each frame's Gronwall term: the lane takes tasks in order, so a frame's
+    term runs just before the effective system's next stride, which is
+    shorter than the oscillating one.  The terms keep frame order, and
+    every one has ended or been cancelled before this returns or raises.
+    The monitors and the history writes stay on the calling thread.  Either
+    way every state gets the same bits."""
     grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
     system = OscillatingSystem(V, eps)
     groups = [(system, Vstar)] if grid.size < LANE_MIN_POINTS else [(system,), (Vstar,)]
-    steppers = [StrangStepper(group, grid, row.dt) for group in groups]
+    if len(groups) == 1:
+        lane = None
+    steppers = [StrangStepper(groups[0], grid, row.dt)]
+    steppers += [StrangStepper(g, grid, row.dt, _kin=steppers[0].kin) for g in groups[1:]]
     start = [np.broadcast_to(psi0.values, (len(group),) + grid.shape) for group in groups]
 
     n_frames = row.n_steps // row.stride
@@ -687,31 +703,54 @@ def _wave_metrics(recording: _Recording) -> dict[str, Any]:
 
 
 def _trajectories(
-    config: ExperimentConfig, row: _RowInputs, u_osc: np.ndarray, u_eff: np.ndarray
-) -> tuple[TrajectoryEnsemble, TrajectoryEnsemble]:
+    config: ExperimentConfig,
+    row: _RowInputs,
+    u_osc: np.ndarray,
+    u_eff: np.ndarray,
+    lane: Executor | None,
+) -> tuple[tuple[TrajectoryEnsemble, TrajectoryEnsemble], NeighbourPairs | None]:
     """Paired ensembles from one seeded sample of the initial density, one
     through each velocity history; the histories die with this stage.  The
     stored frames' times come from the step plan, bit for bit as
     ``lockstep`` stamped them.  An RK4 step spans two history intervals,
-    so its midpoint is a stored frame."""
+    so its midpoint is a stored frame.
+
+    With a ``lane``, this also returns the injectivity pair list of every
+    sample, built there while this thread integrates the second ensemble
+    (started beside the first as well, it raised the peak RSS of a 1D row
+    of 20000 samples by about 2 MB).  The list depends only on the start points and the valid
+    samples, and a monitor whose ensemble lost a sample builds its own, so
+    the lane moves where a list is built, never its pairs.  Without a lane
+    the list is None."""
     sampling_seed, _ = _derived_seeds(config.sweep.seed)
     x0 = sample_initial_positions(
         np.abs(row.psi0.values) ** 2, row.grid, config.sweep.ensemble_size, sampling_seed
     )
     history_times = np.arange(0, row.n_steps + 1, 2 * row.stride) * row.dt
     out_times = history_times[::2]
-    return (
-        integrate_trajectories(FieldHistory(row.grid, history_times, u_osc), x0, out_times),
-        integrate_trajectories(FieldHistory(row.grid, history_times, u_eff), x0, out_times),
+    ens_osc = integrate_trajectories(FieldHistory(row.grid, history_times, u_osc), x0, out_times)
+    eff = partial(integrate_trajectories, FieldHistory(row.grid, history_times, u_eff), x0, out_times)
+    if lane is None:
+        return (ens_osc, eff()), None
+    every_sample = np.ones(len(x0), dtype=bool)
+    ens_eff, pairs = side_by_side(
+        lane, lambda task: task(), [eff, partial(injectivity_pairs, x0, every_sample)]
     )
+    return (ens_osc, ens_eff), pairs
 
 
 def _measures(
     config: ExperimentConfig,
     recording: _Recording,
     ensembles: tuple[TrajectoryEnsemble, TrajectoryEnsemble],
+    pairs: NeighbourPairs,
+    lane: Executor | None,
 ) -> dict[str, Any]:
-    """Mono-kinetic flat distance, deviation fractions and flow injectivity."""
+    """Mono-kinetic flat distance, deviation fractions and flow injectivity.
+
+    ``pairs`` serves each ensemble that it fits; with a ``lane`` the two
+    monitors run side by side, each measuring half a block of pairs at a
+    time, so that together they hold what one monitor holds alone."""
     _, dictionary_seed = _derived_seeds(config.sweep.seed)
     dens_osc, dens_eff = recording.final_densities
     mono_dev = monokinetic_deviation(
@@ -725,13 +764,14 @@ def _measures(
         (d, trajectory_deviation_measure(ens_osc, ens_eff, d))
         for d in config.sweep.delta_list
     )
-    # both ensembles start from the same points: one pair list serves both
-    # unless a sample escaped from one and not the other
-    pairs = injectivity_pairs(ens_osc)
-    reports = [
-        flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None)
-        for ens in ensembles
-    ]
+    block = PAIR_BLOCK if lane is None else PAIR_BLOCK // 2
+    reports = side_by_side(
+        lane,
+        lambda ens: flow_injectivity_monitor(
+            ens, pairs=pairs if pairs.fits(ens) else None, block=block
+        ),
+        ensembles,
+    )
     violations = [r.first_violation_time for r in reports if r.first_violation_time is not None]
     return {
         "monokinetic_dev": mono_dev,
@@ -743,9 +783,10 @@ def _measures(
 
 # Grids below this many points step too fast for a lane to pay for its
 # hand-offs; a row on such a grid marches its two systems as one stack
-# instead.  The placement and resolution rules admit no Gaussian row
-# below n = 256 per axis, so every 2D and 3D row takes the lane when a
-# second worker is allowed, and every 1D row marches as one stack.
+# instead, and propagates without the lane.  The placement and resolution
+# rules admit no Gaussian row below n = 256 per axis, so every 2D and 3D
+# row propagates with the lane when a second worker is allowed, and every
+# 1D row marches as one stack.
 LANE_MIN_POINTS = 2**16
 
 
@@ -770,11 +811,13 @@ def run_sweep(
     step count into ``min(workers, rows)`` bins, longest first
     (``_deal_longest_first``); on a larger grid they form one bin.  The
     calling process runs bin 0 and a fork pool runs every other bin (see
-    ``_run_rows``).  With at least two workers on a large grid the sweep
-    opens one helper thread, on which each row in turn steps and measures
-    its averaged system (see ``run_single``).  A multi-row large grid stays
-    in one bin: two such rows at once would double the memory of a row.
-    The count never changes a result.
+    ``_run_rows``).  When a worker is left over (more workers than
+    processes) the sweep opens one helper thread, the lane, for the rows of
+    the calling process: each in turn builds its injectivity pair list and
+    runs one monitor there, and on a large grid also steps and measures its
+    averaged system there (see ``run_single``).  A multi-row large grid
+    stays in one bin: two such rows at once would double the memory of a
+    row.  The count never changes a result.
 
     The config is checked (``_check_config``), then ``out_dir`` is created,
     so a config error or an unusable output directory raises ConfigError
@@ -803,9 +846,10 @@ def run_sweep(
     small_grid = config.grid.n_per_axis**config.grid.dim < LANE_MIN_POINTS
     processes = min(workers, len(eps_list)) if small_grid else 1
     bins = _deal_longest_first([n_steps for n_steps, _, _ in plans], processes)
-    # the lane thread and the pool are shut down on every way out
+    # the lane thread and the pool are shut down on every way out; the lane
+    # starts its thread at its first task, after the pool has forked
     with (
-        ThreadPoolExecutor(max_workers=1) if workers >= 2 and not small_grid else nullcontext() as lane,
+        ThreadPoolExecutor(max_workers=1) if workers > processes else nullcontext() as lane,
         _fork_pool(len(bins) - 1) if len(bins) > 1 else nullcontext() as pool,
     ):
         futures = [pool.submit(_run_rows, config, b) for b in bins[1:]]

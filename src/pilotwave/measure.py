@@ -213,7 +213,7 @@ class NeighbourPairs:
     ``base`` is each pair's initial separation, always positive.
     """
 
-    initial_points: np.ndarray  # (M, dim), the ensemble's own array
+    initial_points: np.ndarray  # (M, dim)
     valid: np.ndarray  # (M,) bool
     lo: np.ndarray
     hi: np.ndarray
@@ -226,18 +226,20 @@ class NeighbourPairs:
         )
 
 
-def injectivity_pairs(ens: TrajectoryEnsemble) -> NeighbourPairs:
-    """Each unordered pair of ``N_NEIGHBORS``-nearest initial neighbours once.
+def injectivity_pairs(initial_points: np.ndarray, valid: np.ndarray) -> NeighbourPairs:
+    """Each unordered pair of ``N_NEIGHBORS``-nearest initial neighbours
+    among the ``valid`` samples of ``initial_points``, once.
 
     The k-NN relation is not symmetric, so a pair counts whether one or
-    both of its samples list the other.  Ensembles that share initial
-    points and valid samples share the list.
+    both of its samples list the other.  The list needs no trajectories:
+    it serves every ensemble started from these points that kept exactly
+    these samples (``NeighbourPairs.fits``).
     """
-    valid = np.flatnonzero(ens.valid)
-    m = valid.size
+    kept = np.flatnonzero(valid)
+    m = kept.size
     if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
-    x0 = ens.initial_points[valid]
+    x0 = initial_points[kept]
     tree = cKDTree(x0)
     k = min(N_NEIGHBORS + 1, m)
 
@@ -279,11 +281,11 @@ def injectivity_pairs(ens: TrajectoryEnsemble) -> NeighbourPairs:
         if not keep.any():
             raise UsageError("all neighbor pairs coincide at t=0")
         lo, hi, base = lo[keep], hi[keep], base[keep]
-    return NeighbourPairs(ens.initial_points, ens.valid, lo, hi, base)
+    return NeighbourPairs(initial_points, valid, lo, hi, base)
 
 
 def flow_injectivity_monitor(
-    ens: TrajectoryEnsemble, pairs: NeighbourPairs | None = None
+    ens: TrajectoryEnsemble, pairs: NeighbourPairs | None = None, *, block: int | None = None
 ) -> InjectivityReport:
     """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
 
@@ -293,20 +295,22 @@ def flow_injectivity_monitor(
     already built for an ensemble with the same initial points and valid
     samples.  A ratio below ``VIOLATION_RATIO`` is the proxy for
     trajectory crossing; the first time it happens is reported.
-    The pairs are measured ``PAIR_BLOCK`` at a time, each block at every
-    output time; a min is exact under any blocking.
+    The pairs are measured ``block`` (default ``PAIR_BLOCK``) at a time,
+    each block at every output time; a min is exact under any blocking, so
+    the block sets only the size of the temporaries.
     """
     if pairs is None:
-        pairs = injectivity_pairs(ens)
+        pairs = injectivity_pairs(ens.initial_points, ens.valid)
     elif not pairs.fits(ens):
         raise UsageError("pair list was built for other initial points or valid samples")
+    size = PAIR_BLOCK if block is None else block
     valid = np.flatnonzero(ens.valid)
     ratio = np.full(ens.times.size, np.inf)  # smallest ratio per output time
-    for start in range(0, pairs.base.size, PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
+    for start in range(0, pairs.base.size, size):
+        part = slice(start, start + size)
         # the block's sample indices, translated once for every output time
-        lo, hi = valid[pairs.lo[block]], valid[pairs.hi[block]]
-        base = pairs.base[block]
+        lo, hi = valid[pairs.lo[part]], valid[pairs.hi[part]]
+        base = pairs.base[part]
         for k_t in range(ens.times.size):
             sep = _pair_separation(ens.positions[k_t].T, lo, hi)
             ratio[k_t] = np.minimum(ratio[k_t], np.min(sep / base))

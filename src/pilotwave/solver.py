@@ -197,11 +197,14 @@ class StrangStepper:
     ``(k, *grid.shape)`` array whose row ``i`` is system ``i``'s state, and
     each row equals bit for bit the state that a stepper of its system
     alone gives.  One transform per half step serves every row, the
-    kinetic factor ``kin`` broadcasts over the rows, the static rows of the
-    potential phase are set once and an oscillating row is rewritten in
-    place each step.  A raw step: it checks neither the sign of ``dt`` nor
-    the fast-period rule (``propagate`` does).  ``static_phase`` is None
-    when a row oscillates, so that the phase changes from step to step.
+    kinetic factor ``kin``, of shape ``(1, *grid.shape)``, broadcasts over
+    the rows, the static rows of the potential phase are set once and an
+    oscillating row is rewritten in place each step.  A raw step: it checks
+    neither the sign of ``dt`` nor the fast-period rule (``propagate``
+    does).  ``static_phase`` is None when a row oscillates, so that the
+    phase changes from step to step.  Inside the package, ``_kin`` passes
+    the ``kin`` of another stepper on the same grid with the same ``dt``,
+    so that the steppers of one row share one.
     """
 
     def __init__(
@@ -209,13 +212,17 @@ class StrangStepper:
         systems: Sequence[OscillatingSystem | StaticPotential],
         grid: Grid,
         dt: float,
+        *,
+        _kin: np.ndarray | None = None,
     ):
         systems = tuple(systems)
         if sum(isinstance(s, OscillatingSystem) for s in systems) > 1:
             raise UsageError("a stepper steps at most one oscillating system")
         self.dt = dt
         self._dim = grid.dim
-        self.kin = np.exp(-1j * grid.k_squared() * dt / 4.0)
+        # stored with the stack's leading axis, so that a one-row stack
+        # multiplies two arrays of one shape
+        self.kin = np.exp(-1j * grid.k_squared() * dt / 4.0)[np.newaxis] if _kin is None else _kin
         self._elided = grid.size * np.dtype(np.complex128).itemsize >= _ELISION_BYTES
         self._phases = np.empty((len(systems),) + grid.shape, dtype=np.complex128)
         self.static_phase = self._phases

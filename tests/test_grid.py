@@ -159,6 +159,22 @@ class TestSpectralLaplacian:
         exact = (x**2 - 1.0) * np.exp(-(x**2) / 2.0)
         assert np.max(np.abs(lap - exact)) < 1e-8
 
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_stack_equals_each_row_bit_for_bit(self, dim, n, real):
+        # a (k, *grid.shape) stack is transformed over the grid's axes only,
+        # never across its rows
+        g = make_grid(dim, n, 8.0)
+        rng = np.random.default_rng(dim)
+        stack = rng.normal(size=(2,) + g.shape)
+        if not real:
+            stack = stack + 1j * rng.normal(size=stack.shape)
+        lap = laplacian_values(g, stack)
+        assert lap.shape == stack.shape
+        assert np.isrealobj(lap) == real
+        for row, want in zip(lap, stack):
+            assert np.array_equal(row, laplacian_values(g, want))
+
 
 class TestNorms:
     def test_normalized_gaussian(self):

@@ -18,7 +18,7 @@ import yaml
 from scipy.spatial import cKDTree
 
 from pilotwave.cli import main as cli_main
-from pilotwave.errors import BoundaryMassExceeded, ConfigError, PlacementError
+from pilotwave.errors import BoundaryMassExceeded, ConfigError, PlacementError, TrajectoryEscape
 from pilotwave.fieldio import load_field
 from pilotwave.harness import (
     ConvergenceReport,
@@ -751,6 +751,19 @@ def report_without_wall_time(path: Path) -> str:
     return "\n".join(line for line in path.read_text().splitlines() if '"wall_time"' not in line)
 
 
+class Lane(ThreadPoolExecutor):
+    """A one-thread lane that keeps every future it was given."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
 class TestLanes:
     """A 2D row with a spare worker steps and measures its averaged system on
     a lane thread; nothing it reports may change."""
@@ -808,20 +821,38 @@ class TestLanes:
         # the Gronwall term runs on the lane alone
         assert threads["gronwall"] == threads["advance"] - {threading.get_ident()}
 
+    def test_a_2d_row_builds_one_kinetic_factor(self, monkeypatch):
+        import pilotwave.harness as harness
+
+        factors = []
+        real_lockstep = harness.lockstep
+
+        def lockstep(steppers, *args, **kwargs):
+            factors.extend(s.kin for s in steppers)
+            return real_lockstep(steppers, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "lockstep", lockstep)
+        assert run_single(tiny_2d_config(), 0.2).valid
+        assert len(factors) == 2 and factors[0] is factors[1]
+
+    # ``lanes``: whether the calling process opens the lane, which it does
+    # whenever a worker is left over beside its processes (``workers >
+    # processes``); a 1D row propagates without it but builds its pair list
+    # and runs a monitor there
     @pytest.mark.parametrize(
         "cfg, threads, lanes",
         [
-            (small_config(eps_list=(0.2,)), 2, False),  # 1D: below the lane size
-            (small_config(eps_list=(0.2,)), 8, False),
+            (small_config(eps_list=(0.2,)), 2, True),  # 1D, one row: a spare worker
+            (small_config(eps_list=(0.2,)), 8, True),
             (tiny_2d_config(), 1, False),
             (tiny_2d_config(eps_list=(0.2, 0.1)), 3, True),  # rows share the one lane
             (tiny_2d_config(), 2, True),
             (tiny_2d_config(eps_list=(0.2, 0.1)), 4, True),
             (small_config(), 1, False),
-            (small_config(), 4, False),  # 1D rows in processes
+            (small_config(), 4, True),  # 1D rows in 2 processes, 2 workers to spare
             (tiny_2d_config(eps_list=(0.2, 0.1)), 1, False),
-            (small_config(eps_list=(0.2, 0.1, 0.05)), 2, False),
-            (small_config(eps_list=(0.2, 0.1, 0.05)), 4, False),
+            (small_config(eps_list=(0.2, 0.1, 0.05)), 2, False),  # no worker to spare
+            (small_config(eps_list=(0.2, 0.1, 0.05)), 4, True),
         ],
     )
     def test_lane_needs_a_spare_worker_and_a_large_grid(self, monkeypatch, cfg, threads, lanes):
@@ -854,7 +885,8 @@ class TestLanes:
         eps_list = list(cfg.sweep.eps_list)
         assert [r.eps for r in report.rows] == eps_list
         where = [json.loads(r.reason) for r in report.rows]
-        assert all(lane == lanes for _, lane, _ in where)
+        # only the calling process's rows take the lane; a child has none
+        assert all(lane == (lanes and pid == os.getpid()) for pid, lane, _ in where)
         assert all(ident == threading.get_ident() for _, ident, _ in seen)
         assert len({id(lane) for _, _, lane in seen}) == 1
         # one pool of one lane thread, and no thread pool for the rows
@@ -939,16 +971,6 @@ class TestLanes:
                 raise BoundaryMassExceeded(f"test abort at t={psi_eps.time}")
             return real_gronwall(psi_eps, *args, **kwargs)
 
-        class Lane(ThreadPoolExecutor):
-            def __init__(self):
-                super().__init__(max_workers=1)
-                self.futures = []
-
-            def submit(self, fn, /, *args, **kwargs):
-                future = super().submit(fn, *args, **kwargs)
-                self.futures.append(future)
-                return future
-
         monkeypatch.setattr(harness, "check_monitors", check_monitors)
         monkeypatch.setattr(harness, "gronwall_integrand", gronwall_integrand)
         with Lane() as lane:
@@ -978,6 +1000,135 @@ class TestLanes:
         assert "BoundaryMassExceeded" in laned.reason
         assert laned.reason == serial.reason
         assert threading.active_count() == baseline
+
+
+class TestOneDimensionalLane:
+    """A 1D row with a spare worker propagates on its own thread and puts
+    its injectivity pair list and one monitor on the lane; nothing it
+    reports may change."""
+
+    def test_one_row_sweep_is_byte_identical_with_a_lane(self, monkeypatch, tmp_path):
+        import pilotwave.harness as harness
+
+        cfg = dataclasses.replace(small_config(eps_list=(0.2,)), output=OutputSpec(save_fields=True))
+        serial = run_sweep(cfg, threads=1, out_dir=tmp_path / "serial")
+
+        names = ("densities", "gronwall_integrand", "integrate_trajectories",
+                 "injectivity_pairs", "flow_injectivity_monitor")
+        threads = {name: [] for name in names + ("advance",)}
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+                threads[_name].append(threading.get_ident())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        real_advance = StrangStepper.advance
+
+        def advance(self, values, t):
+            threads["advance"].append(threading.get_ident())
+            return real_advance(self, values, t)
+
+        monkeypatch.setattr(StrangStepper, "advance", advance)
+        laned = run_sweep(cfg, threads=2, out_dir=tmp_path / "laned")
+
+        here = threading.get_ident()
+        for name in ("advance", "densities", "gronwall_integrand", "integrate_trajectories"):
+            assert threads[name] and set(threads[name]) == {here}, name
+        (lane,) = set(threads["injectivity_pairs"])
+        assert lane != here
+        assert sorted(threads["flow_injectivity_monitor"], key=lambda t: t == lane) == [here, lane]
+
+        assert laned.rows[0].valid
+        assert dataclasses.replace(laned.rows[0], wall_time=0.0) == dataclasses.replace(
+            serial.rows[0], wall_time=0.0
+        )
+        files = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "laned").iterdir())
+        assert {"psi_eps0_oscillating.field", "psi_eps0_effective.field"} <= set(files)
+        for name in files:
+            a, b = tmp_path / "serial" / name, tmp_path / "laned" / name
+            if name == "report.json":
+                assert report_without_wall_time(a) == report_without_wall_time(b)
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
+    def test_escaped_samples_give_the_same_injectivity_with_a_lane(self, monkeypatch):
+        # samples of the oscillating ensemble, each row's first, escape, so
+        # the lane's pair list of every sample fits only the averaged one
+        import pilotwave.harness as harness
+
+        real_integrate = harness.integrate_trajectories
+        real_monitor = harness.flow_injectivity_monitor
+        integrated = []
+        given = []  # (every sample valid, pair list given) per monitor call
+
+        def integrate(*args, **kwargs):
+            ens = real_integrate(*args, **kwargs)
+            integrated.append(ens)
+            if len(integrated) % 2:
+                valid = ens.valid.copy()
+                valid[[3, 7, 11]] = False
+                ens = dataclasses.replace(ens, valid=valid)
+            return ens
+
+        def monitor(ens, pairs=None, **kwargs):
+            given.append((bool(ens.valid.all()), pairs is not None))
+            return real_monitor(ens, pairs=pairs, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate_trajectories", integrate)
+        monkeypatch.setattr(harness, "flow_injectivity_monitor", monitor)
+        cfg = small_config(eps_list=(0.2,))
+        serial = run_single(cfg, 0.2)
+        with Lane() as lane:
+            laned = run_single(cfg, 0.2, lane)
+        # without a lane the oscillating ensemble's list serves it and the
+        # averaged ensemble builds its own; with one, the other way round
+        assert given[:2] == [(False, True), (True, False)]
+        assert sorted(given[2:]) == [(False, False), (True, True)]
+        assert serial.valid and laned.valid
+        for name in ("injectivity_ratio", "injectivity_first_violation"):
+            assert repr(getattr(laned, name)) == repr(getattr(serial, name)), name
+        assert dataclasses.replace(laned, wall_time=0.0) == dataclasses.replace(serial, wall_time=0.0)
+
+    def test_trajectory_escape_is_the_same_row_at_one_and_two_threads(self, monkeypatch):
+        # the averaged ensemble escapes while the lane builds the pair list;
+        # a slow build keeps the lane busy when the abort arrives
+        import pilotwave.harness as harness
+
+        real_integrate = harness.integrate_trajectories
+        real_pairs = harness.injectivity_pairs
+        calls = []
+        builds = []
+
+        def integrate(*args, **kwargs):
+            calls.append(threading.get_ident())
+            if len(calls) % 2 == 0:
+                raise TrajectoryEscape("6.0% of trajectory samples left the box (cap 5%)")
+            return real_integrate(*args, **kwargs)
+
+        def injectivity_pairs(*args, **kwargs):
+            builds.append(threading.get_ident())
+            time.sleep(0.1)
+            return real_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate_trajectories", integrate)
+        monkeypatch.setattr(harness, "injectivity_pairs", injectivity_pairs)
+        cfg = small_config(eps_list=(0.2,))
+        baseline = threading.active_count()
+        rows = [run_sweep(cfg, threads=t).rows[0] for t in (1, 2)]
+        assert threading.active_count() == baseline
+        assert set(calls) == {threading.get_ident()}
+        for row in rows:
+            assert not row.valid
+            assert row.reason == "TrajectoryEscape: 6.0% of trajectory samples left the box (cap 5%)"
+        assert dataclasses.replace(rows[0], wall_time=0.0) == dataclasses.replace(rows[1], wall_time=0.0)
+        with Lane() as lane:
+            row = run_single(cfg, 0.2, lane)
+            assert lane.futures and all(f.done() for f in lane.futures)
+        assert row.reason == rows[0].reason
+        # each laned row had its list under way on the lane when it escaped;
+        # the serial row escaped before any list
+        assert len(builds) == 2 and threading.get_ident() not in builds
 
 
 class TestEmitters:

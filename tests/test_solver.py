@@ -391,6 +391,24 @@ class TestStackedStep:
             assert same_bits(stack[0], rows[0]) and same_bits(stack[1], rows[1])
             assert same_bits(one_row[0][0], rows[0]) and same_bits(one_row[1][0], rows[1])
 
+    def test_a_shared_kinetic_factor_steps_to_the_same_bits(self):
+        # a 2D row's two one-row steppers share one kinetic factor, stored
+        # with the stack's leading axis
+        g = make_grid(2, 256, 16.0)
+        V = harmonic_cos_potential()
+        osc, eff = OscillatingSystem(V, 0.1), effective_potential(V, g)
+        dt = 0.1 / 32
+        first = StrangStepper((osc,), g, dt)
+        shared = StrangStepper((eff,), g, dt, _kin=first.kin)
+        own = StrangStepper((eff,), g, dt)
+        assert first.kin.shape == (1,) + g.shape
+        assert shared.kin is first.kin
+        assert same_bits(own.kin, first.kin)
+        a = b = random_values((1,) + g.shape, 3)
+        for k in range(3):
+            a, b = own.advance(a, k * dt), shared.advance(b, k * dt)
+            assert same_bits(a, b)
+
     def test_a_stack_of_static_systems_has_a_static_phase(self):
         g = make_grid(1, 64, 8.0)
         V = harmonic_cos_potential()
