@@ -46,7 +46,6 @@ from .errors import ConfigError, MonitorAbort, UsageError
 from .fieldio import save_field
 from .grid import Grid, boundary_mass_fraction, make_grid, norms
 from .measure import (
-    PAIR_BLOCK,
     NeighbourPairs,
     bohmian_measure,
     flow_injectivity_monitor,
@@ -492,13 +491,15 @@ def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = Non
     returns; it checks no config, so ``run_sweep`` is the way to run rows.
     Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
     row invalid with a reason instead of raising.  A valid row carries its
-    final states.  With a ``lane`` executor, the pair list of the
-    injectivity monitors is built there while the row's thread integrates
-    the second trajectory ensemble, and one of the two monitors runs there;
-    on a grid of at least ``LANE_MIN_POINTS`` points the averaged system is
-    also stepped and measured there, beside the oscillating one (see
-    ``lockstep``), and the Gronwall term is computed there.  The row is the
-    same with or without it, and no task it puts on the lane outlives it.
+    final states.  With a ``lane`` executor, the row's injectivity pair
+    list is built there while the row's thread integrates the second
+    trajectory ensemble, and one of the two monitors runs there; on a grid
+    of at least ``LANE_MIN_POINTS`` points the averaged system is also
+    stepped and measured there, beside the oscillating one (see
+    ``lockstep``), and the Gronwall term is computed there.  The lane moves
+    calls, never changes them: the row makes the same calls with the same
+    arguments with or without it, and no task it puts on the lane outlives
+    it.
     """
     t_start = time.perf_counter()
     row = _row_inputs(config, eps)
@@ -584,16 +585,12 @@ def _run_single_metrics(
     trajectories, measures.
 
     The velocity histories are the row's largest arrays; the trajectory
-    stage is their last user, so they are gone before the flat distance,
-    and without a lane before the injectivity pair list too.
+    stage is their last user, so they are gone before the flat distance.
     """
     recording, velocity_frames = _propagate_and_record(config, eps, row, lane)
     metrics = _wave_metrics(recording)
     ensembles, pairs = _trajectories(config, row, *velocity_frames, lane)
     del velocity_frames
-    if pairs is None:
-        ens_osc = ensembles[0]
-        pairs = injectivity_pairs(ens_osc.initial_points, ens_osc.valid)
     metrics.update(_measures(config, recording, ensembles, pairs, lane))
     return metrics, recording.final_states
 
@@ -708,20 +705,18 @@ def _trajectories(
     u_osc: np.ndarray,
     u_eff: np.ndarray,
     lane: Executor | None,
-) -> tuple[tuple[TrajectoryEnsemble, TrajectoryEnsemble], NeighbourPairs | None]:
+) -> tuple[tuple[TrajectoryEnsemble, TrajectoryEnsemble], NeighbourPairs]:
     """Paired ensembles from one seeded sample of the initial density, one
-    through each velocity history; the histories die with this stage.  The
-    stored frames' times come from the step plan, bit for bit as
-    ``lockstep`` stamped them.  An RK4 step spans two history intervals,
-    so its midpoint is a stored frame.
+    through each velocity history, and the row's injectivity pair list,
+    ``injectivity_pairs`` of the sample; the histories die with this
+    stage.  The stored frames' times come from the step plan, bit for bit
+    as ``lockstep`` stamped them.  An RK4 step spans two history
+    intervals, so its midpoint is a stored frame.
 
-    With a ``lane``, this also returns the injectivity pair list of every
-    sample, built there while this thread integrates the second ensemble
-    (started beside the first as well, it raised the peak RSS of a 1D row
-    of 20000 samples by about 2 MB).  The list depends only on the start points and the valid
-    samples, and a monitor whose ensemble lost a sample builds its own, so
-    the lane moves where a list is built, never its pairs.  Without a lane
-    the list is None."""
+    The list is built beside the second ensemble's integration: on the
+    ``lane`` while this thread integrates, or without one on this thread
+    right after it (started beside the first as well, it raised the peak
+    RSS of a 1D row of 20000 samples by about 2 MB)."""
     sampling_seed, _ = _derived_seeds(config.sweep.seed)
     x0 = sample_initial_positions(
         np.abs(row.psi0.values) ** 2, row.grid, config.sweep.ensemble_size, sampling_seed
@@ -730,12 +725,7 @@ def _trajectories(
     out_times = history_times[::2]
     ens_osc = integrate_trajectories(FieldHistory(row.grid, history_times, u_osc), x0, out_times)
     eff = partial(integrate_trajectories, FieldHistory(row.grid, history_times, u_eff), x0, out_times)
-    if lane is None:
-        return (ens_osc, eff()), None
-    every_sample = np.ones(len(x0), dtype=bool)
-    ens_eff, pairs = side_by_side(
-        lane, lambda task: task(), [eff, partial(injectivity_pairs, x0, every_sample)]
-    )
+    ens_eff, pairs = side_by_side(lane, lambda task: task(), [eff, partial(injectivity_pairs, x0)])
     return (ens_osc, ens_eff), pairs
 
 
@@ -748,9 +738,9 @@ def _measures(
 ) -> dict[str, Any]:
     """Mono-kinetic flat distance, deviation fractions and flow injectivity.
 
-    ``pairs`` serves each ensemble that it fits; with a ``lane`` the two
-    monitors run side by side, each measuring half a block of pairs at a
-    time, so that together they hold what one monitor holds alone."""
+    ``pairs`` serves each ensemble that it fits, and an ensemble that lost
+    samples builds the list of its valid ones; with a ``lane`` the two
+    monitors run side by side."""
     _, dictionary_seed = _derived_seeds(config.sweep.seed)
     dens_osc, dens_eff = recording.final_densities
     mono_dev = monokinetic_deviation(
@@ -764,12 +754,9 @@ def _measures(
         (d, trajectory_deviation_measure(ens_osc, ens_eff, d))
         for d in config.sweep.delta_list
     )
-    block = PAIR_BLOCK if lane is None else PAIR_BLOCK // 2
     reports = side_by_side(
         lane,
-        lambda ens: flow_injectivity_monitor(
-            ens, pairs=pairs if pairs.fits(ens) else None, block=block
-        ),
+        lambda ens: flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None),
         ensembles,
     )
     violations = [r.first_violation_time for r in reports if r.first_violation_time is not None]
@@ -873,7 +860,8 @@ def run_sweep(
 
 def _write_outputs(report: ConvergenceReport, out: Path, save_fields: bool) -> None:
     """``run_sweep``'s files, in order; a write that fails removes those
-    written before it and raises ConfigError naming its path."""
+    written before it and its own partial file (a directory in its way is
+    left alone), then raises ConfigError naming its path."""
     writes = [
         (out / "report.csv", partial(emit_csv, report)),
         (out / "report.json", partial(emit_json, report)),
@@ -886,8 +874,9 @@ def _write_outputs(report: ConvergenceReport, out: Path, save_fields: bool) -> N
         try:
             write(path)
         except OSError as exc:
-            for done, _ in writes[:k]:
-                done.unlink(missing_ok=True)
+            for done, _ in writes[: k + 1]:
+                if not done.is_dir():
+                    done.unlink(missing_ok=True)
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 

@@ -35,7 +35,7 @@ DROP_FLOOR_SCALE = 1e-14
 MASS_MATCH_TOL = 1e-8
 FEATURE_BLOCK = 16  # features evaluated together by FeatureDictionary.integrate
 QUERY_BLOCK = 2048  # samples per k-d tree query in injectivity_pairs
-PAIR_BLOCK = 65536  # neighbour pairs measured together
+PAIR_BLOCK = 32768  # neighbour pairs measured together
 N_NEIGHBORS = 64  # initial neighbours per sample in the injectivity pair list
 VIOLATION_RATIO = 1e-3  # stretching ratio below which injectivity counts as lost
 
@@ -207,40 +207,36 @@ class InjectivityReport(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class NeighbourPairs:
-    """Unordered pairs of k-nearest initial neighbours among valid samples.
+    """Unordered pairs of k-nearest neighbours among the rows of ``points``.
 
-    ``lo``/``hi`` index the valid samples (``np.flatnonzero(valid)``);
-    ``base`` is each pair's initial separation, always positive.
+    ``lo``/``hi`` index the rows of ``points``; ``base`` is each pair's
+    initial separation, always positive.
     """
 
-    initial_points: np.ndarray  # (M, dim)
-    valid: np.ndarray  # (M,) bool
+    points: np.ndarray  # (m, dim) start points of the samples paired
     lo: np.ndarray
     hi: np.ndarray
     base: np.ndarray
 
     def fits(self, ens: TrajectoryEnsemble) -> bool:
-        """Whether the pairs were built from ``ens``'s initial points and valid samples."""
-        return np.array_equal(self.valid, ens.valid) and np.array_equal(
-            self.initial_points, ens.initial_points
-        )
+        """Whether the pairs were built from the start points of ``ens``'s valid samples."""
+        return np.array_equal(self.points, ens.initial_points[ens.valid])
 
 
-def injectivity_pairs(initial_points: np.ndarray, valid: np.ndarray) -> NeighbourPairs:
-    """Each unordered pair of ``N_NEIGHBORS``-nearest initial neighbours
-    among the ``valid`` samples of ``initial_points``, once.
+def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
+    """Each unordered pair of ``N_NEIGHBORS``-nearest neighbours among the
+    rows of ``points``, once.
 
     The k-NN relation is not symmetric, so a pair counts whether one or
-    both of its samples list the other.  The list needs no trajectories:
-    it serves every ensemble started from these points that kept exactly
-    these samples (``NeighbourPairs.fits``).
+    both of its samples list the other.  The list is a function of its
+    points alone, so it needs no trajectories: it serves every ensemble
+    whose valid samples start at exactly these points
+    (``NeighbourPairs.fits``).
     """
-    kept = np.flatnonzero(valid)
-    m = kept.size
+    m = len(points)
     if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
-    x0 = initial_points[kept]
-    tree = cKDTree(x0)
+    tree = cKDTree(points)
     k = min(N_NEIGHBORS + 1, m)
 
     # key = min(i, j) * m + max(i, j) per (sample, neighbour), self-match
@@ -252,7 +248,7 @@ def injectivity_pairs(initial_points: np.ndarray, valid: np.ndarray) -> Neighbou
     keys = np.empty((m, k - 1), dtype=key_type)
     for start in range(0, m, QUERY_BLOCK):
         stop = min(start + QUERY_BLOCK, m)
-        cols = tree.query(x0[start:stop], k=k)[1][:, 1:]  # distances dropped at once
+        cols = tree.query(points[start:stop], k=k)[1][:, 1:]  # distances dropped at once
         rows = np.arange(start, stop)[:, None]
         block = keys[start:stop]
         np.minimum(cols, rows, out=block)
@@ -271,7 +267,7 @@ def injectivity_pairs(initial_points: np.ndarray, valid: np.ndarray) -> Neighbou
     lo = np.floor_divide(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
     hi = np.remainder(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
     del pair_keys
-    coords = x0.T
+    coords = points.T
     base = np.empty(lo.size)
     for start in range(0, lo.size, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
@@ -281,33 +277,32 @@ def injectivity_pairs(initial_points: np.ndarray, valid: np.ndarray) -> Neighbou
         if not keep.any():
             raise UsageError("all neighbor pairs coincide at t=0")
         lo, hi, base = lo[keep], hi[keep], base[keep]
-    return NeighbourPairs(initial_points, valid, lo, hi, base)
+    return NeighbourPairs(points, lo, hi, base)
 
 
 def flow_injectivity_monitor(
-    ens: TrajectoryEnsemble, pairs: NeighbourPairs | None = None, *, block: int | None = None
+    ens: TrajectoryEnsemble, pairs: NeighbourPairs | None = None
 ) -> InjectivityReport:
     """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
 
     Pairs are restricted to each sample's ``N_NEIGHBORS`` nearest initial
     neighbours, so the cost stays O(M * N_NEIGHBORS); each unordered pair
     is measured once (see ``injectivity_pairs``).  ``pairs`` passes a list
-    already built for an ensemble with the same initial points and valid
-    samples.  A ratio below ``VIOLATION_RATIO`` is the proxy for
-    trajectory crossing; the first time it happens is reported.
-    The pairs are measured ``block`` (default ``PAIR_BLOCK``) at a time,
-    each block at every output time; a min is exact under any blocking, so
-    the block sets only the size of the temporaries.
+    already built from the start points of ``ens``'s valid samples;
+    without it the monitor builds that list.  A ratio below
+    ``VIOLATION_RATIO`` is the proxy for trajectory crossing; the first
+    time it happens is reported.  The pairs are measured ``PAIR_BLOCK`` at
+    a time, each block at every output time; a min is exact under any
+    blocking, so the block sets only the size of the temporaries.
     """
     if pairs is None:
-        pairs = injectivity_pairs(ens.initial_points, ens.valid)
+        pairs = injectivity_pairs(ens.initial_points[ens.valid])
     elif not pairs.fits(ens):
         raise UsageError("pair list was built for other initial points or valid samples")
-    size = PAIR_BLOCK if block is None else block
     valid = np.flatnonzero(ens.valid)
     ratio = np.full(ens.times.size, np.inf)  # smallest ratio per output time
-    for start in range(0, pairs.base.size, size):
-        part = slice(start, start + size)
+    for start in range(0, pairs.base.size, PAIR_BLOCK):
+        part = slice(start, start + PAIR_BLOCK)
         # the block's sample indices, translated once for every output time
         lo, hi = valid[pairs.lo[part]], valid[pairs.hi[part]]
         base = pairs.base[part]

@@ -588,6 +588,27 @@ class TestRunSweep:
             run_sweep(cfg, threads=1, out_dir=out)
         assert [p.name for p in out.iterdir()] == [blocked]
 
+    @pytest.mark.parametrize("failing", ["emit_json", "save_field"])
+    def test_write_that_fails_midway_leaves_no_partial_file(self, monkeypatch, tmp_path, failing):
+        # a full disk after open(path, "wb") once left the truncated file
+        import errno
+
+        import pilotwave.harness as harness
+
+        def write_then_fail(*args, **kwargs):
+            path = args[-1]  # emit_json(report, path), save_field(path, wf=...)
+            with open(path, "wb") as fh:
+                fh.write(b"trunc")
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(harness, failing, write_then_fail)
+        cfg = dataclasses.replace(small_config(eps_list=(0.2,)), output=OutputSpec(save_fields=True))
+        out = tmp_path / "out"
+        path = out / ("report.json" if failing == "emit_json" else "psi_eps0_oscillating.field")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {path}")):
+            run_sweep(cfg, threads=1, out_dir=out)
+        assert list(out.iterdir()) == []
+
     def test_rows_ordered_and_ratios(self):
         cfg = small_config()
         report = run_sweep(cfg, threads=2)
@@ -1081,9 +1102,10 @@ class TestOneDimensionalLane:
         serial = run_single(cfg, 0.2)
         with Lane() as lane:
             laned = run_single(cfg, 0.2, lane)
-        # without a lane the oscillating ensemble's list serves it and the
-        # averaged ensemble builds its own; with one, the other way round
-        assert given[:2] == [(False, True), (True, False)]
+        # the row's list of every sample serves the averaged ensemble, and
+        # the oscillating one builds the list of its valid samples, with or
+        # without a lane
+        assert given[:2] == [(False, False), (True, True)]
         assert sorted(given[2:]) == [(False, False), (True, True)]
         assert serial.valid and laned.valid
         for name in ("injectivity_ratio", "injectivity_first_violation"):
@@ -1129,6 +1151,75 @@ class TestOneDimensionalLane:
         # each laned row had its list under way on the lane when it escaped;
         # the serial row escaped before any list
         assert len(builds) == 2 and threading.get_ident() not in builds
+
+
+class TestLaneCalls:
+    """The lane moves calls and changes none: a one-row sweep makes the same
+    pair list builds, and hands each monitor the same list, at one thread
+    and at two."""
+
+    @staticmethod
+    def _calls(monkeypatch, cfg, threads, escape):
+        import pilotwave.harness as harness
+        import pilotwave.measure as measure
+
+        real_integrate = harness.integrate_trajectories
+        real_pairs = measure.injectivity_pairs
+        real_monitor = harness.flow_injectivity_monitor
+        ensembles = []
+        built = []  # the points of every pair list built, the monitors' own included
+        laned = []  # whether each build ran off the calling thread
+        given = {}  # ensemble index -> the list handed to its monitor
+
+        def integrate(*args, **kwargs):
+            ens = real_integrate(*args, **kwargs)
+            if escape and not ensembles:  # samples of the oscillating ensemble escaped
+                valid = ens.valid.copy()
+                valid[[3, 7]] = False
+                ens = dataclasses.replace(ens, valid=valid)
+            ensembles.append(ens)
+            return ens
+
+        def injectivity_pairs(points):
+            built.append(points.copy())
+            laned.append(threading.get_ident() != threading.main_thread().ident)
+            return real_pairs(points)
+
+        def monitor(ens, pairs=None):
+            (k,) = [i for i, e in enumerate(ensembles) if e is ens]
+            given[k] = None if pairs is None else (pairs.points, pairs.lo, pairs.hi, pairs.base)
+            return real_monitor(ens, pairs=pairs)
+
+        monkeypatch.setattr(harness, "integrate_trajectories", integrate)
+        monkeypatch.setattr(harness, "injectivity_pairs", injectivity_pairs)
+        monkeypatch.setattr(measure, "injectivity_pairs", injectivity_pairs)
+        monkeypatch.setattr(harness, "flow_injectivity_monitor", monitor)
+        row = run_sweep(cfg, threads=threads).rows[0]
+        monkeypatch.undo()
+        assert row.valid
+        assert any(laned) == (threads == 2)
+        built.sort(key=lambda x: (len(x), x.tobytes()))  # lane builds may end in any order
+        return row, built, given
+
+    @pytest.mark.parametrize("escape", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_and_two_threads_make_the_same_calls(self, monkeypatch, dim, escape):
+        cfg = small_config(eps_list=(0.2,)) if dim == 1 else tiny_2d_config()
+        serial, built_1, given_1 = self._calls(monkeypatch, cfg, 1, escape)
+        laned, built_2, given_2 = self._calls(monkeypatch, cfg, 2, escape)
+        m = cfg.sweep.ensemble_size
+        # one list of every sample, and one of the escaped ensemble's valid samples
+        assert [len(x) for x in built_1] == ([m - 2, m] if escape else [m])
+        assert len(built_2) == len(built_1)
+        for a, b in zip(built_1, built_2):
+            assert np.array_equal(a, b)
+        assert sorted(given_1) == sorted(given_2) == [0, 1]
+        assert (given_1[0] is None) == (given_2[0] is None) == escape
+        for k in (0, 1):
+            if given_1[k] is not None:
+                for a, b in zip(given_1[k], given_2[k]):
+                    assert np.array_equal(a, b)
+        assert dataclasses.replace(laned, wall_time=0.0) == dataclasses.replace(serial, wall_time=0.0)
 
 
 class TestEmitters:
@@ -1497,6 +1588,18 @@ class TestCli:
     def test_verify_unknown_suite_is_usage_error(self, capsys):
         assert cli_main(["verify", "--suite", "unknown_name"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_verify_full_suite_runs_every_suite(self, capsys):
+        from pilotwave.verify import SUITE_NAMES, run_suite
+
+        assert cli_main(["verify", "--suite", "full"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "suite 'full': PASS"
+        # one [PASS] line per check, every suite's checks in suite order
+        suites = [name for name in SUITE_NAMES if name != "full"]
+        want = [c.line() for name in suites for c in run_suite(name, printer=None).checks]
+        assert "measure_metrics" in suites and all(w.startswith("[PASS] ") for w in want)
+        assert lines[:-1] == want
 
     def test_verify_quantum_potential_suite(self, capsys):
         assert cli_main(["verify", "--suite", "quantum_potential"]) == 0

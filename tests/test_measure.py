@@ -393,7 +393,7 @@ class TestInjectivityMonitor:
         rng = np.random.default_rng(4)
         ens = random_ensemble(rng, 2, 60)
         twin = dataclasses.replace(ens, positions=ens.positions[::-1].copy())
-        pairs = injectivity_pairs(ens.initial_points, ens.valid)
+        pairs = injectivity_pairs(ens.initial_points[ens.valid])
         for e in (ens, twin):
             assert flow_injectivity_monitor(e, pairs=pairs) == flow_injectivity_monitor(e)
 
@@ -401,7 +401,7 @@ class TestInjectivityMonitor:
         monkeypatch.setattr(measure, "N_NEIGHBORS", 8)
         rng = np.random.default_rng(6)
         ens = random_ensemble(rng, 2, 300)
-        pairs = injectivity_pairs(ens.initial_points, ens.valid)
+        pairs = injectivity_pairs(ens.initial_points[ens.valid])
         assert pairs.lo.dtype == pairs.hi.dtype == np.int32
         wide = dataclasses.replace(pairs, lo=pairs.lo.astype(np.int64), hi=pairs.hi.astype(np.int64))
         for violation_ratio in (1e-3, 0.2):
@@ -418,7 +418,7 @@ class TestInjectivityMonitor:
         x0 = ens.initial_points.copy()
         x0[1] += 1e-6  # no coincident pair
         ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
-        pairs = injectivity_pairs(ens.initial_points, ens.valid)
+        pairs = injectivity_pairs(ens.initial_points[ens.valid])
         cols = cKDTree(x0).query(x0, k=3)[1][:, 1:].tolist()
         want = sorted({(min(i, j), max(i, j)) for i in range(m) for j in cols[i]})
         assert list(zip(pairs.lo.tolist(), pairs.hi.tolist())) == want
@@ -426,7 +426,7 @@ class TestInjectivityMonitor:
     def test_pair_list_of_other_samples_rejected(self):
         rng = np.random.default_rng(5)
         ens = random_ensemble(rng, 1, 40)
-        pairs = injectivity_pairs(ens.initial_points, ens.valid)
+        pairs = injectivity_pairs(ens.initial_points[ens.valid])
         valid = ens.valid.copy()
         valid[0] = False
         with pytest.raises(UsageError, match="pair list"):
@@ -532,7 +532,7 @@ class TestBlockedMeasures:
             ens = random_ensemble(rng, dim, int(rng.integers(4, 120)))
             for n_neighbors in (1, 3, 9):
                 monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
-                pairs = injectivity_pairs(ens.initial_points, ens.valid)
+                pairs = injectivity_pairs(ens.initial_points[ens.valid])
                 # samples 0 and 1 start at the same point: their pair is dropped
                 assert not ((pairs.lo == 0) & (pairs.hi == 1)).any()
                 for violation_ratio in (1e-3, 0.2):
@@ -540,8 +540,10 @@ class TestBlockedMeasures:
                     got = flow_injectivity_monitor(ens)
                     assert got == directed_pair_monitor(ens, n_neighbors, violation_ratio)
                     assert got == flow_injectivity_monitor(ens, pairs=pairs)
-                    for block in (1, 2, 1 << 20):  # the monitor's own block, not PAIR_BLOCK
-                        assert got == flow_injectivity_monitor(ens, pairs=pairs, block=block)
+                    for block in (1, 2, 1 << 20):  # the monitor's blocks; the list was built at 5
+                        monkeypatch.setattr(measure, "PAIR_BLOCK", block)
+                        assert got == flow_injectivity_monitor(ens, pairs=pairs)
+                    monkeypatch.setattr(measure, "PAIR_BLOCK", 5)
                     violations += got.first_violation_time is not None
         assert violations > 0
 
@@ -549,10 +551,10 @@ class TestBlockedMeasures:
         rng = np.random.default_rng(8)
         ens = random_ensemble(rng, 2, 500)
         monkeypatch.setattr(measure, "N_NEIGHBORS", 8)
-        small = injectivity_pairs(ens.initial_points, ens.valid)
+        small = injectivity_pairs(ens.initial_points[ens.valid])
         monkeypatch.setattr(measure, "QUERY_BLOCK", 1 << 20)
         monkeypatch.setattr(measure, "PAIR_BLOCK", 1 << 20)
-        whole = injectivity_pairs(ens.initial_points, ens.valid)
+        whole = injectivity_pairs(ens.initial_points[ens.valid])
         for name in ("lo", "hi", "base"):
             assert np.array_equal(getattr(small, name), getattr(whole, name)), name
 
@@ -576,7 +578,7 @@ class TestMeasureMemory:
         x0[1] += 1e-6  # no coincident pair, so the list is not compacted
         ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
         twin = perturbed_twin(rng, ens)
-        pairs = injectivity_pairs(ens.initial_points, ens.valid)
+        pairs = injectivity_pairs(ens.initial_points[ens.valid])
         limit = 4e6  # bytes; the whole-array versions took about 31 MB and 22 MB
         peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, twin, 0.05))
         assert peak < limit
@@ -584,7 +586,7 @@ class TestMeasureMemory:
         assert peak < limit
         # building the list needs little beyond the list and its sorted keys,
         # one int32 per (sample, neighbour) while m * m fits int32
-        peak, built = self._traced_peak(lambda: injectivity_pairs(ens.initial_points, ens.valid))
+        peak, built = self._traced_peak(lambda: injectivity_pairs(ens.initial_points[ens.valid]))
         list_bytes = built.lo.nbytes + built.hi.nbytes + built.base.nbytes
         keys_bytes = m * 64 * 4
         assert peak < list_bytes + keys_bytes
