@@ -132,12 +132,14 @@ def densities(
     """rho = |psi|^2, J = Im(conj(psi) grad psi), u = J/rho (``velocity``,
     fixed floor), and the H1 norm of psi; one forward transform serves all.
 
-    Given a sequence of states on one grid at one time (UsageError
-    otherwise), returns their fields in order, computed over one stack of
+    Given a nonempty sequence of states on one grid at one time
+    (UsageError otherwise), returns their fields in order, computed over one stack of
     the states in one pass, each equal bit for bit to the state's own.
     """
     single = isinstance(psi, WaveFunction)
     states = (psi,) if single else tuple(psi)
+    if not states:
+        raise UsageError("densities needs at least one state")
     for other in states[1:]:
         _check_paired(states[0], other)
     # a lone state's stack is a view of its values, not a copy

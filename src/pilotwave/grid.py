@@ -59,6 +59,11 @@ class Grid:
     _k_squared: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("dim", "n_per_axis"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dim not in (1, 2, 3):
             raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
         n = self.n_per_axis
@@ -124,7 +129,7 @@ class Norms(NamedTuple):
 
 def make_grid(dim: int, n_per_axis: int, half_width: float) -> Grid:
     """Build a periodic grid on [-half_width, half_width)^dim."""
-    return Grid(dim=dim, n_per_axis=int(n_per_axis), half_width=float(half_width))
+    return Grid(dim=dim, n_per_axis=n_per_axis, half_width=float(half_width))
 
 
 def boundary_mass_fraction(grid: Grid, rho: np.ndarray) -> float:

@@ -489,22 +489,30 @@ def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = Non
 
     The row builds its own inputs (``_row_inputs``) and drops them when it
     returns; it checks no config, so ``run_sweep`` is the way to run rows.
-    Monitor aborts (boundary mass, H1 blow-up, trajectory escapes) mark the
-    row invalid with a reason instead of raising.  A valid row carries its
-    final states.  With a ``lane`` executor, the row's injectivity pair
-    list is built there while the row's thread integrates the second
-    trajectory ensemble, and one of the two monitors runs there; on a grid
-    of at least ``LANE_MIN_POINTS`` points the averaged system is also
-    stepped and measured there, beside the oscillating one (see
-    ``lockstep``), and the Gronwall term is computed there.  The lane moves
-    calls, never changes them: the row makes the same calls with the same
-    arguments with or without it, and no task it puts on the lane outlives
-    it.
+    Its stages run in order: propagate and record, wave metrics,
+    trajectories, measures.  The velocity histories are the row's largest
+    arrays; the trajectory stage is their last user, so they are gone
+    before the flat distance, and the steppers are gone before the wave
+    metrics.  Monitor aborts (boundary mass, H1 blow-up, trajectory
+    escapes) mark the row invalid with a reason instead of raising.  A
+    valid row carries its final states.  With a ``lane`` executor, the
+    row's injectivity pair list is built there while the row's thread
+    integrates the last trajectory ensemble, and the monitors run side by
+    side; on a grid of at least ``LANE_MIN_POINTS`` points the averaged
+    system is also stepped and measured there, beside the oscillating one
+    (see ``lockstep``), and the Gronwall term is computed there.  The lane
+    moves calls, never changes them: the row makes the same calls with the
+    same arguments with or without it, and no task it puts on the lane
+    outlives it.
     """
     t_start = time.perf_counter()
     row = _row_inputs(config, eps)
     try:
-        metrics, final_states = _run_single_metrics(config, eps, row, lane)
+        metrics, final_states, final_fields, velocity = _propagate_and_record(config, eps, row, lane)
+        metrics.update(_wave_metrics(final_states, final_fields))
+        ensembles, pairs = _trajectories(config, row, velocity, lane)
+        del velocity
+        metrics.update(_measures(config, final_fields, ensembles, pairs, lane))
     except MonitorAbort as exc:
         return SweepRow(
             eps=eps,
@@ -567,49 +575,25 @@ def _check_config(config: ExperimentConfig) -> None:
         build_initial_state(config.initial_state, grid, eps=eps)
 
 
-@dataclass(frozen=True)
-class _Recording:
-    """What propagation leaves besides the velocity histories."""
-
-    final_states: tuple[WaveFunction, WaveFunction]
-    final_densities: tuple[DensityFields, DensityFields]
-    b_eps_avg: float
-    boundary_mass: float
-    regularized_fraction: tuple[float, float]  # max over frames, per system
-
-
-def _run_single_metrics(
-    config: ExperimentConfig, eps: float, row: _RowInputs, lane: Executor | None
-) -> tuple[dict[str, Any], tuple[WaveFunction, WaveFunction]]:
-    """The row's stages in order: propagate and record, wave metrics,
-    trajectories, measures.
-
-    The velocity histories are the row's largest arrays; the trajectory
-    stage is their last user, so they are gone before the flat distance.
-    """
-    recording, velocity_frames = _propagate_and_record(config, eps, row, lane)
-    metrics = _wave_metrics(recording)
-    ensembles, pairs = _trajectories(config, row, *velocity_frames, lane)
-    del velocity_frames
-    metrics.update(_measures(config, recording, ensembles, pairs, lane))
-    return metrics, recording.final_states
-
-
 def _propagate_and_record(
     config: ExperimentConfig, eps: float, row: _RowInputs, lane: Executor | None
-) -> tuple[_Recording, tuple[np.ndarray, np.ndarray]]:
-    """Step both systems side by side; at every frame run the monitors, and
-    at every second frame record the velocity fields.  Returns the
-    recording and the velocity histories (oscillating, effective).
+) -> tuple[dict[str, float], tuple[WaveFunction, ...], tuple[DensityFields, ...], np.ndarray]:
+    """Step the row's systems side by side, the oscillating one first and
+    the averaged one second; at every frame run the monitors, and at every
+    second frame record the velocity fields.  Returns the monitor metrics
+    (Gronwall term, boundary mass, regularized fractions), the final states
+    and their density fields, one per system in order, and the velocity
+    histories, one ``(len(systems), frames // 2 + 1, dim, *grid.shape)``
+    array whose row ``i`` is system ``i``'s.
 
     The trajectory step is four frames (``_step_plan``), so its RK4 stages
     read only the even frames; the odd ones are measured, never stored.
 
     Each stepper marches a stack: on a grid below ``LANE_MIN_POINTS``
-    points one stepper marches the two states as its two rows, and the lane
-    takes no part here (one stack leaves it nothing, and a 1D frame's
-    Gronwall term costs less than its hand-off); on a larger grid each
-    system has its own one-row stack, and the two steppers share one
+    points one stepper marches every system's state as a row of one stack,
+    and the lane takes no part here (one stack leaves it nothing, and a 1D
+    frame's Gronwall term costs less than its hand-off); on a larger grid
+    each system has its own one-row stack, and the steppers share one
     kinetic factor.  Each frame measures each stack in one pass; the
     monitors still judge each state.  On a large grid with a ``lane``, the
     effective system's steps and frame densities run on it, and so does
@@ -621,8 +605,8 @@ def _propagate_and_record(
     way every state gets the same bits."""
     grid, V, psi0 = row.grid, row.potential, row.psi0
     Vstar = effective_potential(V, grid, config.solver.quad_order)
-    system = OscillatingSystem(V, eps)
-    groups = [(system, Vstar)] if grid.size < LANE_MIN_POINTS else [(system,), (Vstar,)]
+    systems = (OscillatingSystem(V, eps), Vstar)
+    groups = [systems] if grid.size < LANE_MIN_POINTS else [(s,) for s in systems]
     if len(groups) == 1:
         lane = None
     steppers = [StrangStepper(groups[0], grid, row.dt)]
@@ -630,38 +614,35 @@ def _propagate_and_record(
     start = [np.broadcast_to(psi0.values, (len(group),) + grid.shape) for group in groups]
 
     n_frames = row.n_steps // row.stride
-    u_osc = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
-    u_eff = np.empty((n_frames // 2 + 1, grid.dim) + grid.shape)
+    velocity = np.empty((len(systems), n_frames // 2 + 1, grid.dim) + grid.shape)
 
     h1_initial = norms(grid, psi0.values).h1
     b_horizon = min(1.0, config.sweep.horizon) * (1.0 + 1e-12)
     boundary_max = 0.0
-    reg_max = [0.0, 0.0]
+    reg_max = [0.0] * len(systems)
     b_vals: list[float] = []
     b_futures: list[Future] = []  # with a lane, in place of b_vals until the end
-    final_densities = None
+    final_fields = None
 
     def record(frame: int, t: float, states: tuple[np.ndarray, ...]) -> None:
-        nonlocal boundary_max, final_densities
+        nonlocal boundary_max, final_fields
         stacks = [WaveFunction._adopt_rows(grid, s, t) for s in states]
-        wf_o, wf_e = sum(stacks, ())
-        d_o, d_e = sum(side_by_side(lane, densities, stacks), ())
-        for i, d in enumerate((d_o, d_e)):
+        fields = sum(side_by_side(lane, densities, stacks), ())
+        for i, d in enumerate(fields):
             bmass = boundary_mass_fraction(grid, d.rho)
             boundary_max = max(boundary_max, bmass)
             check_monitors(bmass, d.h1, h1_initial, t)
             reg_max[i] = max(reg_max[i], d.regularized_fraction)
-        if frame % 2 == 0:
-            u_osc[frame // 2] = d_o.velocity
-            u_eff[frame // 2] = d_e.velocity
+            if frame % 2 == 0:
+                velocity[i, frame // 2] = d.velocity
         if t <= b_horizon:
-            term = (wf_o, wf_e, system, Vstar)
+            term = (*sum(stacks, ())[:2], *systems)
             if lane is None:
                 b_vals.append(gronwall_integrand(*term, w=steppers[0].w))
             else:
                 b_futures.append(lane.submit(gronwall_integrand, *term, w=steppers[0].w))
         if frame == n_frames:
-            final_densities = (d_o, d_e)
+            final_fields = fields
 
     try:
         finals = lockstep(steppers, start, 0.0, row.n_steps, row.stride, record, lane=lane)
@@ -671,49 +652,44 @@ def _propagate_and_record(
         for f in b_futures:
             f.cancel()
         wait(b_futures)
+    metrics = {
+        "b_eps_avg": float(np.mean(b_vals)),
+        "boundary_mass": boundary_max,
+        "regularized_fraction_osc": reg_max[0],
+        "regularized_fraction_eff": reg_max[1],
+    }
     T = config.sweep.horizon
-    recording = _Recording(
-        final_states=sum((WaveFunction._adopt_rows(grid, s, T) for s in finals), ()),
-        final_densities=final_densities,
-        b_eps_avg=float(np.mean(b_vals)),
-        boundary_mass=boundary_max,
-        regularized_fraction=tuple(reg_max),
-    )
-    return recording, (u_osc, u_eff)
+    final_states = sum((WaveFunction._adopt_rows(grid, s, T) for s in finals), ())
+    return metrics, final_states, final_fields, velocity
 
 
-def _wave_metrics(recording: _Recording) -> dict[str, Any]:
-    """H1 distance of the final states, L1 distances of their densities."""
-    wf_osc, wf_eff = recording.final_states
-    dens_osc, dens_eff = recording.final_densities
-    dv = wf_osc.grid.cell_volume
-    j_diff = dens_osc.current - dens_eff.current
+def _wave_metrics(
+    final_states: tuple[WaveFunction, ...], final_fields: tuple[DensityFields, ...]
+) -> dict[str, float]:
+    """H1 distance of the oscillating and averaged final states, L1
+    distances of their densities."""
+    osc, eff = final_fields[:2]
+    dv = osc.grid.cell_volume
+    j_diff = osc.current - eff.current
     return {
-        "h1_wave": h1_distance(wf_osc, wf_eff),
-        "l1_rho": float(np.sum(np.abs(dens_osc.rho - dens_eff.rho)) * dv),
+        "h1_wave": h1_distance(*final_states[:2]),
+        "l1_rho": float(np.sum(np.abs(osc.rho - eff.rho)) * dv),
         "l1_current": float(np.sum(np.sqrt(np.sum(j_diff * j_diff, axis=0))) * dv),
-        "b_eps_avg": recording.b_eps_avg,
-        "boundary_mass": recording.boundary_mass,
-        "regularized_fraction_osc": recording.regularized_fraction[0],
-        "regularized_fraction_eff": recording.regularized_fraction[1],
     }
 
 
 def _trajectories(
-    config: ExperimentConfig,
-    row: _RowInputs,
-    u_osc: np.ndarray,
-    u_eff: np.ndarray,
-    lane: Executor | None,
-) -> tuple[tuple[TrajectoryEnsemble, TrajectoryEnsemble], NeighbourPairs]:
-    """Paired ensembles from one seeded sample of the initial density, one
-    through each velocity history, and the row's injectivity pair list,
-    ``injectivity_pairs`` of the sample; the histories die with this
-    stage.  The stored frames' times come from the step plan, bit for bit
-    as ``lockstep`` stamped them.  An RK4 step spans two history
-    intervals, so its midpoint is a stored frame.
+    config: ExperimentConfig, row: _RowInputs, velocity: np.ndarray, lane: Executor | None
+) -> tuple[tuple[TrajectoryEnsemble, ...], NeighbourPairs]:
+    """One ensemble per system from one seeded sample of the initial
+    density, each through its row of ``velocity``, and the row's
+    injectivity pair list, ``injectivity_pairs`` of the sample.  The
+    stored frames' times come from the step plan, bit for bit as
+    ``lockstep`` stamped them.  An RK4 step spans two history intervals,
+    so its midpoint is a stored frame.  Every history stays alive until
+    the last integration ends, so no two share an ``id`` of their values.
 
-    The list is built beside the second ensemble's integration: on the
+    The list is built beside the last ensemble's integration: on the
     ``lane`` while this thread integrates, or without one on this thread
     right after it (started beside the first as well, it raised the peak
     RSS of a 1D row of 20000 samples by about 2 MB)."""
@@ -723,36 +699,36 @@ def _trajectories(
     )
     history_times = np.arange(0, row.n_steps + 1, 2 * row.stride) * row.dt
     out_times = history_times[::2]
-    ens_osc = integrate_trajectories(FieldHistory(row.grid, history_times, u_osc), x0, out_times)
-    eff = partial(integrate_trajectories, FieldHistory(row.grid, history_times, u_eff), x0, out_times)
-    ens_eff, pairs = side_by_side(lane, lambda task: task(), [eff, partial(injectivity_pairs, x0)])
-    return (ens_osc, ens_eff), pairs
+    histories = [FieldHistory(row.grid, history_times, u) for u in velocity]
+    ensembles = [integrate_trajectories(h, x0, out_times) for h in histories[:-1]]
+    last = partial(integrate_trajectories, histories[-1], x0, out_times)
+    ens, pairs = side_by_side(lane, lambda task: task(), [last, partial(injectivity_pairs, x0)])
+    return (*ensembles, ens), pairs
 
 
 def _measures(
     config: ExperimentConfig,
-    recording: _Recording,
-    ensembles: tuple[TrajectoryEnsemble, TrajectoryEnsemble],
+    final_fields: tuple[DensityFields, ...],
+    ensembles: tuple[TrajectoryEnsemble, ...],
     pairs: NeighbourPairs,
     lane: Executor | None,
 ) -> dict[str, Any]:
-    """Mono-kinetic flat distance, deviation fractions and flow injectivity.
+    """Mono-kinetic flat distance and deviation fractions of the
+    oscillating system against the averaged one, and the flow injectivity
+    of every ensemble.
 
     ``pairs`` serves each ensemble that it fits, and an ensemble that lost
-    samples builds the list of its valid ones; with a ``lane`` the two
+    samples builds the list of its valid ones; with a ``lane`` the
     monitors run side by side."""
     _, dictionary_seed = _derived_seeds(config.sweep.seed)
-    dens_osc, dens_eff = recording.final_densities
     mono_dev = monokinetic_deviation(
-        bohmian_measure(dens_osc),
-        dens_eff,
+        bohmian_measure(final_fields[0]),
+        final_fields[1],
         dictionary_size=config.measure.dictionary_size,
         seed=dictionary_seed,
     )
-    ens_osc, ens_eff = ensembles
     traj_dev = tuple(
-        (d, trajectory_deviation_measure(ens_osc, ens_eff, d))
-        for d in config.sweep.delta_list
+        (d, trajectory_deviation_measure(*ensembles[:2], d)) for d in config.sweep.delta_list
     )
     reports = side_by_side(
         lane,

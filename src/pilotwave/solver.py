@@ -365,7 +365,7 @@ def propagate(
     boundary_tol: float = BOUNDARY_MASS_TOL,
 ) -> list[WaveFunction]:
     """March ``system`` from ``psi0`` for a time ``T`` in steps of ``dt``,
-    returning snapshots at the requested times.
+    returning one snapshot per requested time, in request order.
 
     ``T`` and the snapshot times are measured from ``psi0.time``: from a
     state stamped ``t0``, the run ends at ``t0 + T`` and the snapshot at
@@ -375,8 +375,9 @@ def propagate(
     ``dt <= eps / MIN_STEPS_PER_FAST_PERIOD``; each breach raises
     ConfigError.  Snapshot times are rounded to the nearest step; a time
     outside [0, T], NaN included, raises ConfigError, at T == 0 too.
-    At every snapshot the monitors of ``check_monitors`` run with the given
-    boundary tolerance.
+    Times that round to one step get the same state object.  At every
+    snapshot step the monitors of ``check_monitors`` run once, with the
+    given boundary tolerance.
     """
     if not (dt > 0) or not np.isfinite(dt):
         raise ConfigError(f"dt must be a positive finite step, got {dt}")
@@ -393,13 +394,14 @@ def propagate(
     if T > 0 and (n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T)):
         raise ConfigError(f"dt={dt} does not divide the horizon T={T}")
 
-    wanted = {_snap_index(t, dt, n_steps, T) for t in snapshot_times}
+    steps = [_snap_index(t, dt, n_steps, T) for t in snapshot_times]
     if T == 0:
-        return [psi0]
+        return [psi0] * len(steps)
+    wanted = set(steps)
     stepper = StrangStepper((system,), psi0.grid, dt)
     h1_initial = norms(psi0.grid, psi0.values).h1
 
-    out: list[WaveFunction] = []
+    out: dict[int, WaveFunction] = {}
 
     def snapshot(idx: int, t: float, states: tuple[np.ndarray, ...]) -> None:
         if idx in wanted:
@@ -411,10 +413,10 @@ def propagate(
                 t,
                 boundary_tol=boundary_tol,
             )
-            out.append(wf)
+            out[idx] = wf
 
     lockstep((stepper,), (psi0.values[np.newaxis],), psi0.time, n_steps, 1, snapshot)
-    return out
+    return [out[idx] for idx in steps]
 
 
 def _snap_index(t: float, dt: float, n_steps: int, T: float) -> int:

@@ -158,6 +158,10 @@ class TestStackedDensities:
             with pytest.raises(UsageError):
                 densities(pair)
 
+    def test_no_states_raise(self):
+        with pytest.raises(UsageError, match="at least one state"):
+            densities(())
+
 
 class TestIdentityEquality:
     def test_array_records_compare_and_hash_by_identity(self):

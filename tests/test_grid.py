@@ -45,6 +45,17 @@ class TestMakeGrid:
         with pytest.raises(ConfigError):
             make_grid(dim, n, L)
 
+    @pytest.mark.parametrize("dim,n", [(1, 512.9), (1.0, 512), (True, 512)])
+    def test_sizes_must_be_integers(self, dim, n):
+        # a float size was once truncated or misread, and a bool taken for 1
+        with pytest.raises(ConfigError, match="must be an integer"):
+            make_grid(dim, n, 16.0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = make_grid(np.int64(2), np.int32(64), 10.0)
+        assert g == make_grid(2, 64, 10.0)
+        assert type(g.dim) is int and type(g.n_per_axis) is int
+
     def test_equality_hash_repr_and_pickle_read_the_parameters(self):
         import pickle
 

@@ -403,6 +403,35 @@ class TestRowStages:
         frames = (n_steps // stride) // 2 + 1
         assert stored == [(frames, frames, frames * 2 * 256**2 * 8)] * 2
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_wave_metrics_run_once_the_steppers_are_gone(self, monkeypatch, dim):
+        # the H1/L1 metrics computed while the steppers were alive raised
+        # the peak RSS of a 2D row by 2-3 MB
+        import pilotwave.harness as harness
+
+        steppers = []
+        real_stepper = harness.StrangStepper
+
+        def tracked_stepper(*args, **kwargs):
+            stepper = real_stepper(*args, **kwargs)
+            steppers.append(weakref.ref(stepper))
+            return stepper
+
+        alive = []
+        real_h1 = harness.h1_distance
+
+        def checked_h1(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in steppers])
+            return real_h1(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "StrangStepper", tracked_stepper)
+        monkeypatch.setattr(harness, "h1_distance", checked_h1)
+        cfg = small_config(eps_list=(0.2,)) if dim == 1 else tiny_2d_config()
+        assert run_single(cfg, 0.2).valid
+        # one stack on a small grid, one stepper per system on a large one
+        assert alive == [[False] * dim]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_no_other_rows_inputs_are_alive_during_a_row(self, monkeypatch, threads):
         # the sweep checks its config without building any row's inputs;

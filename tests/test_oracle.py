@@ -138,8 +138,8 @@ def test_row_ensembles_meet_the_quantile_flow(temporal, spatial, eps):
     cfg = harmonic_benchmark_config()
     cfg = dataclasses.replace(cfg, potential=PotentialSpec(temporal=temporal, spatial=spatial))
     row = _row_inputs(cfg, eps)
-    _, velocity_frames = _propagate_and_record(cfg, eps, row, None)
-    ensembles, _ = _trajectories(cfg, row, *velocity_frames, None)
+    *_, velocity = _propagate_and_record(cfg, eps, row, None)
+    ensembles, _ = _trajectories(cfg, row, velocity, None)
     systems = (
         OscillatingSystem(row.potential, eps),
         effective_potential(row.potential, row.grid, cfg.solver.quad_order),

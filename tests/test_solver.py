@@ -179,8 +179,28 @@ class TestPropagate:
     def test_zero_horizon_returns_initial(self):
         g = make_grid(1, 256, 16.0)
         psi = gaussian_packet(g, width=1.0)
-        out = propagate(psi, effective_potential(zero_potential(), g), 0.0, 1e-3, [])
+        out = propagate(psi, effective_potential(zero_potential(), g), 0.0, 1e-3, [0.0])
         assert out == [psi]
+        assert propagate(psi, effective_potential(zero_potential(), g), 0.0, 1e-3, []) == []
+
+    def test_one_snapshot_per_requested_time_in_request_order(self, monkeypatch):
+        # snapshots once came one per distinct step, in step order, so a
+        # caller zipping its times with them paired them wrongly
+        psi = gaussian_packet(make_grid(1, 256, 16.0), width=1.0)
+        system = OscillatingSystem(harmonic_cos_potential(), 0.2)
+        checked = []
+        real_check = solver.check_monitors
+
+        def check_monitors(*args, **kwargs):
+            checked.append(args[3])
+            real_check(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "check_monitors", check_monitors)
+        out = propagate(psi, system, 0.5, 0.2 / 32, [0.5, 0.25, 0.25])
+        assert [wf.time for wf in out] == pytest.approx([0.5, 0.25, 0.25], abs=1e-12)
+        assert out[1] is out[2]
+        assert checked == pytest.approx([0.25, 0.5], abs=1e-12)  # once per distinct step
+        assert propagate(psi, system, 0.0, 0.2 / 32, [0.0, 0.0]) == [psi, psi]
 
     def test_time_independent_systems_agree(self):
         g = make_grid(1, 256, 12.0)
