@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
-from .grid import Grid, _norms_from_gradient, gradient_values, laplacian_values
+from .grid import Grid, _derivatives, _norms_from_terms, _semi_term, gradient_values, laplacian_values
 from .solver import WaveFunction, _check_paired
 
 __all__ = [
@@ -134,7 +134,9 @@ def densities(
 
     Given a nonempty sequence of states on one grid at one time
     (UsageError otherwise), returns their fields in order, computed over one stack of
-    the states in one pass, each equal bit for bit to the state's own.
+    the states in one pass, each equal bit for bit to the state's own.  The
+    gradient is taken one axis at a time in one reused buffer, so a 3D
+    state needs about 5.5 states of memory, the fields returned included.
     """
     single = isinstance(psi, WaveFunction)
     states = (psi,) if single else tuple(psi)
@@ -150,14 +152,25 @@ def densities(
 
 def _stacked_densities(grid: Grid, time: float, values: np.ndarray) -> tuple[DensityFields, ...]:
     """The fields of each row of a ``(k, *grid.shape)`` stack; every
-    reduction runs over one row at a time, as for a lone state."""
+    reduction runs over one row at a time, as for a lone state.
+
+    One forward transform serves every axis; each axis's derivative and
+    then its ``conj(psi) * d psi`` product take turns in one reused complex
+    buffer, and the H1 terms are summed in axis order."""
     rho = np.abs(values) ** 2
-    grad = gradient_values(grid, values)
-    # real copies, row by row: the imaginary part is a view that would pin
-    # the complex product, twice its size, for as long as the fields are kept
-    current = [j.copy() for j in np.imag(np.conj(values)[:, np.newaxis] * grad)]
+    conj = np.conj(values)
+    # each row's current is its own array: a view into a stack would keep
+    # every row's current alive for as long as one row's fields are kept
+    current = [np.empty((grid.dim,) + grid.shape) for _ in range(len(values))]
+    semi_sq = 0.0
+    for axis, d in enumerate(_derivatives(grid, values)):
+        semi_sq = semi_sq + _semi_term(grid, d)
+        np.multiply(conj, d, out=d)
+        for i, j in enumerate(current):
+            j[axis] = d[i].imag
+    del conj, d  # the complex buffers, before the velocities are made
     u, frac = _stacked_velocity(rho, current, grid.dim)
-    h1 = _norms_from_gradient(grid, rho, grad).h1
+    h1 = _norms_from_terms(grid, rho, semi_sq).h1
     return tuple(
         DensityFields(grid, time, r, j, v, h, float(f))
         for r, j, v, h, f in zip(rho, current, u, h1, frac)

@@ -15,7 +15,11 @@ results hang on the numpy and scipy versions together.  A stack of
 states, an array of shape ``(k, *grid.shape)``, is transformed over its
 last ``grid.dim`` axes in one call, and each state's transform equals its
 own bit for bit; ``gradient_values`` and ``laplacian_values`` take such
-a stack too.  Per-axis wavenumbers are k = pi*m/half_width for integer m
+a stack too.  A transform of an array the package has just made runs in
+place; a caller's array is never overwritten.  A grid-sized product of a
+factor and such a temporary is written into the temporary in the operand
+order numpy would take for the expression (``_times_temporary``), so it
+keeps numpy's bits.  Per-axis wavenumbers are k = pi*m/half_width for integer m
 in [-n/2, n/2), stored in numpy's standard FFT ordering (0, 1, ...,
 n/2-1, -n/2, ..., -1 scaled).  All integrals are plain dx^N Riemann
 sums, which on a periodic grid coincide with the trapezoidal rule and
@@ -25,8 +29,9 @@ are spectrally accurate for smooth fields.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.fft  # imported with the package, so that no row pays the import
@@ -69,6 +74,9 @@ class Grid:
         n = self.n_per_axis
         if n < 16 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_per_axis must be a power of two >= 16, got {n}")
+        if isinstance(self.half_width, bool) or not isinstance(self.half_width, numbers.Real):
+            raise ConfigError(f"half_width must be a real number, got {self.half_width!r}")
+        object.__setattr__(self, "half_width", float(self.half_width))
         if not (0 < self.half_width < math.inf):
             raise ConfigError(f"half_width must be positive and finite, got {self.half_width}")
         dx = 2.0 * self.half_width / n
@@ -129,7 +137,7 @@ class Norms(NamedTuple):
 
 def make_grid(dim: int, n_per_axis: int, half_width: float) -> Grid:
     """Build a periodic grid on [-half_width, half_width)^dim."""
-    return Grid(dim=dim, n_per_axis=n_per_axis, half_width=float(half_width))
+    return Grid(dim=dim, n_per_axis=n_per_axis, half_width=half_width)
 
 
 def boundary_mass_fraction(grid: Grid, rho: np.ndarray) -> float:
@@ -142,7 +150,7 @@ def boundary_mass_fraction(grid: Grid, rho: np.ndarray) -> float:
     return float(rho[~inner].sum() / total)
 
 
-def fftn(values: np.ndarray, dim: int | None = None) -> np.ndarray:
+def fftn(values: np.ndarray, dim: int | None = None, *, _overwrite: bool = False) -> np.ndarray:
     """``np.fft.fftn(values)`` bit for bit, on scipy.fft's faster pocketfft.
 
     With ``dim``, only the last ``dim`` axes are transformed: a stack of
@@ -152,26 +160,65 @@ def fftn(values: np.ndarray, dim: int | None = None) -> np.ndarray:
     bits differ from numpy's; the reversed axes give numpy's order of 1D
     passes.  One transformed axis goes to the one-axis ``scipy.fft.fft``,
     which runs the same pass without the n-dimensional dispatch.
+
+    Inside the package, ``_overwrite=True`` transforms a complex128 array
+    in place and returns it, with the same bits.  Only a caller that has
+    just made that array itself may pass it, never for a caller's array or
+    a state's values.
     """
     x = np.asarray(values, dtype=np.complex128)
     axes = _last_axes(x, dim)
     if len(axes) == 1:
-        return scipy.fft.fft(x)
-    return scipy.fft.fftn(x, axes=axes)
+        return scipy.fft.fft(x, overwrite_x=_overwrite)
+    return scipy.fft.fftn(x, axes=axes, overwrite_x=_overwrite)
 
 
-def ifftn(values: np.ndarray, dim: int | None = None) -> np.ndarray:
+def ifftn(values: np.ndarray, dim: int | None = None, *, _overwrite: bool = False) -> np.ndarray:
     """``np.fft.ifftn(values)`` bit for bit; see ``fftn``."""
     x = np.asarray(values, dtype=np.complex128)
     axes = _last_axes(x, dim)
     if len(axes) == 1:
-        return scipy.fft.ifft(x)
-    return scipy.fft.ifftn(x, axes=axes)
+        return scipy.fft.ifft(x, overwrite_x=_overwrite)
+    return scipy.fft.ifftn(x, axes=axes, overwrite_x=_overwrite)
 
 
 def _last_axes(x: np.ndarray, dim: int | None) -> tuple[int, ...]:
     """The last ``dim`` axes of ``x`` (all of them by default), last first."""
     return tuple(range(-1, -(x.ndim if dim is None else dim) - 1, -1))
+
+
+# numpy runs ``a * t``, ``t`` a temporary of at least this many bytes, as
+# ``multiply(t, a)`` (its temporary elision), and a complex product's last
+# bit depends on the operand order.
+_ELISION_BYTES = 256 * 1024
+
+
+def _times_temporary(a: np.ndarray, t: np.ndarray, dim: int) -> np.ndarray:
+    """``a * t`` written into ``t`` and returned, ``t`` a temporary that the
+    caller has just made and that has the product's shape and dtype.
+
+    ``t`` is a state or a stack of states over its last ``dim`` axes.  Each
+    state gets the operand order numpy's temporary elision takes for ``a *
+    t`` on that state alone: ``multiply(t, a)`` when one state is at least
+    ``_ELISION_BYTES``, else ``multiply(a, t)``.  So a state's product has
+    the same bits as numpy's expression, in a stack of one row or several.
+    """
+    state_bytes = math.prod(t.shape[t.ndim - dim :]) * t.itemsize
+    if state_bytes >= _ELISION_BYTES:
+        return np.multiply(t, a, out=t)
+    return np.multiply(a, t, out=t)
+
+
+def _derivatives(grid: Grid, values: np.ndarray) -> Iterator[np.ndarray]:
+    """The spectral derivative of ``values`` along each axis, in axis order,
+    each written into one reused complex buffer: a derivative is only valid
+    until the next one is drawn.  A stack ``(k, *grid.shape)`` gives
+    ``(k, *grid.shape)`` derivatives from one forward transform."""
+    vhat = fftn(values, grid.dim)
+    buf = np.empty_like(vhat)
+    for axis in range(grid.dim):
+        np.multiply(1j * _axis_multiplier(grid, axis), vhat, out=buf)
+        yield ifftn(buf, grid.dim, _overwrite=True)
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -182,12 +229,11 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     equal bit for bit to its own.  Real input yields real output (imaginary
     roundoff is discarded).
     """
-    vhat = fftn(values, grid.dim)
-    lead = vhat.shape[: vhat.ndim - grid.dim]
+    lead = np.shape(values)[: np.ndim(values) - grid.dim]
     out = np.empty(lead + (grid.dim,) + grid.shape, dtype=np.complex128)
     by_axis = out.swapaxes(0, len(lead))
-    for axis in range(grid.dim):
-        by_axis[axis] = ifftn(1j * _axis_multiplier(grid, axis) * vhat, grid.dim)
+    for axis, d in enumerate(_derivatives(grid, values)):
+        by_axis[axis] = d
     if np.isrealobj(values):
         return out.real
     return out
@@ -200,29 +246,38 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     ``grid.dim`` axes only, so each state's Laplacian equals its own bit
     for bit.
     """
-    res = ifftn(-grid.k_squared() * fftn(values, grid.dim), grid.dim)
+    res = _laplacian_of_transform(grid, fftn(values, grid.dim))
     return res.real if np.isrealobj(values) else res
+
+
+def _laplacian_of_transform(grid: Grid, vhat: np.ndarray) -> np.ndarray:
+    """The Laplacian whose forward transform ``vhat`` the caller has just
+    made; it is computed in ``vhat``'s buffer, which is returned."""
+    return ifftn(_times_temporary(-grid.k_squared(), vhat, grid.dim), grid.dim, _overwrite=True)
 
 
 def norms(grid: Grid, values: np.ndarray) -> Norms:
     """L2 norm, H1 seminorm (via the spectral gradient) and full H1 norm."""
-    return _norms_from_gradient(grid, np.abs(values) ** 2, gradient_values(grid, values))
-
-
-def _norms_from_gradient(grid: Grid, rho: np.ndarray, grad: np.ndarray) -> Norms:
-    """``norms`` from the density |values|^2 and the spectral gradient, for
-    callers that already hold both; one formula, so both give the same bits.
-
-    For a stack, ``rho`` of shape ``(k, *grid.shape)`` and ``grad`` of
-    shape ``(k, dim, *grid.shape)``, each norm is an array of ``k``, and
-    every sum runs over one state, as for a lone one.
-    """
-    dv = grid.cell_volume
-    space = tuple(range(-grid.dim, 0))
-    l2_sq = np.sum(rho, axis=space) * dv
+    real = np.isrealobj(values)
     semi_sq = 0.0
-    for g in grad.swapaxes(0, -grid.dim - 1):
-        semi_sq = semi_sq + np.sum(np.abs(g) ** 2, axis=space) * dv
+    for d in _derivatives(grid, values):
+        semi_sq = semi_sq + _semi_term(grid, d.real if real else d)
+    return _norms_from_terms(grid, np.abs(values) ** 2, semi_sq)
+
+
+def _semi_term(grid: Grid, d: np.ndarray) -> np.ndarray:
+    """One axis's term of the squared H1 seminorm, from that axis's
+    derivative; for a stack ``(k, *grid.shape)``, one term per state, each
+    summed over that state alone."""
+    return np.sum(np.abs(d) ** 2, axis=tuple(range(-grid.dim, 0))) * grid.cell_volume
+
+
+def _norms_from_terms(grid: Grid, rho: np.ndarray, semi_sq) -> Norms:
+    """``norms`` from the density |values|^2 and the seminorm's terms
+    summed in axis order (``_semi_term``), for every caller of one formula,
+    so all give the same bits.  For a stack, each norm is an array of
+    ``k``."""
+    l2_sq = np.sum(rho, axis=tuple(range(-grid.dim, 0))) * grid.cell_volume
     return Norms(
         l2=np.sqrt(l2_sq),
         h1=np.sqrt(l2_sq + semi_sq),

@@ -209,14 +209,15 @@ class InjectivityReport(NamedTuple):
 class NeighbourPairs:
     """Unordered pairs of k-nearest neighbours among the rows of ``points``.
 
-    ``lo``/``hi`` index the rows of ``points``; ``base`` is each pair's
-    initial separation, always positive.
+    ``lo``/``hi`` index the rows of ``points``; the two points of a pair
+    never coincide.  The list keeps indices only: a monitor recomputes
+    each block's initial separations from ``points``, so no array of
+    separations stays alive beside the list.
     """
 
     points: np.ndarray  # (m, dim) start points of the samples paired
     lo: np.ndarray
     hi: np.ndarray
-    base: np.ndarray
 
     def fits(self, ens: TrajectoryEnsemble) -> bool:
         """Whether the pairs were built from the start points of ``ens``'s valid samples."""
@@ -268,16 +269,16 @@ def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
     hi = np.remainder(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
     del pair_keys
     coords = points.T
-    base = np.empty(lo.size)
+    keep = np.empty(lo.size, dtype=bool)
     for start in range(0, lo.size, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        base[block] = _pair_separation(coords, lo[block], hi[block])
-    keep = base > 0  # coincident initial samples carry no ratio information
+        # coincident initial samples carry no ratio information
+        keep[block] = _pair_separation(coords, lo[block], hi[block]) > 0
     if not keep.all():
         if not keep.any():
             raise UsageError("all neighbor pairs coincide at t=0")
-        lo, hi, base = lo[keep], hi[keep], base[keep]
-    return NeighbourPairs(points, lo, hi, base)
+        lo, hi = lo[keep], hi[keep]
+    return NeighbourPairs(points, lo, hi)
 
 
 def flow_injectivity_monitor(
@@ -292,20 +293,23 @@ def flow_injectivity_monitor(
     without it the monitor builds that list.  A ratio below
     ``VIOLATION_RATIO`` is the proxy for trajectory crossing; the first
     time it happens is reported.  The pairs are measured ``PAIR_BLOCK`` at
-    a time, each block at every output time; a min is exact under any
-    blocking, so the block sets only the size of the temporaries.
+    a time: a block's initial separations are computed once from the
+    list's points, then the block is measured at every output time; a min
+    is exact under any blocking, so the block sets only the size of the
+    temporaries.
     """
     if pairs is None:
         pairs = injectivity_pairs(ens.initial_points[ens.valid])
     elif not pairs.fits(ens):
         raise UsageError("pair list was built for other initial points or valid samples")
     valid = np.flatnonzero(ens.valid)
+    coords = pairs.points.T
     ratio = np.full(ens.times.size, np.inf)  # smallest ratio per output time
-    for start in range(0, pairs.base.size, PAIR_BLOCK):
+    for start in range(0, pairs.lo.size, PAIR_BLOCK):
         part = slice(start, start + PAIR_BLOCK)
+        base = _pair_separation(coords, pairs.lo[part], pairs.hi[part])
         # the block's sample indices, translated once for every output time
         lo, hi = valid[pairs.lo[part]], valid[pairs.hi[part]]
-        base = pairs.base[part]
         for k_t in range(ens.times.size):
             sep = _pair_separation(ens.positions[k_t].T, lo, hi)
             ratio[k_t] = np.minimum(ratio[k_t], np.min(sep / base))

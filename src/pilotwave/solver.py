@@ -29,7 +29,15 @@ from .errors import (
     UsageError,
     WaveBlowUp,
 )
-from .grid import Grid, boundary_mass_fraction, fftn, ifftn, laplacian_values, norms
+from .grid import (
+    Grid,
+    _laplacian_of_transform,
+    _times_temporary,
+    boundary_mass_fraction,
+    fftn,
+    ifftn,
+    norms,
+)
 from .potential import StaticPotential, TimePeriodicPotential
 
 __all__ = [
@@ -180,14 +188,6 @@ def _as_vector(grid: Grid, value, name: str) -> np.ndarray:
 # stepping
 
 
-# numpy runs ``k * t``, ``t`` a temporary of at least this many bytes, as
-# ``multiply(t, k)`` (its temporary elision), and a complex product's last
-# bit depends on the operand order.  A step writes its kinetic products in
-# the order numpy picks for ``kin * fftn(state)`` on one state, so that a
-# state gets the same bits in a stack of one row or of several.
-_ELISION_BYTES = 256 * 1024
-
-
 class StrangStepper:
     """The Strang step of a sequence of ``OscillatingSystem``s and
     ``StaticPotential``s marched as one stack, at most one of them
@@ -196,9 +196,11 @@ class StrangStepper:
     Every state is a stack: ``advance`` takes and returns a
     ``(k, *grid.shape)`` array whose row ``i`` is system ``i``'s state, and
     each row equals bit for bit the state that a stepper of its system
-    alone gives.  One transform per half step serves every row, the
-    kinetic factor ``kin``, of shape ``(1, *grid.shape)``, broadcasts over
-    the rows, the static rows of the potential phase are set once and an
+    alone gives.  One transform per half step serves every row, and every
+    transform after the first runs in place in the step's one new array.
+    The kinetic factor ``kin``, of shape ``(1, *grid.shape)``, broadcasts
+    over the rows in one state's operand order (``grid._times_temporary``);
+    the static rows of the potential phase are set once, and an
     oscillating row is rewritten in place each step.  A raw step: it checks
     neither the sign of ``dt`` nor the fast-period rule (``propagate``
     does).  ``static_phase`` is None when a row oscillates, so that the
@@ -223,7 +225,6 @@ class StrangStepper:
         # stored with the stack's leading axis, so that a one-row stack
         # multiplies two arrays of one shape
         self.kin = np.exp(-1j * grid.k_squared() * dt / 4.0)[np.newaxis] if _kin is None else _kin
-        self._elided = grid.size * np.dtype(np.complex128).itemsize >= _ELISION_BYTES
         self._phases = np.empty((len(systems),) + grid.shape, dtype=np.complex128)
         self.static_phase = self._phases
         for i, system in enumerate(systems):
@@ -239,19 +240,20 @@ class StrangStepper:
                 self._phases[i] = np.exp(-1j * system.values * dt)
 
     def advance(self, values: np.ndarray, t: float) -> np.ndarray:
-        """The stack one step of ``dt`` after ``values`` at time ``t``."""
+        """The stack one step of ``dt`` after ``values`` at time ``t``;
+        ``values`` is read, never written, and the new stack is the one
+        array the step allocates."""
         if self.static_phase is None:
             scalar = self.V.temporal_integral(t, t + self.dt, self.eps)
             _oscillating_phase(self.w, scalar, out=self._phases[self._row])
-        v = ifftn(self._kinetic(fftn(values, self._dim)), self._dim)
+        v = self._half_kinetic(fftn(values, self._dim))
         np.multiply(self._phases, v, out=v)
-        return ifftn(self._kinetic(fftn(v, self._dim)), self._dim)
+        return self._half_kinetic(fftn(v, self._dim, _overwrite=True))
 
-    def _kinetic(self, vhat: np.ndarray) -> np.ndarray:
-        """``kin * vhat`` in place, in one state's operand order (``_ELISION_BYTES``)."""
-        if self._elided:
-            return np.multiply(vhat, self.kin, out=vhat)
-        return np.multiply(self.kin, vhat, out=vhat)
+    def _half_kinetic(self, vhat: np.ndarray) -> np.ndarray:
+        """The half kinetic step of the stack whose transform ``vhat`` was
+        just made, computed in ``vhat``'s buffer, which is returned."""
+        return ifftn(_times_temporary(self.kin, vhat, self._dim), self._dim, _overwrite=True)
 
 
 def _oscillating_phase(w: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
@@ -462,7 +464,8 @@ def gronwall_integrand(
     ``V.spatial_values(grid)``, which a caller evaluating the term frame
     after frame builds once.  This is the forcing
     term whose vanishing drives the averaged system's H1 error estimate to
-    zero.
+    zero.  The Laplacian is taken in place in the one buffer of the
+    difference, so the term needs about three states of scratch.
     """
     _check_paired(psi_eps, psi_eff)
     grid = psi_eps.grid
@@ -473,7 +476,13 @@ def gronwall_integrand(
     V, t = system.potential, psi_eps.time
     # the arithmetic of evaluate(V, t / eps, grid).values, on the caller's w
     a = float(V.temporal(np.asarray(t / system.eps, dtype=np.float64)))
+    # the difference is transformed, differentiated and conjugated in its
+    # own buffer; the products keep the order of
+    # ``dV * psi_eps.values * np.conj(lap)``
+    diff = np.subtract(psi_eps.values, psi_eff.values)
+    conj_lap = _laplacian_of_transform(grid, fftn(diff, grid.dim, _overwrite=True))
+    np.conjugate(conj_lap, out=conj_lap)
     dV = a * w - Vstar.values
-    lap = laplacian_values(grid, psi_eps.values - psi_eff.values)
-    inner = np.sum(dV * psi_eps.values * np.conj(lap)) * grid.cell_volume
+    product = dV * psi_eps.values
+    inner = np.sum(np.multiply(product, conj_lap, out=product)) * grid.cell_volume
     return float(abs(inner))

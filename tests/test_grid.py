@@ -3,6 +3,7 @@ import pytest
 
 from pilotwave.errors import ConfigError, InputError
 from pilotwave.grid import (
+    Grid,
     boundary_mass_fraction,
     fftn,
     gradient_values,
@@ -50,6 +51,20 @@ class TestMakeGrid:
         # a float size was once truncated or misread, and a bool taken for 1
         with pytest.raises(ConfigError, match="must be an integer"):
             make_grid(dim, n, 16.0)
+
+    @pytest.mark.parametrize("build", [make_grid, Grid])
+    @pytest.mark.parametrize("L", [True, "16", 16.0 + 0j, None])
+    def test_half_width_must_be_a_real_number(self, build, L):
+        # make_grid once passed it through float(): True gave a box of 1.0
+        # and "16" one of 16.0, while Grid raised a raw TypeError on "16"
+        with pytest.raises(ConfigError, match="half_width must be a real number"):
+            build(1, 64, L)
+
+    @pytest.mark.parametrize("L", [np.float64(16.0), np.float32(16.0), 16, np.int64(16)])
+    def test_real_half_widths_accepted_and_stored_as_float(self, L):
+        for g in (make_grid(1, 64, L), Grid(1, 64, L)):
+            assert g == make_grid(1, 64, 16.0)
+            assert type(g.half_width) is float
 
     def test_numpy_integer_sizes_accepted(self):
         g = make_grid(np.int64(2), np.int32(64), 10.0)

@@ -1216,7 +1216,7 @@ class TestLaneCalls:
 
         def monitor(ens, pairs=None):
             (k,) = [i for i, e in enumerate(ensembles) if e is ens]
-            given[k] = None if pairs is None else (pairs.points, pairs.lo, pairs.hi, pairs.base)
+            given[k] = None if pairs is None else (pairs.points, pairs.lo, pairs.hi)
             return real_monitor(ens, pairs=pairs)
 
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)

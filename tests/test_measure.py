@@ -555,7 +555,7 @@ class TestBlockedMeasures:
         monkeypatch.setattr(measure, "QUERY_BLOCK", 1 << 20)
         monkeypatch.setattr(measure, "PAIR_BLOCK", 1 << 20)
         whole = injectivity_pairs(ens.initial_points[ens.valid])
-        for name in ("lo", "hi", "base"):
+        for name in ("lo", "hi"):
             assert np.array_equal(getattr(small, name), getattr(whole, name)), name
 
 
@@ -587,6 +587,6 @@ class TestMeasureMemory:
         # building the list needs little beyond the list and its sorted keys,
         # one int32 per (sample, neighbour) while m * m fits int32
         peak, built = self._traced_peak(lambda: injectivity_pairs(ens.initial_points[ens.valid]))
-        list_bytes = built.lo.nbytes + built.hi.nbytes + built.base.nbytes
+        list_bytes = built.lo.nbytes + built.hi.nbytes
         keys_bytes = m * 64 * 4
         assert peak < list_bytes + keys_bytes
