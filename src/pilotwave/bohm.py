@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
-from .grid import Grid, _derivatives, _norms_from_terms, _semi_term, gradient_values, laplacian_values
+from .grid import Grid, _derivatives, _norms_from_terms, _semi_term, laplacian_values
 from .solver import WaveFunction, _check_paired
 
 __all__ = [
@@ -534,8 +534,9 @@ def continuity_residual(snapshots: list[DensityFields]) -> float:
 
 
 def _divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a (dim, *shape) vector field."""
+    """Spectral divergence of a real (dim, *shape) vector field, one
+    derivative per component: one transform each way, 2 * dim in all."""
     out = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        out += gradient_values(grid, vec[axis])[axis]
+        out += next(_derivatives(grid, vec[axis], (axis,))).real
     return out

@@ -209,14 +209,14 @@ def _times_temporary(a: np.ndarray, t: np.ndarray, dim: int) -> np.ndarray:
     return np.multiply(a, t, out=t)
 
 
-def _derivatives(grid: Grid, values: np.ndarray) -> Iterator[np.ndarray]:
-    """The spectral derivative of ``values`` along each axis, in axis order,
-    each written into one reused complex buffer: a derivative is only valid
-    until the next one is drawn.  A stack ``(k, *grid.shape)`` gives
-    ``(k, *grid.shape)`` derivatives from one forward transform."""
+def _derivatives(grid: Grid, values: np.ndarray, axes=None) -> Iterator[np.ndarray]:
+    """The spectral derivative of ``values`` along each of ``axes`` (all by
+    default), in order, each into one reused complex buffer: a derivative
+    is only valid until the next one is drawn.  A stack ``(k, *grid.shape)``
+    gives ``(k, *grid.shape)`` derivatives from one forward transform."""
     vhat = fftn(values, grid.dim)
     buf = np.empty_like(vhat)
-    for axis in range(grid.dim):
+    for axis in range(grid.dim) if axes is None else axes:
         np.multiply(1j * _axis_multiplier(grid, axis), vhat, out=buf)
         yield ifftn(buf, grid.dim, _overwrite=True)
 

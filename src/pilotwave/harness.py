@@ -161,12 +161,12 @@ class ExperimentConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self) -> None:
-        # every float and list entry: a config built in Python fails as a YAML one does
-        for name, section in self.to_mapping().items():
-            for key, value in section.items():
-                values = value if isinstance(value, (tuple, list)) else (value,)
-                if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                    raise ConfigError(f"config key '{name}.{key}' must be finite, got {value!r}")
+        for section in dataclasses.fields(self):
+            for f in dataclasses.fields(section.default_factory):
+                value = getattr(getattr(self, section.name), f.name)
+                if expected := _expected_type(f.default, value):
+                    key = f"{section.name}.{f.name}"
+                    raise ConfigError(f"config key '{key}' must be {expected}, got {value!r}")
         s = self.sweep
         eps = s.eps_list
         if not eps:
@@ -220,9 +220,9 @@ class ExperimentConfig:
 def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
     """Build a config from nested mappings; unknown keys are errors.
 
-    The sections are ``ExperimentConfig``'s fields.  Each value must have
-    its field default's type (see ``_expected_type``); a key whose default
-    is a tuple takes a YAML list.
+    The sections are ``ExperimentConfig``'s fields.  A list becomes a
+    tuple and every other value is passed as given: ``ExperimentConfig``
+    checks them all (see ``_expected_type``).
     """
     if not isinstance(data, Mapping):
         raise ConfigError("config root must be a mapping of sections")
@@ -243,11 +243,7 @@ def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown keys in section '{name}': {sorted(bad)} (allowed: {sorted(defaults)})"
             )
-        for k, v in section.items():
-            expected = _expected_type(defaults[k], v)
-            if expected is not None:
-                raise ConfigError(f"config key '{name}.{k}' must be {expected}, got {v!r}")
-        coerced = {k: tuple(v) if isinstance(defaults[k], tuple) else v for k, v in section.items()}
+        coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
         kwargs[name] = cls(**coerced)
     return ExperimentConfig(**kwargs)
 
@@ -258,25 +254,27 @@ def _is_number(value: Any) -> bool:
 
 
 def _expected_type(default: Any, value: Any) -> str | None:
-    """What ``value`` should be in place of ``default``, or None if it fits.
+    """What config ``value`` should be in place of ``default``, or None.
 
     An int fits where a float belongs and is kept as it is, so the config
     hash does not move; a ``None`` default is an optional number; a tuple
-    default takes a list of numbers.  A bool is not a number, and a string
-    is never converted.  Types only: ``ExperimentConfig`` checks that every
-    number is finite.
+    default takes a list or tuple of numbers.  A bool is not a number, a
+    string is never converted, a numpy scalar fits only as ``np.float64``,
+    and a float, alone or in a list, must be finite.
     """
+    values = value if isinstance(value, (list, tuple)) else (value,)
+    finite = None if all(math.isfinite(v) for v in values if isinstance(v, float)) else "finite"
     if isinstance(default, tuple):
         fits = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-        return None if fits else "a list of numbers"
+        return finite if fits else "a list of numbers"
     if default is None:
-        return None if value is None or _is_number(value) else "a number or null"
+        return finite if value is None or _is_number(value) else "a number or null"
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
         return None if _is_number(value) and isinstance(value, int) else "an integer"
     if isinstance(default, float):
-        return None if _is_number(value) else "a number"
+        return finite if _is_number(value) else "a number"
     return None if isinstance(value, type(default)) else f"a {type(default).__name__}"
 
 
@@ -768,8 +766,8 @@ def run_sweep(
 ) -> ConvergenceReport:
     """Run every epsilon row and assemble the report, rows in ``eps_list`` order.
 
-    ``threads`` is the worker count; it defaults to the number of CPUs this
-    process may run on, and a count below 1 raises ConfigError.  On a grid
+    ``threads`` is the worker count, the CPUs this process may run on when
+    None; any other value than a plain int >= 1 raises ConfigError.  On a grid
     below ``LANE_MIN_POINTS`` points (every 1D grid), the rows are dealt by
     step count into ``min(workers, rows)`` bins, longest first
     (``_deal_longest_first``); on a larger grid they form one bin.  The
@@ -794,8 +792,9 @@ def run_sweep(
     removes the files written before it and raises ConfigError naming its
     path.
     """
-    if threads is not None and threads < 1:
-        raise ConfigError(f"the worker count must be >= 1, got {threads}")
+    rule = None if threads is None else _expected_type(1, threads) or (">= 1" if threads < 1 else None)
+    if rule:
+        raise ConfigError(f"the worker count must be {rule}, got {threads!r}")
     eps_list = config.sweep.eps_list
     _check_config(config)
     plans = [_step_plan(config, eps) for eps in eps_list]
@@ -956,7 +955,8 @@ def _json_text(obj: Any, indent: int = 0) -> str:
             return "NaN"
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
-        return _fmt(x)
+        text = _fmt(x)  # an integral float keeps its point, so it reloads as a float
+        return text if "." in text or "e" in text else f"{text}.0"
     if obj is None:
         return "null"
     if isinstance(obj, str):

@@ -17,6 +17,8 @@ from pilotwave.harness import (
     GridSpec,
     PotentialSpec,
     SweepSpec,
+    config_from_mapping,
+    emit_json,
     harmonic_benchmark_config,
     run_single,
     run_sweep,
@@ -194,17 +196,22 @@ class TestAcceptance:
 
 
 class TestBenchmarkRegressionCanon:
-    def test_report_matches_stored_canon(self, benchmark_sweep):
+    def test_report_matches_stored_canon(self, benchmark_sweep, tmp_path):
         """The canonical benchmark report is pinned; numerical drift beyond
         1e-12 relative means the scheme changed and the canon must be
-        re-baselined deliberately."""
+        re-baselined deliberately.  The report is read as ``emit_json``
+        wrote it, so the emitter is held to the canon too."""
         canon_path = DATA_DIR / "harmonic_benchmark_report.json"
         if not canon_path.exists():
             pytest.skip("benchmark canon not generated yet")
         report, _ = benchmark_sweep
         canon = json.loads(canon_path.read_text())
-        fresh = json.loads(json.dumps(report.to_mapping()))
+        emit_json(report, tmp_path / "report.json")
+        fresh = json.loads((tmp_path / "report.json").read_text())
         assert fresh["metadata"]["config_hash"] == canon["metadata"]["config_hash"]
+        # the written config reloads to the hash it is written under
+        reloaded = config_from_mapping(fresh["metadata"]["config"])
+        assert reloaded.config_hash() == fresh["metadata"]["config_hash"]
         assert len(fresh["rows"]) == len(canon["rows"])
         for got, want in zip(fresh["rows"], canon["rows"]):
             assert set(got) <= set(want), f"not in the canon: {sorted(set(got) - set(want))}"

@@ -141,13 +141,88 @@ class TestConfig:
             ("potential", "analytic_mean", math.nan),
             ("solver", "dt_cap", math.inf),
             ("initial_state", "center", [-math.inf]),
+            # a float for every integer key: built in Python, these once
+            # propagated a row or more before a raw TypeError
+            ("grid", "dim", 1.0),
+            ("grid", "n_per_axis", 256.0),
+            ("potential", "lattice_periods", 4.0),
+            ("solver", "steps_per_fast_period", 32.0),
+            ("solver", "frames_per_fast_period", 16.0),
+            ("solver", "quad_order", 16.0),
+            ("sweep", "ensemble_size", 2000.5),
+            ("sweep", "seed", 1.5),
+            ("measure", "dictionary_size", 32.0),
+            # numpy scalars other than np.float64: an np.int64 once ran every
+            # row before the config hash could not serialize it
+            ("grid", "n_per_axis", np.int64(256)),
+            ("sweep", "seed", np.int64(99)),
+            ("grid", "half_width", np.int64(12)),
+            ("grid", "half_width", np.float32(12.0)),
+            ("output", "save_fields", np.True_),
+            ("initial_state", "eps_perturbation", np.False_),
+            # a string where a number belongs
+            ("sweep", "horizon", "0.5"),
+            ("potential", "well_depth", "1.0"),
+            ("sweep", "delta_list", ["0.05"]),
+            # a non-finite list entry, and a tuple passed as given
+            ("sweep", "delta_list", [math.nan]),
+            ("sweep", "eps_list", (0.2, math.nan)),
+            ("initial_state", "momentum", [0.0, math.inf]),
         ],
     )
-    def test_value_of_the_wrong_type_rejected(self, section, key, value):
-        data = yaml.safe_load(BENCH_YAML)
-        data.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+    def test_value_of_the_wrong_type_rejected(self, section, key, value, tmp_path, monkeypatch):
+        """One rule on both entry paths: a YAML mapping and a config built
+        in Python each end in a ConfigError naming the key, before any step
+        and any write."""
+        steps = []
+        monkeypatch.setattr(StrangStepper, "advance", lambda *a, **k: steps.append(1))
+
+        def from_yaml():
+            data = yaml.safe_load(BENCH_YAML)
+            data.setdefault(section, {})[key] = value
+            return config_from_mapping(data)
+
+        def in_python():
+            base = config_from_mapping(yaml.safe_load(BENCH_YAML))
+            sections = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+            sections[section] = dataclasses.replace(sections[section], **{key: value})
+            return ExperimentConfig(**sections)
+
+        for build in (from_yaml, in_python):
+            out = tmp_path / build.__name__
+            with pytest.raises(ConfigError, match=f"config key '{section}.{key}' must be "):
+                run_sweep(build(), threads=1, out_dir=out)
+            assert steps == []
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sweep": SweepSpec(seed=1.5)}, "config key 'sweep.seed' must be an integer, got 1.5"),
+            ({"sweep": SweepSpec(horizon=math.inf)}, "config key 'sweep.horizon' must be finite, got inf"),
+        ],
+    )
+    def test_both_messages_keep_their_text(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**kwargs)
+        assert str(info.value) == message
+        data = {name: dataclasses.asdict(spec) for name, spec in kwargs.items()}
+        with pytest.raises(ConfigError) as info:
             config_from_mapping(data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("eps_list", [(0.2,), (0.2, 0.1, 0.05)])
+    @pytest.mark.parametrize("threads", [2.5, True, "2", np.int64(2)])
+    def test_worker_count_that_is_no_int_rejected(self, threads, eps_list, tmp_path, monkeypatch):
+        # 2.5 once raised a raw TypeError in the row dealing of a three-row
+        # sweep, and a one-row sweep ran with it
+        steps = []
+        monkeypatch.setattr(StrangStepper, "advance", lambda *a, **k: steps.append(1))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="the worker count must be an integer, got "):
+            run_sweep(small_config(eps_list=eps_list), threads=threads, out_dir=out)
+        assert steps == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kwargs, key",
@@ -1303,6 +1378,42 @@ class TestEmitters:
         # 17-significant-digit floats round-trip bit-exactly
         assert parsed["rows"][0]["h1_wave"] == 1.25e-3
         assert parsed["rows"][0]["eps"] == 0.2
+
+    def test_integral_float_keeps_its_point(self, tmp_path):
+        values = {"half_width": 16.0, "neg": -3.0, "zero": -0.0, "big": 1e16, "huge": 1e22,
+                  "count": 16, "third": 1 / 3}
+        report = ConvergenceReport(rows=self._tiny_report().rows, metadata=values)
+        path = tmp_path / "report.json"
+        emit_json(report, path)
+        text = path.read_text()
+        for line in ('"half_width": 16.0,', '"neg": -3.0,', '"zero": -0.0,',
+                     '"big": 10000000000000000.0,', '"huge": 1e+22,', '"count": 16,',
+                     '"third": 0.33333333333333331'):
+            assert line in text
+        parsed = json.loads(text)["metadata"]
+        assert parsed == values
+        assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in values.items()}
+        # the CSV keeps its 17-significant-digit cells
+        emit_csv(ConvergenceReport(rows=(dataclasses.replace(report.rows[0], eps=1.0),), metadata={}),
+                 tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_text().split("\n")[1].startswith("1,")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_report_config_reloads_to_its_own_hash(self, dim, tmp_path):
+        # an integral float (half_width, width) once came back as an int,
+        # which hashes as written
+        cfg = ExperimentConfig(
+            grid=GridSpec(dim=dim, n_per_axis=256, half_width=12.0 + 4.0 * (dim - 1)),
+            initial_state=InitialStateSpec(center=(0.0,) * dim, width=1.0, momentum=(0.0,) * dim),
+            sweep=SweepSpec(horizon=0.25, eps_list=(0.2,), delta_list=(0.05,), ensemble_size=100, seed=4),
+        )
+        assert run_sweep(cfg, threads=1, out_dir=tmp_path).rows[0].valid
+        text = (tmp_path / "report.json").read_text()
+        assert f'"half_width": {cfg.grid.half_width!r}\n' in text
+        report = json.loads(text)
+        reloaded = config_from_mapping(report["metadata"]["config"])
+        assert reloaded == cfg
+        assert reloaded.config_hash() == report["metadata"]["config_hash"] == cfg.config_hash()
 
     def test_json_handles_nan_rows(self, tmp_path):
         row = SweepRow(

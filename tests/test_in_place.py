@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from pilotwave.bohm import _stacked_velocity, densities
+from pilotwave.bohm import _divergence, _stacked_velocity, densities
 from pilotwave.grid import (
     _axis_multiplier,
     fftn,
@@ -160,6 +161,22 @@ class TestSameBitsAsTheExpressions:
         psi_eff = WaveFunction(g, random_values(g.shape, 5), 0.37)
         got = gronwall_integrand(psi_eps, psi_eff, osc, Vstar, w=w)
         assert same_bits(got, reference_gronwall(psi_eps, psi_eff, Vstar, w))
+
+    @pytest.mark.parametrize("dim, n", SIZES)
+    def test_divergence(self, dim, n, monkeypatch):
+        # once each component's whole gradient: dim * (dim + 1) transforms
+        g = make_grid(dim, n, 16.0)
+        vec = random_values((dim,) + g.shape, 6).real.copy()
+        want = np.zeros(g.shape)
+        for axis in range(dim):
+            want += reference_gradient(g, vec[axis])[axis]
+        calls = []
+        for name in ("fft", "fftn", "ifft", "ifftn"):
+            transform = getattr(scipy.fft, name)
+            monkeypatch.setattr(scipy.fft, name, lambda *a, _t=transform, **k: calls.append(1) or _t(*a, **k))
+        got = _divergence(g, vec)
+        assert len(calls) == 2 * dim
+        assert same_bits(got, want)
 
 
 class TestCallersArraysKeepTheirBytes:
