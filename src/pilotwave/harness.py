@@ -7,12 +7,11 @@ reports every convergence metric per epsilon.  The config is checked
 once; then every row builds its own inputs, in whichever process runs it.
 With a spare worker, the rows of a small-grid sweep are dealt longest
 first to the calling process and forked ones; on a large grid they run
-one at a time.  A worker left over gives the calling process's rows the
-sweep's one lane thread: there each row builds its injectivity pair list
-and runs one monitor, and a large-grid row also steps and measures its
-averaged system.  All randomness comes from per-purpose streams
-derived from the master seed, and processes and lanes only move whole
-rows and calls, so the worker count cannot affect results.
+one at a time, and a second worker gives them the sweep's one lane
+thread, which steps and measures each row's averaged system.  All
+randomness comes from per-purpose streams derived from the master seed,
+and processes and the lane only move whole rows and calls, so the worker
+count cannot affect results.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .errors import ConfigError, MonitorAbort, UsageError
 from .fieldio import save_field
 from .grid import Grid, boundary_mass_fraction, make_grid, norms
 from .measure import (
-    NeighbourPairs,
     bohmian_measure,
     flow_injectivity_monitor,
     injectivity_pairs,
@@ -162,8 +160,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for section in dataclasses.fields(self):
-            for f in dataclasses.fields(section.default_factory):
-                value = getattr(getattr(self, section.name), f.name)
+            spec, kind = getattr(self, section.name), section.default_factory
+            if not isinstance(spec, kind):
+                raise ConfigError(f"config section '{section.name}' must be a {kind.__name__}")
+            for f in dataclasses.fields(kind):
+                value = getattr(spec, f.name)
                 if expected := _expected_type(f.default, value):
                     key = f"{section.name}.{f.name}"
                     raise ConfigError(f"config key '{key}' must be {expected}, got {value!r}")
@@ -493,24 +494,22 @@ def run_single(config: ExperimentConfig, eps: float, lane: Executor | None = Non
     before the flat distance, and the steppers are gone before the wave
     metrics.  Monitor aborts (boundary mass, H1 blow-up, trajectory
     escapes) mark the row invalid with a reason instead of raising.  A
-    valid row carries its final states.  With a ``lane`` executor, the
-    row's injectivity pair list is built there while the row's thread
-    integrates the last trajectory ensemble, and the monitors run side by
-    side; on a grid of at least ``LANE_MIN_POINTS`` points the averaged
-    system is also stepped and measured there, beside the oscillating one
-    (see ``lockstep``), and the Gronwall term is computed there.  The lane
-    moves calls, never changes them: the row makes the same calls with the
-    same arguments with or without it, and no task it puts on the lane
-    outlives it.
+    valid row carries its final states.  With a ``lane`` executor, on a
+    grid of at least ``LANE_MIN_POINTS`` points, the averaged system is
+    stepped and measured there, beside the oscillating one (see
+    ``lockstep``), and the Gronwall term is computed there; nothing else
+    uses it.  The lane moves calls, never changes them: the row makes the
+    same calls with the same arguments with or without it, and no task it
+    puts on the lane outlives it.
     """
     t_start = time.perf_counter()
     row = _row_inputs(config, eps)
     try:
         metrics, final_states, final_fields, velocity = _propagate_and_record(config, eps, row, lane)
         metrics.update(_wave_metrics(final_states, final_fields))
-        ensembles, pairs = _trajectories(config, row, velocity, lane)
+        ensembles = _trajectories(config, row, velocity)
         del velocity
-        metrics.update(_measures(config, final_fields, ensembles, pairs, lane))
+        metrics.update(_measures(config, final_fields, ensembles))
     except MonitorAbort as exc:
         return SweepRow(
             eps=eps,
@@ -677,20 +676,14 @@ def _wave_metrics(
 
 
 def _trajectories(
-    config: ExperimentConfig, row: _RowInputs, velocity: np.ndarray, lane: Executor | None
-) -> tuple[tuple[TrajectoryEnsemble, ...], NeighbourPairs]:
+    config: ExperimentConfig, row: _RowInputs, velocity: np.ndarray
+) -> list[TrajectoryEnsemble]:
     """One ensemble per system from one seeded sample of the initial
-    density, each through its row of ``velocity``, and the row's
-    injectivity pair list, ``injectivity_pairs`` of the sample.  The
-    stored frames' times come from the step plan, bit for bit as
-    ``lockstep`` stamped them.  An RK4 step spans two history intervals,
-    so its midpoint is a stored frame.  Every history stays alive until
-    the last integration ends, so no two share an ``id`` of their values.
-
-    The list is built beside the last ensemble's integration: on the
-    ``lane`` while this thread integrates, or without one on this thread
-    right after it (started beside the first as well, it raised the peak
-    RSS of a 1D row of 20000 samples by about 2 MB)."""
+    density, each through its row of ``velocity``.  The stored frames'
+    times come from the step plan, bit for bit as ``lockstep`` stamped
+    them.  An RK4 step spans two history intervals, so its midpoint is a
+    stored frame.  Every history stays alive until the last integration
+    ends, so no two share an ``id`` of their values."""
     sampling_seed, _ = _derived_seeds(config.sweep.seed)
     x0 = sample_initial_positions(
         np.abs(row.psi0.values) ** 2, row.grid, config.sweep.ensemble_size, sampling_seed
@@ -698,26 +691,21 @@ def _trajectories(
     history_times = np.arange(0, row.n_steps + 1, 2 * row.stride) * row.dt
     out_times = history_times[::2]
     histories = [FieldHistory(row.grid, history_times, u) for u in velocity]
-    ensembles = [integrate_trajectories(h, x0, out_times) for h in histories[:-1]]
-    last = partial(integrate_trajectories, histories[-1], x0, out_times)
-    ens, pairs = side_by_side(lane, lambda task: task(), [last, partial(injectivity_pairs, x0)])
-    return (*ensembles, ens), pairs
+    return [integrate_trajectories(h, x0, out_times) for h in histories]
 
 
 def _measures(
     config: ExperimentConfig,
     final_fields: tuple[DensityFields, ...],
-    ensembles: tuple[TrajectoryEnsemble, ...],
-    pairs: NeighbourPairs,
-    lane: Executor | None,
+    ensembles: list[TrajectoryEnsemble],
 ) -> dict[str, Any]:
     """Mono-kinetic flat distance and deviation fractions of the
     oscillating system against the averaged one, and the flow injectivity
-    of every ensemble.
+    of every ensemble, in order.
 
-    ``pairs`` serves each ensemble that it fits, and an ensemble that lost
-    samples builds the list of its valid ones; with a ``lane`` the
-    monitors run side by side."""
+    The row builds one injectivity pair list, of every sample
+    (``injectivity_pairs``); it serves each ensemble that it fits, and an
+    ensemble that lost samples builds the list of its valid ones."""
     _, dictionary_seed = _derived_seeds(config.sweep.seed)
     mono_dev = monokinetic_deviation(
         bohmian_measure(final_fields[0]),
@@ -728,11 +716,10 @@ def _measures(
     traj_dev = tuple(
         (d, trajectory_deviation_measure(*ensembles[:2], d)) for d in config.sweep.delta_list
     )
-    reports = side_by_side(
-        lane,
-        lambda ens: flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None),
-        ensembles,
-    )
+    pairs = injectivity_pairs(ensembles[0].initial_points)
+    reports = [
+        flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None) for ens in ensembles
+    ]
     violations = [r.first_violation_time for r in reports if r.first_violation_time is not None]
     return {
         "monokinetic_dev": mono_dev,
@@ -744,7 +731,7 @@ def _measures(
 
 # Grids below this many points step too fast for a lane to pay for its
 # hand-offs; a row on such a grid marches its two systems as one stack
-# instead, and propagates without the lane.  The placement and resolution
+# instead, and a sweep on it opens no lane.  The placement and resolution
 # rules admit no Gaussian row below n = 256 per axis, so every 2D and 3D
 # row propagates with the lane when a second worker is allowed, and every
 # 1D row marches as one stack.
@@ -772,13 +759,11 @@ def run_sweep(
     step count into ``min(workers, rows)`` bins, longest first
     (``_deal_longest_first``); on a larger grid they form one bin.  The
     calling process runs bin 0 and a fork pool runs every other bin (see
-    ``_run_rows``).  When a worker is left over (more workers than
-    processes) the sweep opens one helper thread, the lane, for the rows of
-    the calling process: each in turn builds its injectivity pair list and
-    runs one monitor there, and on a large grid also steps and measures its
-    averaged system there (see ``run_single``).  A multi-row large grid
-    stays in one bin: two such rows at once would double the memory of a
-    row.  The count never changes a result.
+    ``_run_rows``).  On a larger grid with a second worker the sweep opens
+    one helper thread, the lane, where each row in turn steps and measures
+    its averaged system (see ``run_single``).  A multi-row large grid stays
+    in one bin: two such rows at once would double the memory of a row.
+    The count never changes a result.
 
     The config is checked (``_check_config``), then ``out_dir`` is created,
     so a config error or an unusable output directory raises ConfigError
@@ -808,10 +793,9 @@ def run_sweep(
     small_grid = config.grid.n_per_axis**config.grid.dim < LANE_MIN_POINTS
     processes = min(workers, len(eps_list)) if small_grid else 1
     bins = _deal_longest_first([n_steps for n_steps, _, _ in plans], processes)
-    # the lane thread and the pool are shut down on every way out; the lane
-    # starts its thread at its first task, after the pool has forked
+    # the lane thread and the pool are shut down on every way out
     with (
-        ThreadPoolExecutor(max_workers=1) if workers > processes else nullcontext() as lane,
+        ThreadPoolExecutor(max_workers=1) if workers > 1 and not small_grid else nullcontext() as lane,
         _fork_pool(len(bins) - 1) if len(bins) > 1 else nullcontext() as pool,
     ):
         futures = [pool.submit(_run_rows, config, b) for b in bins[1:]]

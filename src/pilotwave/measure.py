@@ -36,7 +36,7 @@ MASS_MATCH_TOL = 1e-8
 FEATURE_BLOCK = 16  # features evaluated together by FeatureDictionary.integrate
 QUERY_BLOCK = 2048  # samples per k-d tree query in injectivity_pairs
 PAIR_BLOCK = 32768  # neighbour pairs measured together
-N_NEIGHBORS = 64  # initial neighbours per sample in the injectivity pair list
+N_NEIGHBORS = 64  # initial neighbours per sample in an nD injectivity pair list
 VIOLATION_RATIO = 1e-3  # stretching ratio below which injectivity counts as lost
 
 
@@ -207,7 +207,9 @@ class InjectivityReport(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class NeighbourPairs:
-    """Unordered pairs of k-nearest neighbours among the rows of ``points``.
+    """Unordered pairs of neighbours among the rows of ``points``: in 1D
+    the samples adjacent in sorted order, else k-nearest neighbours (see
+    ``injectivity_pairs``).
 
     ``lo``/``hi`` index the rows of ``points``; the two points of a pair
     never coincide.  The list keeps indices only: a monitor recomputes
@@ -225,18 +227,50 @@ class NeighbourPairs:
 
 
 def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
-    """Each unordered pair of ``N_NEIGHBORS``-nearest neighbours among the
-    rows of ``points``, once.
+    """The neighbour pairs among the rows of ``points``, each once, with
+    coincident pairs dropped.
 
-    The k-NN relation is not symmetric, so a pair counts whether one or
-    both of its samples list the other.  The list is a function of its
-    points alone, so it needs no trajectories: it serves every ensemble
-    whose valid samples start at exactly these points
-    (``NeighbourPairs.fits``).
+    In 1D these are the ``m - 1`` pairs adjacent in a stable sort of the
+    points (``lo`` the lower point), found with no k-d tree.  For a
+    monotone 1D flow their smallest stretching ratio is the smallest over
+    all pairs: between sorted points ``x_i < x_j`` the ratio
+    ``(X_j - X_i) / (x_j - x_i)`` is ``sum(g_k) / sum(d_k)`` over the
+    adjacent gaps between them, a mediant of the adjacent ratios
+    ``g_k / d_k``, so it is at least their minimum.
+
+    In more dimensions each pair of ``N_NEIGHBORS``-nearest neighbours
+    counts, whether one or both of its samples list the other (the k-NN
+    relation is not symmetric).
+
+    The list is a function of its points alone, so it needs no
+    trajectories: it serves every ensemble whose valid samples start at
+    exactly these points (``NeighbourPairs.fits``).
     """
     m = len(points)
     if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
+    if points.shape[1] == 1:
+        order = np.argsort(points[:, 0], kind="stable").astype(np.int32)
+        lo, hi = order[:-1], order[1:]  # two views of one array
+    else:
+        lo, hi = _nearest_neighbour_pairs(points)
+    coords = points.T
+    keep = np.empty(lo.size, dtype=bool)
+    for start in range(0, lo.size, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        # coincident initial samples carry no ratio information
+        keep[block] = _pair_separation(coords, lo[block], hi[block]) > 0
+    if not keep.all():
+        if not keep.any():
+            raise UsageError("all neighbor pairs coincide at t=0")
+        lo, hi = lo[keep], hi[keep]
+    return NeighbourPairs(points, lo, hi)
+
+
+def _nearest_neighbour_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 ``(lo, hi)`` with ``lo < hi``, sorted, of every unordered pair
+    of ``N_NEIGHBORS``-nearest neighbours among the rows of ``points``."""
+    m = len(points)
     tree = cKDTree(points)
     k = min(N_NEIGHBORS + 1, m)
 
@@ -267,18 +301,7 @@ def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
     # kept pair list
     lo = np.floor_divide(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
     hi = np.remainder(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
-    del pair_keys
-    coords = points.T
-    keep = np.empty(lo.size, dtype=bool)
-    for start in range(0, lo.size, PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        # coincident initial samples carry no ratio information
-        keep[block] = _pair_separation(coords, lo[block], hi[block]) > 0
-    if not keep.all():
-        if not keep.any():
-            raise UsageError("all neighbor pairs coincide at t=0")
-        lo, hi = lo[keep], hi[keep]
-    return NeighbourPairs(points, lo, hi)
+    return lo, hi
 
 
 def flow_injectivity_monitor(
@@ -286,17 +309,18 @@ def flow_injectivity_monitor(
 ) -> InjectivityReport:
     """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
 
-    Pairs are restricted to each sample's ``N_NEIGHBORS`` nearest initial
-    neighbours, so the cost stays O(M * N_NEIGHBORS); each unordered pair
-    is measured once (see ``injectivity_pairs``).  ``pairs`` passes a list
-    already built from the start points of ``ens``'s valid samples;
-    without it the monitor builds that list.  A ratio below
-    ``VIOLATION_RATIO`` is the proxy for trajectory crossing; the first
-    time it happens is reported.  The pairs are measured ``PAIR_BLOCK`` at
-    a time: a block's initial separations are computed once from the
-    list's points, then the block is measured at every output time; a min
-    is exact under any blocking, so the block sets only the size of the
-    temporaries.
+    The pairs are ``injectivity_pairs``, each measured once: in 1D the
+    ``M - 1`` pairs adjacent in the initial order, whose minimum is the
+    minimum over all pairs of a monotone flow; in more dimensions each
+    sample's ``N_NEIGHBORS`` nearest initial neighbours, so the cost stays
+    O(M * N_NEIGHBORS).  ``pairs`` passes a list already built from the
+    start points of ``ens``'s valid samples; without it the monitor builds
+    that list.  A ratio below ``VIOLATION_RATIO`` is the proxy for
+    trajectory crossing; the first time it happens is reported.  The pairs
+    are measured ``PAIR_BLOCK`` at a time: a block's initial separations
+    are computed once from the list's points, then the block is measured
+    at every output time; a min is exact under any blocking, so the block
+    sets only the size of the temporaries.
     """
     if pairs is None:
         pairs = injectivity_pairs(ens.initial_points[ens.valid])

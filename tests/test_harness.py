@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from scipy.spatial import cKDTree
 
 from pilotwave.cli import main as cli_main
 from pilotwave.errors import BoundaryMassExceeded, ConfigError, PlacementError, TrajectoryEscape
@@ -246,6 +245,20 @@ class TestConfig:
     def test_non_finite_number_built_in_python_rejected(self, kwargs, key):
         with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "section, spec",
+        [("grid", "GridSpec"), ("potential", "PotentialSpec"), ("initial_state", "InitialStateSpec"),
+         ("solver", "SolverSpec"), ("sweep", "SweepSpec"), ("measure", "MeasureSpec"),
+         ("output", "OutputSpec")],
+    )
+    def test_section_of_another_type_built_in_python_rejected(self, section, spec):
+        # a mapping once raised a raw AttributeError from the value walk
+        other = OutputSpec() if section == "grid" else GridSpec()
+        for value in ({"dim": 1}, None, other):
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig(**{section: value})
+            assert str(info.value) == f"config section '{section}' must be a {spec}"
 
     def test_a_list_hashes_as_its_tuple(self):
         as_list = ExperimentConfig(
@@ -569,12 +582,15 @@ class TestRowStages:
         import pilotwave.harness as harness
         import pilotwave.measure as measure
 
-        queried = []  # points per query; a blocked query makes several calls per list
+        built = []  # points per pair list, the monitors' own included
+        real_pairs = measure.injectivity_pairs
 
-        class CountingTree(cKDTree):
-            def query(self, x, *args, **kwargs):
-                queried.append(len(x))
-                return super().query(x, *args, **kwargs)
+        def injectivity_pairs(points):
+            built.append(len(points))
+            return real_pairs(points)
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a 1D row built a k-d tree")
 
         ensembles = []
         real_integrate = harness.integrate_trajectories
@@ -588,17 +604,17 @@ class TestRowStages:
             ensembles.append(ens)
             return ens
 
-        monkeypatch.setattr(measure, "cKDTree", CountingTree)
-        monkeypatch.setattr(measure, "QUERY_BLOCK", 64)
+        monkeypatch.setattr(measure, "cKDTree", no_tree)
+        monkeypatch.setattr(harness, "injectivity_pairs", injectivity_pairs)
+        monkeypatch.setattr(measure, "injectivity_pairs", injectivity_pairs)
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
         row = run_single(small_config(eps_list=(0.2,)), 0.2)
         assert row.valid
         m = 200  # ensemble_size, every sample valid
         assert ensembles[0].valid.all()
-        assert len(queried) > 1
-        # each sample is queried once per pair list: m points for the shared
-        # list, and m - 1 more when the second ensemble lost a sample
-        assert sum(queried) == (2 * m - 1 if escape else m)
+        # one list of every sample, and one of m - 1 when the second
+        # ensemble lost a sample; a 1D list is sorted, never queried
+        assert built == ([m, m - 1] if escape else [m])
         # the ratio is the one each ensemble gets from a pair list of its own
         want = min(flow_injectivity_monitor(e).min_pair_separation_ratio for e in ensembles)
         assert row.injectivity_ratio == want
@@ -961,23 +977,22 @@ class TestLanes:
         assert len(factors) == 2 and factors[0] is factors[1]
 
     # ``lanes``: whether the calling process opens the lane, which it does
-    # whenever a worker is left over beside its processes (``workers >
-    # processes``); a 1D row propagates without it but builds its pair list
-    # and runs a monitor there
+    # on a grid of at least LANE_MIN_POINTS points with a second worker; a
+    # 1D sweep never does, even with workers to spare
     @pytest.mark.parametrize(
         "cfg, threads, lanes",
         [
-            (small_config(eps_list=(0.2,)), 2, True),  # 1D, one row: a spare worker
-            (small_config(eps_list=(0.2,)), 8, True),
+            (small_config(eps_list=(0.2,)), 2, False),  # 1D, one row: a spare worker
+            (small_config(eps_list=(0.2,)), 8, False),
             (tiny_2d_config(), 1, False),
             (tiny_2d_config(eps_list=(0.2, 0.1)), 3, True),  # rows share the one lane
             (tiny_2d_config(), 2, True),
             (tiny_2d_config(eps_list=(0.2, 0.1)), 4, True),
             (small_config(), 1, False),
-            (small_config(), 4, True),  # 1D rows in 2 processes, 2 workers to spare
+            (small_config(), 4, False),  # 1D rows in 2 processes, 2 workers to spare
             (tiny_2d_config(eps_list=(0.2, 0.1)), 1, False),
             (small_config(eps_list=(0.2, 0.1, 0.05)), 2, False),  # no worker to spare
-            (small_config(eps_list=(0.2, 0.1, 0.05)), 4, True),
+            (small_config(eps_list=(0.2, 0.1, 0.05)), 4, False),
         ],
     )
     def test_lane_needs_a_spare_worker_and_a_large_grid(self, monkeypatch, cfg, threads, lanes):
@@ -1128,11 +1143,12 @@ class TestLanes:
 
 
 class TestOneDimensionalLane:
-    """A 1D row with a spare worker propagates on its own thread and puts
-    its injectivity pair list and one monitor on the lane; nothing it
-    reports may change."""
+    """A 1D row has no lane: it runs every stage on its own thread, builds
+    one injectivity pair list after its last integration and runs the
+    monitors in turn, whatever the worker count; nothing it reports may
+    change with the count."""
 
-    def test_one_row_sweep_is_byte_identical_with_a_lane(self, monkeypatch, tmp_path):
+    def test_one_row_sweep_is_byte_identical_at_one_and_two_threads(self, monkeypatch, tmp_path):
         import pilotwave.harness as harness
 
         cfg = dataclasses.replace(small_config(eps_list=(0.2,)), output=OutputSpec(save_fields=True))
@@ -1154,24 +1170,22 @@ class TestOneDimensionalLane:
             return real_advance(self, values, t)
 
         monkeypatch.setattr(StrangStepper, "advance", advance)
-        laned = run_sweep(cfg, threads=2, out_dir=tmp_path / "laned")
+        two = run_sweep(cfg, threads=2, out_dir=tmp_path / "two")
 
-        here = threading.get_ident()
-        for name in ("advance", "densities", "gronwall_integrand", "integrate_trajectories"):
-            assert threads[name] and set(threads[name]) == {here}, name
-        (lane,) = set(threads["injectivity_pairs"])
-        assert lane != here
-        assert sorted(threads["flow_injectivity_monitor"], key=lambda t: t == lane) == [here, lane]
+        for name, calls in threads.items():
+            assert calls and set(calls) == {threading.get_ident()}, name
+        assert len(threads["injectivity_pairs"]) == 1
+        assert len(threads["flow_injectivity_monitor"]) == 2
 
-        assert laned.rows[0].valid
-        assert dataclasses.replace(laned.rows[0], wall_time=0.0) == dataclasses.replace(
+        assert two.rows[0].valid
+        assert dataclasses.replace(two.rows[0], wall_time=0.0) == dataclasses.replace(
             serial.rows[0], wall_time=0.0
         )
         files = sorted(p.name for p in (tmp_path / "serial").iterdir())
-        assert files == sorted(p.name for p in (tmp_path / "laned").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "two").iterdir())
         assert {"psi_eps0_oscillating.field", "psi_eps0_effective.field"} <= set(files)
         for name in files:
-            a, b = tmp_path / "serial" / name, tmp_path / "laned" / name
+            a, b = tmp_path / "serial" / name, tmp_path / "two" / name
             if name == "report.json":
                 assert report_without_wall_time(a) == report_without_wall_time(b)
             else:
@@ -1179,7 +1193,8 @@ class TestOneDimensionalLane:
 
     def test_escaped_samples_give_the_same_injectivity_with_a_lane(self, monkeypatch):
         # samples of the oscillating ensemble, each row's first, escape, so
-        # the lane's pair list of every sample fits only the averaged one
+        # the row's pair list of every sample fits only the averaged one; a
+        # lane handed to a 1D row is given no task
         import pilotwave.harness as harness
 
         real_integrate = harness.integrate_trajectories
@@ -1206,19 +1221,17 @@ class TestOneDimensionalLane:
         serial = run_single(cfg, 0.2)
         with Lane() as lane:
             laned = run_single(cfg, 0.2, lane)
+            assert lane.futures == []
         # the row's list of every sample serves the averaged ensemble, and
-        # the oscillating one builds the list of its valid samples, with or
-        # without a lane
-        assert given[:2] == [(False, False), (True, True)]
-        assert sorted(given[2:]) == [(False, False), (True, True)]
+        # the oscillating one builds the list of its valid samples, in turn
+        assert given == [(False, False), (True, True)] * 2
         assert serial.valid and laned.valid
         for name in ("injectivity_ratio", "injectivity_first_violation"):
             assert repr(getattr(laned, name)) == repr(getattr(serial, name)), name
         assert dataclasses.replace(laned, wall_time=0.0) == dataclasses.replace(serial, wall_time=0.0)
 
     def test_trajectory_escape_is_the_same_row_at_one_and_two_threads(self, monkeypatch):
-        # the averaged ensemble escapes while the lane builds the pair list;
-        # a slow build keeps the lane busy when the abort arrives
+        # the averaged ensemble escapes, before any pair list is built
         import pilotwave.harness as harness
 
         real_integrate = harness.integrate_trajectories
@@ -1234,7 +1247,6 @@ class TestOneDimensionalLane:
 
         def injectivity_pairs(*args, **kwargs):
             builds.append(threading.get_ident())
-            time.sleep(0.1)
             return real_pairs(*args, **kwargs)
 
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
@@ -1250,17 +1262,15 @@ class TestOneDimensionalLane:
         assert dataclasses.replace(rows[0], wall_time=0.0) == dataclasses.replace(rows[1], wall_time=0.0)
         with Lane() as lane:
             row = run_single(cfg, 0.2, lane)
-            assert lane.futures and all(f.done() for f in lane.futures)
+            assert lane.futures == []
         assert row.reason == rows[0].reason
-        # each laned row had its list under way on the lane when it escaped;
-        # the serial row escaped before any list
-        assert len(builds) == 2 and threading.get_ident() not in builds
+        assert builds == []
 
 
 class TestLaneCalls:
-    """The lane moves calls and changes none: a one-row sweep makes the same
-    pair list builds, and hands each monitor the same list, at one thread
-    and at two."""
+    """A one-row sweep makes the same pair list builds, all on the row's
+    thread, and hands each monitor the same list, at one thread and at
+    two."""
 
     @staticmethod
     def _calls(monkeypatch, cfg, threads, escape):
@@ -1301,8 +1311,7 @@ class TestLaneCalls:
         row = run_sweep(cfg, threads=threads).rows[0]
         monkeypatch.undo()
         assert row.valid
-        assert any(laned) == (threads == 2)
-        built.sort(key=lambda x: (len(x), x.tobytes()))  # lane builds may end in any order
+        assert not any(laned)
         return row, built, given
 
     @pytest.mark.parametrize("escape", [False, True])
@@ -1312,8 +1321,8 @@ class TestLaneCalls:
         serial, built_1, given_1 = self._calls(monkeypatch, cfg, 1, escape)
         laned, built_2, given_2 = self._calls(monkeypatch, cfg, 2, escape)
         m = cfg.sweep.ensemble_size
-        # one list of every sample, and one of the escaped ensemble's valid samples
-        assert [len(x) for x in built_1] == ([m - 2, m] if escape else [m])
+        # one list of every sample, then one of the escaped ensemble's valid samples
+        assert [len(x) for x in built_1] == ([m, m - 2] if escape else [m])
         assert len(built_2) == len(built_1)
         for a, b in zip(built_1, built_2):
             assert np.array_equal(a, b)

@@ -319,7 +319,8 @@ class TestTrajectoryDeviation:
 
 
 def directed_pair_monitor(ens, n_neighbors=64, violation_ratio=1e-3):
-    """Reference monitor: every directed neighbor pair (i, j), measured separately."""
+    """Reference monitor: every directed neighbor pair (i, j), measured
+    separately; with ``n_neighbors`` at least the sample count, every pair."""
     valid = np.flatnonzero(ens.valid)
     if valid.size < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
@@ -369,24 +370,75 @@ def random_ensemble(rng, dim, m, n_times=6):
     )
 
 
+def monotone_ensemble(rng, m, n_times=6):
+    """1D ensemble of a random monotone flow, samples 0 and 1 starting at
+    the same point and some samples invalid.
+
+    Every start and position is an integer below 2**26, so every
+    separation and its square are exact and each ratio is one rounding
+    of an exact quotient: the smallest ratio over all pairs is then the
+    smallest adjacent one bit for bit, not only in exact arithmetic.
+    """
+    g = make_grid(1, 16, 4.0)
+    x0 = rng.permutation(np.cumsum(rng.integers(1, 64, size=m)) * 4096.0)
+    x0[1] = x0[0]
+    order = np.argsort(x0, kind="stable")
+    gaps = np.diff(x0[order])  # one gap is 0: samples 0 and 1
+    positions = np.empty((n_times, m, 1))
+    positions[0] = x0[:, None]
+    for k in range(1, n_times):
+        # each gap stretched by a factor between a floor of this time's
+        # (5e-4 to 1) and 2, rounded down to an integer: a coincident pair
+        # stays coincident, and no other gap closes
+        floor = rng.uniform(np.log(5e-4), 0.0)
+        stretch = np.exp(rng.uniform(floor, np.log(2.0), size=m - 1))
+        positions[k, order, 0] = np.concatenate([[0.0], np.cumsum(np.floor(gaps * stretch))])
+    valid = rng.random(m) > 0.2
+    valid[:3] = True
+    return TrajectoryEnsemble(
+        grid=g,
+        initial_points=x0[:, None],
+        times=np.linspace(0.0, 1.0, n_times),
+        positions=positions,
+        momenta=np.zeros_like(positions),
+        valid=valid,
+    )
+
+
 class TestInjectivityMonitor:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_directed_pair_reference(self, monkeypatch, dim):
-        # k-NN is often asymmetric at small k, so pairs listed by only one
-        # end must still be measured
+        # nD: k-NN is often asymmetric at small k, so pairs listed by only
+        # one end must still be measured.  1D: the sort-adjacent pairs of a
+        # monotone flow give the minimum over every pair, whatever
+        # N_NEIGHBORS is
         rng = np.random.default_rng(40 + dim)
         violations = 0
         for _ in range(8):
-            ens = random_ensemble(rng, dim, int(rng.integers(4, 80)))
+            m = int(rng.integers(4, 80))
+            ens = monotone_ensemble(rng, m) if dim == 1 else random_ensemble(rng, dim, m)
             for n_neighbors in (1, 2, 3, 4):
                 monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
                 for violation_ratio in (1e-3, 0.2):
                     monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
                     got = flow_injectivity_monitor(ens)
-                    want = directed_pair_monitor(ens, n_neighbors, violation_ratio)
+                    want = directed_pair_monitor(ens, m if dim == 1 else n_neighbors, violation_ratio)
                     assert got == want
                     violations += got.first_violation_time is not None
         assert violations > 0
+
+    def test_one_dimensional_pairs_are_adjacent_in_sort_order(self, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a 1D pair list built a k-d tree")
+
+        monkeypatch.setattr(measure, "cKDTree", no_tree)
+        x0 = np.array([[3.0], [1.0], [2.0], [1.0], [-1.0], [2.0]])
+        pairs = injectivity_pairs(x0)
+        assert pairs.lo.dtype == pairs.hi.dtype == np.int32
+        # sorted stably: 4, 1, 3, 2, 5, 0; the pairs (1, 3) and (2, 5) coincide
+        assert list(zip(pairs.lo.tolist(), pairs.hi.tolist())) == [(4, 1), (3, 2), (5, 0)]
+        with pytest.raises(UsageError, match="coincide"):
+            injectivity_pairs(np.zeros((5, 1)))
 
     def test_shared_pair_list(self, monkeypatch):
         monkeypatch.setattr(measure, "N_NEIGHBORS", 4)
@@ -411,10 +463,11 @@ class TestInjectivityMonitor:
 
     @pytest.mark.parametrize("m", [300, 46500])
     def test_pair_keys_switch_to_int64_when_m_squared_outgrows_int32(self, monkeypatch, m):
-        # int32 keys min(i, j) * m + max(i, j) overflow from m = 46342 on
+        # int32 keys min(i, j) * m + max(i, j) overflow from m = 46342 on;
+        # only an nD list has keys
         monkeypatch.setattr(measure, "N_NEIGHBORS", 2)
         rng = np.random.default_rng(m)
-        ens = random_ensemble(rng, 1, m, n_times=2)
+        ens = random_ensemble(rng, 2, m, n_times=2)
         x0 = ens.initial_points.copy()
         x0[1] += 1e-6  # no coincident pair
         ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
@@ -526,19 +579,22 @@ class TestBlockedMeasures:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_monitor_equals_the_directed_pair_reference(self, monkeypatch, dim):
+        # in 1D the reference is every pair of a monotone flow
         rng = np.random.default_rng(70 + dim)
         violations = 0
         for _ in range(6):
-            ens = random_ensemble(rng, dim, int(rng.integers(4, 120)))
+            m = int(rng.integers(4, 120))
+            ens = monotone_ensemble(rng, m) if dim == 1 else random_ensemble(rng, dim, m)
             for n_neighbors in (1, 3, 9):
                 monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
                 pairs = injectivity_pairs(ens.initial_points[ens.valid])
                 # samples 0 and 1 start at the same point: their pair is dropped
-                assert not ((pairs.lo == 0) & (pairs.hi == 1)).any()
+                assert 0 not in {*pairs.lo[pairs.hi == 1], *pairs.hi[pairs.lo == 1]}
                 for violation_ratio in (1e-3, 0.2):
                     monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
                     got = flow_injectivity_monitor(ens)
-                    assert got == directed_pair_monitor(ens, n_neighbors, violation_ratio)
+                    want = directed_pair_monitor(ens, m if dim == 1 else n_neighbors, violation_ratio)
+                    assert got == want
                     assert got == flow_injectivity_monitor(ens, pairs=pairs)
                     for block in (1, 2, 1 << 20):  # the monitor's blocks; the list was built at 5
                         monkeypatch.setattr(measure, "PAIR_BLOCK", block)
@@ -570,13 +626,17 @@ class TestMeasureMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _ensemble(rng, dim, m, n_times):
+        ens = random_ensemble(rng, dim, m, n_times=n_times)
+        x0 = ens.initial_points.copy()
+        x0[1] += 1e-6  # no coincident pair, so the list is not compacted
+        return dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
+
     def test_transient_peaks_are_bounded(self):
         rng = np.random.default_rng(9)
         m, n_times = 20000, 41  # the bohm_ensemble row: 41 output times
-        ens = random_ensemble(rng, 1, m, n_times=n_times)
-        x0 = ens.initial_points.copy()
-        x0[1] += 1e-6  # no coincident pair, so the list is not compacted
-        ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
+        ens = self._ensemble(rng, 1, m, n_times)
         twin = perturbed_twin(rng, ens)
         pairs = injectivity_pairs(ens.initial_points[ens.valid])
         limit = 4e6  # bytes; the whole-array versions took about 31 MB and 22 MB
@@ -584,8 +644,17 @@ class TestMeasureMemory:
         assert peak < limit
         peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens, pairs=pairs))
         assert peak < limit
-        # building the list needs little beyond the list and its sorted keys,
-        # one int32 per (sample, neighbour) while m * m fits int32
+        # a 1D list needs its argsort (int64), the list (one int32 array that
+        # both ends view) and a block's separation temporaries: the gathered
+        # coordinates and their int64 indices
+        points = ens.initial_points[ens.valid]
+        peak, built = self._traced_peak(lambda: injectivity_pairs(points))
+        assert built.lo.size == m - 1
+        temporaries = 3 * 8 * min(m, measure.PAIR_BLOCK)
+        assert peak < 8 * m + 4 * m + temporaries
+        # an nD list needs little beyond the list and its sorted keys, one
+        # int32 per (sample, neighbour) while m * m fits int32
+        ens = self._ensemble(rng, 2, m, 2)
         peak, built = self._traced_peak(lambda: injectivity_pairs(ens.initial_points[ens.valid]))
         list_bytes = built.lo.nbytes + built.hi.nbytes
         keys_bytes = m * 64 * 4

@@ -139,7 +139,7 @@ def test_row_ensembles_meet_the_quantile_flow(temporal, spatial, eps):
     cfg = dataclasses.replace(cfg, potential=PotentialSpec(temporal=temporal, spatial=spatial))
     row = _row_inputs(cfg, eps)
     *_, velocity = _propagate_and_record(cfg, eps, row, None)
-    ensembles, _ = _trajectories(cfg, row, velocity, None)
+    ensembles = _trajectories(cfg, row, velocity)
     systems = (
         OscillatingSystem(row.potential, eps),
         effective_potential(row.potential, row.grid, cfg.solver.quad_order),
