@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import numpy.random  # loaded with the package, so that no row pays the import
 
 from .errors import ConfigError, InputError, SamplingError, TrajectoryEscape, UsageError
 from .grid import Grid, _derivatives, _norms_from_terms, _semi_term, laplacian_values

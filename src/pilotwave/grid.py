@@ -6,21 +6,23 @@ checked state type, which holds its grid, values and time, is
 
 Transform convention (fixed package-wide): forward transform is numpy's
 unnormalized FFT, the inverse carries the 1/n factor.  Every transform in
-the package goes through ``fftn``/``ifftn`` below, which run scipy.fft's
-pocketfft over the axes in numpy's order (last axis first) on complex128
-input, a real input being cast to complex first; a transform over one
-axis goes through the one-axis ``scipy.fft.fft``/``ifft``.  They equal
-``np.fft.fftn``/``ifftn`` bit for bit (tests/test_grid.py checks it), so
-results hang on the numpy and scipy versions together.  A stack of
-states, an array of shape ``(k, *grid.shape)``, is transformed over its
-last ``grid.dim`` axes in one call, and each state's transform equals its
-own bit for bit; ``gradient_values`` and ``laplacian_values`` take such
-a stack too.  A transform of an array the package has just made runs in
-place; a caller's array is never overwritten.  A grid-sized product of a
-factor and such a temporary is written into the temporary in the operand
-order numpy would take for the expression (``_times_temporary``), so it
-keeps numpy's bits.  Per-axis wavenumbers are k = pi*m/half_width for integer m
-in [-n/2, n/2), stored in numpy's standard FFT ordering (0, 1, ...,
+the package goes through ``fftn``/``ifftn`` below, on complex128 input, a
+real input being cast to complex first.  A transform over one axis (every
+transform of a 1D grid) runs on numpy's ``np.fft.fft``/``ifft``; one over
+several axes runs on scipy.fft's pocketfft, over the axes in numpy's order
+(last axis first), and only that path imports scipy, so a 1D run never
+does.  Both equal ``np.fft.fftn``/``ifftn`` bit for bit
+(tests/test_grid.py checks it), so results hang on the numpy and scipy
+versions together.  A stack of states, an array of shape ``(k,
+*grid.shape)``, is transformed over its last ``grid.dim`` axes in one
+call, and each state's transform equals its own bit for bit;
+``gradient_values`` and ``laplacian_values`` take such a stack too.  A
+transform of an array the package has just made runs in place; a
+caller's array is never overwritten.  A grid-sized product of a factor
+and such a temporary is written into the temporary in the operand order
+numpy would take for the expression (``_times_temporary``), so it keeps
+numpy's bits.  Per-axis wavenumbers are k = pi*m/half_width for integer
+m in [-n/2, n/2), stored in numpy's standard FFT ordering (0, 1, ...,
 n/2-1, -n/2, ..., -1 scaled).  All integrals are plain dx^N Riemann
 sums, which on a periodic grid coincide with the trapezoidal rule and
 are spectrally accurate for smooth fields.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.fft  # imported with the package, so that no row pays the import
+import numpy.fft  # loaded with the package, so that no row pays the import
 
 from .errors import ConfigError
 
@@ -151,35 +153,50 @@ def boundary_mass_fraction(grid: Grid, rho: np.ndarray) -> float:
 
 
 def fftn(values: np.ndarray, dim: int | None = None, *, _overwrite: bool = False) -> np.ndarray:
-    """``np.fft.fftn(values)`` bit for bit, on scipy.fft's faster pocketfft.
+    """``np.fft.fftn(values)`` bit for bit.
 
     With ``dim``, only the last ``dim`` axes are transformed: a stack of
     states of shape ``(k, *grid.shape)`` goes through one call with
     ``dim=grid.dim``, and each state comes out as its own transform would,
-    bit for bit.  The cast keeps scipy off its real-to-complex path, whose
-    bits differ from numpy's; the reversed axes give numpy's order of 1D
-    passes.  One transformed axis goes to the one-axis ``scipy.fft.fft``,
-    which runs the same pass without the n-dimensional dispatch.
+    bit for bit.  One transformed axis goes to numpy's one-axis
+    ``np.fft.fft``, which runs the pass ``np.fft.fftn`` would run without
+    its n-dimensional dispatch.  Several go to scipy.fft's faster
+    pocketfft, imported here (``_import_nd_backends`` loads it with an nD
+    config); the cast keeps scipy off its real-to-complex path, whose bits
+    differ from numpy's, and the reversed axes give numpy's order of 1D
+    passes.
 
     Inside the package, ``_overwrite=True`` transforms a complex128 array
-    in place and returns it, with the same bits.  Only a caller that has
-    just made that array itself may pass it, never for a caller's array or
-    a state's values.
+    in place (numpy's ``out=``, scipy's ``overwrite_x``) and returns it,
+    with the same bits.  Only a caller that has just made that array
+    itself may pass it, never for a caller's array or a state's values.
     """
     x = np.asarray(values, dtype=np.complex128)
-    axes = _last_axes(x, dim)
-    if len(axes) == 1:
-        return scipy.fft.fft(x, overwrite_x=_overwrite)
-    return scipy.fft.fftn(x, axes=axes, overwrite_x=_overwrite)
+    if (x.ndim if dim is None else dim) == 1:
+        # an output array handed to numpy skips its slower allocation path
+        return np.fft.fft(x, out=x if _overwrite else np.empty_like(x))
+    import scipy.fft
+
+    return scipy.fft.fftn(x, axes=_last_axes(x, dim), overwrite_x=_overwrite)
 
 
 def ifftn(values: np.ndarray, dim: int | None = None, *, _overwrite: bool = False) -> np.ndarray:
     """``np.fft.ifftn(values)`` bit for bit; see ``fftn``."""
     x = np.asarray(values, dtype=np.complex128)
-    axes = _last_axes(x, dim)
-    if len(axes) == 1:
-        return scipy.fft.ifft(x, overwrite_x=_overwrite)
-    return scipy.fft.ifftn(x, axes=axes, overwrite_x=_overwrite)
+    if (x.ndim if dim is None else dim) == 1:
+        return np.fft.ifft(x, out=x if _overwrite else np.empty_like(x))
+    import scipy.fft
+
+    return scipy.fft.ifftn(x, axes=_last_axes(x, dim), overwrite_x=_overwrite)
+
+
+def _import_nd_backends() -> None:
+    """Import what a grid of more than one axis runs on: scipy.fft for its
+    transforms and scipy.spatial for its injectivity k-d tree.  An nD config
+    calls this when it is built, so that no row pays the import; a 1D run
+    never does."""
+    import scipy.fft
+    import scipy.spatial
 
 
 def _last_axes(x: np.ndarray, dim: int | None) -> tuple[int, ...]:

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
+import numpy.random  # loaded with the package, so that no row pays the import
 import yaml
 
 from . import __version__
@@ -43,7 +44,7 @@ from .bohm import (
 )
 from .errors import ConfigError, MonitorAbort, UsageError
 from .fieldio import save_field
-from .grid import Grid, boundary_mass_fraction, make_grid, norms
+from .grid import Grid, _import_nd_backends, boundary_mass_fraction, make_grid, norms
 from .measure import (
     bohmian_measure,
     flow_injectivity_monitor,
@@ -205,6 +206,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {s.seed}")
         if self.measure.dictionary_size < 1:
             raise ConfigError(f"dictionary_size must be >= 1, got {self.measure.dictionary_size}")
+        if self.grid.dim > 1:  # scipy loads here, not inside a row
+            _import_nd_backends()
 
     def to_mapping(self) -> dict[str, Any]:
         """Resolved config as plain nested dicts (defaults included)."""
@@ -703,9 +706,10 @@ def _measures(
     oscillating system against the averaged one, and the flow injectivity
     of every ensemble, in order.
 
-    The row builds one injectivity pair list, of every sample
-    (``injectivity_pairs``); it serves each ensemble that it fits, and an
-    ensemble that lost samples builds the list of its valid ones."""
+    The row builds one injectivity pair list, of the first ensemble's
+    valid samples (``injectivity_pairs``); it serves each ensemble that it
+    fits, and an ensemble that lost other samples builds the list of its
+    own valid ones."""
     _, dictionary_seed = _derived_seeds(config.sweep.seed)
     mono_dev = monokinetic_deviation(
         bohmian_measure(final_fields[0]),
@@ -716,7 +720,8 @@ def _measures(
     traj_dev = tuple(
         (d, trajectory_deviation_measure(*ensembles[:2], d)) for d in config.sweep.delta_list
     )
-    pairs = injectivity_pairs(ensembles[0].initial_points)
+    first = ensembles[0]
+    pairs = injectivity_pairs(first.initial_points[first.valid])
     reports = [
         flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None) for ens in ensembles
     ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
+import numpy.random  # loaded with the package, so that no row pays the import
 
 from .bohm import DensityFields, TrajectoryEnsemble
 from .errors import UsageError
@@ -269,7 +269,10 @@ def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
 
 def _nearest_neighbour_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int32 ``(lo, hi)`` with ``lo < hi``, sorted, of every unordered pair
-    of ``N_NEIGHBORS``-nearest neighbours among the rows of ``points``."""
+    of ``N_NEIGHBORS``-nearest neighbours among the rows of ``points``.
+    Only this nD path uses scipy (see ``grid._import_nd_backends``)."""
+    from scipy.spatial import cKDTree
+
     m = len(points)
     tree = cKDTree(points)
     k = min(N_NEIGHBORS + 1, m)

@@ -234,7 +234,7 @@ class TestTransforms:
     @pytest.mark.parametrize(
         "shape",
         # (16384,) and up hold at least 256 KiB of complex128; 1D arrays go
-        # through scipy.fft.fft/ifft, so every 1D size from 8 to 65536 is here
+        # through np.fft.fft/ifft, so every 1D size from 8 to 65536 is here
         [(512,), (16384,), (32, 32), (256, 256), (16, 16, 16), (64, 64, 64)]
         + [(2**p,) for p in range(3, 17) if p not in (9, 14)],
     )

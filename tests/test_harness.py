@@ -418,18 +418,20 @@ class TestFrameDiagnostics:
         # densities and the H1 monitor together; the Gronwall Laplacian adds 2.
         # A 1D row's two states go through each of those transforms as one
         # stack, so a frame makes 1 + dim + 2 calls and transforms
-        # 2 * (1 + dim) + 2 states' worth of points.
+        # 2 * (1 + dim) + 2 states' worth of points.  Transforms are counted
+        # on numpy's and scipy's backends both (one axis runs on numpy).
         import scipy.fft
 
         import pilotwave.harness as harness
 
         calls = []
-        for name in ("fft", "ifft", "fftn", "ifftn"):  # 1D arrays take the one-axis pair
-            def counted(*args, _real=getattr(scipy.fft, name), **kwargs):
-                calls.append(np.size(args[0]))
-                return _real(*args, **kwargs)
+        for module in (np.fft, scipy.fft):
+            for name in ("fft", "ifft", "fftn", "ifftn"):
+                def counted(*args, _real=getattr(module, name), **kwargs):
+                    calls.append(np.size(args[0]))
+                    return _real(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.fft, name, counted)
+                monkeypatch.setattr(module, name, counted)
 
         per_frame = []
         real_lockstep = harness.lockstep
@@ -577,8 +579,10 @@ class TestRowStages:
         assert checked == [256]
         assert built == [0.2, 0.1]
 
-    @pytest.mark.parametrize("escape", [False, True])
+    @pytest.mark.parametrize("escape", [False, True, "both"])
     def test_pair_list_is_built_once_per_row(self, monkeypatch, escape):
+        import scipy.spatial
+
         import pilotwave.harness as harness
         import pilotwave.measure as measure
 
@@ -597,24 +601,26 @@ class TestRowStages:
 
         def integrate(*args, **kwargs):
             ens = real_integrate(*args, **kwargs)
-            if escape and ensembles:  # one sample of the second ensemble escaped
+            # sample 7 escaped from the second ensemble, or from both
+            if escape == "both" or (escape and ensembles):
                 valid = ens.valid.copy()
                 valid[7] = False
                 ens = dataclasses.replace(ens, valid=valid)
             ensembles.append(ens)
             return ens
 
-        monkeypatch.setattr(measure, "cKDTree", no_tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)  # measure imports it where it builds one
         monkeypatch.setattr(harness, "injectivity_pairs", injectivity_pairs)
         monkeypatch.setattr(measure, "injectivity_pairs", injectivity_pairs)
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
         row = run_single(small_config(eps_list=(0.2,)), 0.2)
         assert row.valid
-        m = 200  # ensemble_size, every sample valid
-        assert ensembles[0].valid.all()
-        # one list of every sample, and one of m - 1 when the second
-        # ensemble lost a sample; a 1D list is sorted, never queried
-        assert built == ([m, m - 1] if escape else [m])
+        m = 200  # ensemble_size
+        assert ensembles[0].valid.sum() == (m - 1 if escape == "both" else m)
+        # one list of the first ensemble's valid samples, and one of m - 1
+        # when only the second ensemble lost a sample; a 1D list is sorted,
+        # never queried
+        assert built == {False: [m], True: [m, m - 1], "both": [m - 1]}[escape]
         # the ratio is the one each ensemble gets from a pair list of its own
         want = min(flow_injectivity_monitor(e).min_pair_separation_ratio for e in ensembles)
         assert row.injectivity_ratio == want
@@ -1193,8 +1199,8 @@ class TestOneDimensionalLane:
 
     def test_escaped_samples_give_the_same_injectivity_with_a_lane(self, monkeypatch):
         # samples of the oscillating ensemble, each row's first, escape, so
-        # the row's pair list of every sample fits only the averaged one; a
-        # lane handed to a 1D row is given no task
+        # the row's pair list of its valid samples fits only that ensemble;
+        # a lane handed to a 1D row is given no task
         import pilotwave.harness as harness
 
         real_integrate = harness.integrate_trajectories
@@ -1222,9 +1228,9 @@ class TestOneDimensionalLane:
         with Lane() as lane:
             laned = run_single(cfg, 0.2, lane)
             assert lane.futures == []
-        # the row's list of every sample serves the averaged ensemble, and
-        # the oscillating one builds the list of its valid samples, in turn
-        assert given == [(False, False), (True, True)] * 2
+        # the row's list serves the oscillating ensemble, and the averaged
+        # one, with every sample valid, builds the list of its own, in turn
+        assert given == [(False, True), (True, False)] * 2
         assert serial.valid and laned.valid
         for name in ("injectivity_ratio", "injectivity_first_violation"):
             assert repr(getattr(laned, name)) == repr(getattr(serial, name)), name
@@ -1321,13 +1327,15 @@ class TestLaneCalls:
         serial, built_1, given_1 = self._calls(monkeypatch, cfg, 1, escape)
         laned, built_2, given_2 = self._calls(monkeypatch, cfg, 2, escape)
         m = cfg.sweep.ensemble_size
-        # one list of every sample, then one of the escaped ensemble's valid samples
-        assert [len(x) for x in built_1] == ([m, m - 2] if escape else [m])
+        # one list of the escaped ensemble's valid samples, then one of the
+        # other ensemble's, every sample
+        assert [len(x) for x in built_1] == ([m - 2, m] if escape else [m])
         assert len(built_2) == len(built_1)
         for a, b in zip(built_1, built_2):
             assert np.array_equal(a, b)
         assert sorted(given_1) == sorted(given_2) == [0, 1]
-        assert (given_1[0] is None) == (given_2[0] is None) == escape
+        assert given_1[0] is not None and given_2[0] is not None
+        assert (given_1[1] is None) == (given_2[1] is None) == escape
         for k in (0, 1):
             if given_1[k] is not None:
                 for a, b in zip(given_1[k], given_2[k]):

@@ -170,10 +170,11 @@ class TestSameBitsAsTheExpressions:
         want = np.zeros(g.shape)
         for axis in range(dim):
             want += reference_gradient(g, vec[axis])[axis]
-        calls = []
-        for name in ("fft", "fftn", "ifft", "ifftn"):
-            transform = getattr(scipy.fft, name)
-            monkeypatch.setattr(scipy.fft, name, lambda *a, _t=transform, **k: calls.append(1) or _t(*a, **k))
+        calls = []  # on numpy's backend (one axis) and scipy's (several)
+        for module in (np.fft, scipy.fft):
+            for name in ("fft", "fftn", "ifft", "ifftn"):
+                transform = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _t=transform, **k: calls.append(1) or _t(*a, **k))
         got = _divergence(g, vec)
         assert len(calls) == 2 * dim
         assert same_bits(got, want)

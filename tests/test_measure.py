@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from pilotwave.bohm import (
@@ -431,7 +432,7 @@ class TestInjectivityMonitor:
         def no_tree(*args, **kwargs):
             raise AssertionError("a 1D pair list built a k-d tree")
 
-        monkeypatch.setattr(measure, "cKDTree", no_tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)  # measure imports it where it builds one
         x0 = np.array([[3.0], [1.0], [2.0], [1.0], [-1.0], [2.0]])
         pairs = injectivity_pairs(x0)
         assert pairs.lo.dtype == pairs.hi.dtype == np.int32

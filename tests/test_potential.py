@@ -92,6 +92,15 @@ class TestEffectivePotential:
         expected = series * 0.5 * g.axes[0] ** 2
         assert np.allclose(star.values, expected, rtol=1e-12, atol=1e-12)
 
+    def test_exp_sin_mean_has_the_bits_of_scipy_i0(self):
+        # exp_sin's mean is numpy's I0(1); every exp_sin result hangs on its
+        # last bit, which is scipy's
+        import scipy.special
+
+        want = np.float64(scipy.special.i0(1.0)).view(np.uint64)
+        assert np.float64(np.i0(1.0)).view(np.uint64) == want
+        assert np.float64(exp_sin().mean).view(np.uint64) == want
+
     def test_exp_sin_consistency_check_passes_at_order_8(self):
         g = make_grid(1, 32, 8.0)
         V = TimePeriodicPotential(exp_sin(), harmonic())
