@@ -152,13 +152,12 @@ def boundary_mass_fraction(grid: Grid, rho: np.ndarray) -> float:
     return float(rho[~inner].sum() / total)
 
 
-def fftn(values: np.ndarray, dim: int | None = None, *, _overwrite: bool = False) -> np.ndarray:
-    """``np.fft.fftn(values)`` bit for bit.
+def fftn(values: np.ndarray, dim: int, *, _overwrite: bool = False) -> np.ndarray:
+    """``np.fft.fftn`` over the last ``dim`` axes of ``values``, bit for bit.
 
-    With ``dim``, only the last ``dim`` axes are transformed: a stack of
-    states of shape ``(k, *grid.shape)`` goes through one call with
-    ``dim=grid.dim``, and each state comes out as its own transform would,
-    bit for bit.  One transformed axis goes to numpy's one-axis
+    A stack of states of shape ``(k, *grid.shape)`` goes through one call
+    with ``dim=grid.dim``, and each state comes out as its own transform
+    would, bit for bit.  One transformed axis goes to numpy's one-axis
     ``np.fft.fft``, which runs the pass ``np.fft.fftn`` would run without
     its n-dimensional dispatch.  Several go to scipy.fft's faster
     pocketfft, imported here (``_import_nd_backends`` loads it with an nD
@@ -172,22 +171,22 @@ def fftn(values: np.ndarray, dim: int | None = None, *, _overwrite: bool = False
     itself may pass it, never for a caller's array or a state's values.
     """
     x = np.asarray(values, dtype=np.complex128)
-    if (x.ndim if dim is None else dim) == 1:
+    if dim == 1:
         # an output array handed to numpy skips its slower allocation path
         return np.fft.fft(x, out=x if _overwrite else np.empty_like(x))
     import scipy.fft
 
-    return scipy.fft.fftn(x, axes=_last_axes(x, dim), overwrite_x=_overwrite)
+    return scipy.fft.fftn(x, axes=_last_axes(dim), overwrite_x=_overwrite)
 
 
-def ifftn(values: np.ndarray, dim: int | None = None, *, _overwrite: bool = False) -> np.ndarray:
-    """``np.fft.ifftn(values)`` bit for bit; see ``fftn``."""
+def ifftn(values: np.ndarray, dim: int, *, _overwrite: bool = False) -> np.ndarray:
+    """``np.fft.ifftn`` over the last ``dim`` axes of ``values``, bit for bit; see ``fftn``."""
     x = np.asarray(values, dtype=np.complex128)
-    if (x.ndim if dim is None else dim) == 1:
+    if dim == 1:
         return np.fft.ifft(x, out=x if _overwrite else np.empty_like(x))
     import scipy.fft
 
-    return scipy.fft.ifftn(x, axes=_last_axes(x, dim), overwrite_x=_overwrite)
+    return scipy.fft.ifftn(x, axes=_last_axes(dim), overwrite_x=_overwrite)
 
 
 def _import_nd_backends() -> None:
@@ -199,9 +198,9 @@ def _import_nd_backends() -> None:
     import scipy.spatial
 
 
-def _last_axes(x: np.ndarray, dim: int | None) -> tuple[int, ...]:
-    """The last ``dim`` axes of ``x`` (all of them by default), last first."""
-    return tuple(range(-1, -(x.ndim if dim is None else dim) - 1, -1))
+def _last_axes(dim: int) -> tuple[int, ...]:
+    """The last ``dim`` axes, last first."""
+    return tuple(range(-1, -dim - 1, -1))
 
 
 # numpy runs ``a * t``, ``t`` a temporary of at least this many bytes, as

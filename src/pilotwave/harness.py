@@ -48,7 +48,6 @@ from .grid import Grid, _import_nd_backends, boundary_mass_fraction, make_grid, 
 from .measure import (
     bohmian_measure,
     flow_injectivity_monitor,
-    injectivity_pairs,
     monokinetic_deviation,
     trajectory_deviation_measure,
 )
@@ -233,7 +232,7 @@ def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
     sections = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - set(sections)
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        raise ConfigError(f"unknown config sections: {sorted(unknown, key=repr)}")
     kwargs: dict[str, Any] = {}
     for name, cls in sections.items():
         section = data.get(name, {})
@@ -245,7 +244,7 @@ def config_from_mapping(data: Mapping[str, Any]) -> ExperimentConfig:
         bad = set(section) - set(defaults)
         if bad:
             raise ConfigError(
-                f"unknown keys in section '{name}': {sorted(bad)} (allowed: {sorted(defaults)})"
+                f"unknown keys in section '{name}': {sorted(bad, key=repr)} (allowed: {sorted(defaults)})"
             )
         coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
         kwargs[name] = cls(**coerced)
@@ -704,12 +703,8 @@ def _measures(
 ) -> dict[str, Any]:
     """Mono-kinetic flat distance and deviation fractions of the
     oscillating system against the averaged one, and the flow injectivity
-    of every ensemble, in order.
-
-    The row builds one injectivity pair list, of the first ensemble's
-    valid samples (``injectivity_pairs``); it serves each ensemble that it
-    fits, and an ensemble that lost other samples builds the list of its
-    own valid ones."""
+    of every ensemble, in order; each monitor pairs that ensemble's own
+    valid samples."""
     _, dictionary_seed = _derived_seeds(config.sweep.seed)
     mono_dev = monokinetic_deviation(
         bohmian_measure(final_fields[0]),
@@ -720,11 +715,7 @@ def _measures(
     traj_dev = tuple(
         (d, trajectory_deviation_measure(*ensembles[:2], d)) for d in config.sweep.delta_list
     )
-    first = ensembles[0]
-    pairs = injectivity_pairs(first.initial_points[first.valid])
-    reports = [
-        flow_injectivity_monitor(ens, pairs=pairs if pairs.fits(ens) else None) for ens in ensembles
-    ]
+    reports = [flow_injectivity_monitor(ens) for ens in ensembles]
     violations = [r.first_violation_time for r in reports if r.first_violation_time is not None]
     return {
         "monokinetic_dev": mono_dev,

@@ -22,19 +22,17 @@ __all__ = [
     "PhaseSpaceMeasure",
     "FeatureDictionary",
     "InjectivityReport",
-    "NeighbourPairs",
     "bohmian_measure",
     "flat_distance",
     "monokinetic_deviation",
     "trajectory_deviation_measure",
-    "injectivity_pairs",
     "flow_injectivity_monitor",
 ]
 
 DROP_FLOOR_SCALE = 1e-14
 MASS_MATCH_TOL = 1e-8
 FEATURE_BLOCK = 16  # features evaluated together by FeatureDictionary.integrate
-QUERY_BLOCK = 2048  # samples per k-d tree query in injectivity_pairs
+QUERY_BLOCK = 2048  # samples per k-d tree query in an nD injectivity pair list
 PAIR_BLOCK = 32768  # neighbour pairs measured together
 N_NEIGHBORS = 64  # initial neighbours per sample in an nD injectivity pair list
 VIOLATION_RATIO = 1e-3  # stretching ratio below which injectivity counts as lost
@@ -205,30 +203,9 @@ class InjectivityReport(NamedTuple):
     first_violation_time: float | None
 
 
-@dataclass(frozen=True, eq=False)
-class NeighbourPairs:
-    """Unordered pairs of neighbours among the rows of ``points``: in 1D
-    the samples adjacent in sorted order, else k-nearest neighbours (see
-    ``injectivity_pairs``).
-
-    ``lo``/``hi`` index the rows of ``points``; the two points of a pair
-    never coincide.  The list keeps indices only: a monitor recomputes
-    each block's initial separations from ``points``, so no array of
-    separations stays alive beside the list.
-    """
-
-    points: np.ndarray  # (m, dim) start points of the samples paired
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def fits(self, ens: TrajectoryEnsemble) -> bool:
-        """Whether the pairs were built from the start points of ``ens``'s valid samples."""
-        return np.array_equal(self.points, ens.initial_points[ens.valid])
-
-
-def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
-    """The neighbour pairs among the rows of ``points``, each once, with
-    coincident pairs dropped.
+def _injectivity_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 ``(lo, hi)`` indexing the rows of ``points``: the neighbour
+    pairs among them, each once, with coincident pairs dropped.
 
     In 1D these are the ``m - 1`` pairs adjacent in a stable sort of the
     points (``lo`` the lower point), found with no k-d tree.  For a
@@ -241,10 +218,6 @@ def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
     In more dimensions each pair of ``N_NEIGHBORS``-nearest neighbours
     counts, whether one or both of its samples list the other (the k-NN
     relation is not symmetric).
-
-    The list is a function of its points alone, so it needs no
-    trajectories: it serves every ensemble whose valid samples start at
-    exactly these points (``NeighbourPairs.fits``).
     """
     m = len(points)
     if m < 2:
@@ -264,7 +237,7 @@ def injectivity_pairs(points: np.ndarray) -> NeighbourPairs:
         if not keep.any():
             raise UsageError("all neighbor pairs coincide at t=0")
         lo, hi = lo[keep], hi[keep]
-    return NeighbourPairs(points, lo, hi)
+    return lo, hi
 
 
 def _nearest_neighbour_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,36 +280,31 @@ def _nearest_neighbour_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
-def flow_injectivity_monitor(
-    ens: TrajectoryEnsemble, pairs: NeighbourPairs | None = None
-) -> InjectivityReport:
+def flow_injectivity_monitor(ens: TrajectoryEnsemble) -> InjectivityReport:
     """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
 
-    The pairs are ``injectivity_pairs``, each measured once: in 1D the
-    ``M - 1`` pairs adjacent in the initial order, whose minimum is the
-    minimum over all pairs of a monotone flow; in more dimensions each
-    sample's ``N_NEIGHBORS`` nearest initial neighbours, so the cost stays
-    O(M * N_NEIGHBORS).  ``pairs`` passes a list already built from the
-    start points of ``ens``'s valid samples; without it the monitor builds
-    that list.  A ratio below ``VIOLATION_RATIO`` is the proxy for
-    trajectory crossing; the first time it happens is reported.  The pairs
-    are measured ``PAIR_BLOCK`` at a time: a block's initial separations
-    are computed once from the list's points, then the block is measured
-    at every output time; a min is exact under any blocking, so the block
-    sets only the size of the temporaries.
+    The pairs are those of ``_injectivity_pairs`` among the start points
+    of ``ens``'s valid samples, each measured once: in 1D the ``M - 1``
+    pairs adjacent in the initial order, whose minimum is the minimum over
+    all pairs of a monotone flow; in more dimensions each sample's
+    ``N_NEIGHBORS`` nearest initial neighbours, so the cost stays
+    O(M * N_NEIGHBORS).  A ratio below ``VIOLATION_RATIO`` is the proxy
+    for trajectory crossing; the first time it happens is reported.  The
+    pairs are measured ``PAIR_BLOCK`` at a time: a block's initial
+    separations are computed once from the start points, then the block
+    is measured at every output time; a min is exact under any blocking,
+    so the block sets only the size of the temporaries.
     """
-    if pairs is None:
-        pairs = injectivity_pairs(ens.initial_points[ens.valid])
-    elif not pairs.fits(ens):
-        raise UsageError("pair list was built for other initial points or valid samples")
     valid = np.flatnonzero(ens.valid)
-    coords = pairs.points.T
+    points = ens.initial_points[valid]
+    pair_lo, pair_hi = _injectivity_pairs(points)
+    coords = points.T
     ratio = np.full(ens.times.size, np.inf)  # smallest ratio per output time
-    for start in range(0, pairs.lo.size, PAIR_BLOCK):
+    for start in range(0, pair_lo.size, PAIR_BLOCK):
         part = slice(start, start + PAIR_BLOCK)
-        base = _pair_separation(coords, pairs.lo[part], pairs.hi[part])
+        base = _pair_separation(coords, pair_lo[part], pair_hi[part])
         # the block's sample indices, translated once for every output time
-        lo, hi = valid[pairs.lo[part]], valid[pairs.hi[part]]
+        lo, hi = valid[pair_lo[part]], valid[pair_hi[part]]
         for k_t in range(ens.times.size):
             sep = _pair_separation(ens.positions[k_t].T, lo, hi)
             ratio[k_t] = np.minimum(ratio[k_t], np.min(sep / base))

@@ -244,11 +244,11 @@ class TestTransforms:
         values = rng.normal(size=shape)
         if kind == "complex":
             values = values + 1j * rng.normal(size=shape)
-        forward = fftn(values)
+        forward = fftn(values, values.ndim)
         assert forward.dtype == np.complex128
         assert (forward == np.fft.fftn(values)).all()
-        assert (ifftn(values) == np.fft.ifftn(values)).all()
-        assert (ifftn(forward) == np.fft.ifftn(np.fft.fftn(values))).all()
+        assert (ifftn(values, values.ndim) == np.fft.ifftn(values)).all()
+        assert (ifftn(forward, values.ndim) == np.fft.ifftn(np.fft.fftn(values))).all()
 
 
 class TestInvariants:

@@ -586,8 +586,8 @@ class TestRowStages:
         import pilotwave.harness as harness
         import pilotwave.measure as measure
 
-        built = []  # points per pair list, the monitors' own included
-        real_pairs = measure.injectivity_pairs
+        built = []  # points per pair list
+        real_pairs = measure._injectivity_pairs
 
         def injectivity_pairs(points):
             built.append(len(points))
@@ -610,17 +610,16 @@ class TestRowStages:
             return ens
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)  # measure imports it where it builds one
-        monkeypatch.setattr(harness, "injectivity_pairs", injectivity_pairs)
-        monkeypatch.setattr(measure, "injectivity_pairs", injectivity_pairs)
+        monkeypatch.setattr(measure, "_injectivity_pairs", injectivity_pairs)
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
         row = run_single(small_config(eps_list=(0.2,)), 0.2)
         assert row.valid
         m = 200  # ensemble_size
         assert ensembles[0].valid.sum() == (m - 1 if escape == "both" else m)
-        # one list of the first ensemble's valid samples, and one of m - 1
-        # when only the second ensemble lost a sample; a 1D list is sorted,
-        # never queried
-        assert built == {False: [m], True: [m, m - 1], "both": [m - 1]}[escape]
+        # each list is built once, by its monitor, of that ensemble's own
+        # valid samples; a 1D list is sorted, never queried
+        assert built == [e.valid.sum() for e in ensembles]
+        assert built == {False: [m, m], True: [m, m - 1], "both": [m - 1, m - 1]}[escape]
         # the ratio is the one each ensemble gets from a pair list of its own
         want = min(flow_injectivity_monitor(e).min_pair_separation_ratio for e in ensembles)
         assert row.injectivity_ratio == want
@@ -1149,26 +1148,28 @@ class TestLanes:
 
 
 class TestOneDimensionalLane:
-    """A 1D row has no lane: it runs every stage on its own thread, builds
-    one injectivity pair list after its last integration and runs the
-    monitors in turn, whatever the worker count; nothing it reports may
-    change with the count."""
+    """A 1D row has no lane: it runs every stage on its own thread and runs
+    the injectivity monitors in turn, each building its own pair list,
+    whatever the worker count; nothing it reports may change with the
+    count."""
 
     def test_one_row_sweep_is_byte_identical_at_one_and_two_threads(self, monkeypatch, tmp_path):
         import pilotwave.harness as harness
+        import pilotwave.measure as measure
 
         cfg = dataclasses.replace(small_config(eps_list=(0.2,)), output=OutputSpec(save_fields=True))
         serial = run_sweep(cfg, threads=1, out_dir=tmp_path / "serial")
 
-        names = ("densities", "gronwall_integrand", "integrate_trajectories",
-                 "injectivity_pairs", "flow_injectivity_monitor")
-        threads = {name: [] for name in names + ("advance",)}
-        for name in names:
-            def counted(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+        names = {"densities": harness, "gronwall_integrand": harness,
+                 "integrate_trajectories": harness, "_injectivity_pairs": measure,
+                 "flow_injectivity_monitor": harness}
+        threads = {name: [] for name in (*names, "advance")}
+        for name, module in names.items():
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 threads[_name].append(threading.get_ident())
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(harness, name, counted)
+            monkeypatch.setattr(module, name, counted)
         real_advance = StrangStepper.advance
 
         def advance(self, values, t):
@@ -1180,7 +1181,7 @@ class TestOneDimensionalLane:
 
         for name, calls in threads.items():
             assert calls and set(calls) == {threading.get_ident()}, name
-        assert len(threads["injectivity_pairs"]) == 1
+        assert len(threads["_injectivity_pairs"]) == 2  # one per monitor
         assert len(threads["flow_injectivity_monitor"]) == 2
 
         assert two.rows[0].valid
@@ -1199,14 +1200,17 @@ class TestOneDimensionalLane:
 
     def test_escaped_samples_give_the_same_injectivity_with_a_lane(self, monkeypatch):
         # samples of the oscillating ensemble, each row's first, escape, so
-        # the row's pair list of its valid samples fits only that ensemble;
-        # a lane handed to a 1D row is given no task
+        # its pair list has fewer points than the averaged one's; a lane
+        # handed to a 1D row is given no task
         import pilotwave.harness as harness
+        import pilotwave.measure as measure
 
         real_integrate = harness.integrate_trajectories
         real_monitor = harness.flow_injectivity_monitor
+        real_pairs = measure._injectivity_pairs
         integrated = []
-        given = []  # (every sample valid, pair list given) per monitor call
+        given = []  # (every sample valid, list of its own valid samples) per monitor call
+        built = []  # the points of every pair list
 
         def integrate(*args, **kwargs):
             ens = real_integrate(*args, **kwargs)
@@ -1217,20 +1221,26 @@ class TestOneDimensionalLane:
                 ens = dataclasses.replace(ens, valid=valid)
             return ens
 
-        def monitor(ens, pairs=None, **kwargs):
-            given.append((bool(ens.valid.all()), pairs is not None))
-            return real_monitor(ens, pairs=pairs, **kwargs)
+        def injectivity_pairs(points):
+            built.append(points)
+            return real_pairs(points)
+
+        def monitor(ens):
+            report = real_monitor(ens)
+            (points,) = built[len(given):]  # built by this call
+            given.append((bool(ens.valid.all()), np.array_equal(points, ens.initial_points[ens.valid])))
+            return report
 
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
         monkeypatch.setattr(harness, "flow_injectivity_monitor", monitor)
+        monkeypatch.setattr(measure, "_injectivity_pairs", injectivity_pairs)
         cfg = small_config(eps_list=(0.2,))
         serial = run_single(cfg, 0.2)
         with Lane() as lane:
             laned = run_single(cfg, 0.2, lane)
             assert lane.futures == []
-        # the row's list serves the oscillating ensemble, and the averaged
-        # one, with every sample valid, builds the list of its own, in turn
-        assert given == [(False, True), (True, False)] * 2
+        # each monitor, in turn, builds the list of its own ensemble's valid samples
+        assert given == [(False, True), (True, True)] * 2
         assert serial.valid and laned.valid
         for name in ("injectivity_ratio", "injectivity_first_violation"):
             assert repr(getattr(laned, name)) == repr(getattr(serial, name)), name
@@ -1239,9 +1249,10 @@ class TestOneDimensionalLane:
     def test_trajectory_escape_is_the_same_row_at_one_and_two_threads(self, monkeypatch):
         # the averaged ensemble escapes, before any pair list is built
         import pilotwave.harness as harness
+        import pilotwave.measure as measure
 
         real_integrate = harness.integrate_trajectories
-        real_pairs = harness.injectivity_pairs
+        real_pairs = measure._injectivity_pairs
         calls = []
         builds = []
 
@@ -1256,7 +1267,7 @@ class TestOneDimensionalLane:
             return real_pairs(*args, **kwargs)
 
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
-        monkeypatch.setattr(harness, "injectivity_pairs", injectivity_pairs)
+        monkeypatch.setattr(measure, "_injectivity_pairs", injectivity_pairs)
         cfg = small_config(eps_list=(0.2,))
         baseline = threading.active_count()
         rows = [run_sweep(cfg, threads=t).rows[0] for t in (1, 2)]
@@ -1275,8 +1286,8 @@ class TestOneDimensionalLane:
 
 class TestLaneCalls:
     """A one-row sweep makes the same pair list builds, all on the row's
-    thread, and hands each monitor the same list, at one thread and at
-    two."""
+    thread, one per monitor of its own ensemble's valid samples, at one
+    thread and at two."""
 
     @staticmethod
     def _calls(monkeypatch, cfg, threads, escape):
@@ -1284,12 +1295,12 @@ class TestLaneCalls:
         import pilotwave.measure as measure
 
         real_integrate = harness.integrate_trajectories
-        real_pairs = measure.injectivity_pairs
+        real_pairs = measure._injectivity_pairs
         real_monitor = harness.flow_injectivity_monitor
         ensembles = []
-        built = []  # the points of every pair list built, the monitors' own included
+        monitored = []  # ensemble index per monitor call
+        built = []  # (monitored ensemble index, points, lo, hi) per pair list built
         laned = []  # whether each build ran off the calling thread
-        given = {}  # ensemble index -> the list handed to its monitor
 
         def integrate(*args, **kwargs):
             ens = real_integrate(*args, **kwargs)
@@ -1301,45 +1312,41 @@ class TestLaneCalls:
             return ens
 
         def injectivity_pairs(points):
-            built.append(points.copy())
             laned.append(threading.get_ident() != threading.main_thread().ident)
-            return real_pairs(points)
+            lo, hi = real_pairs(points)
+            built.append((monitored[-1], points.copy(), lo, hi))
+            return lo, hi
 
-        def monitor(ens, pairs=None):
+        def monitor(ens):
             (k,) = [i for i, e in enumerate(ensembles) if e is ens]
-            given[k] = None if pairs is None else (pairs.points, pairs.lo, pairs.hi)
-            return real_monitor(ens, pairs=pairs)
+            monitored.append(k)
+            return real_monitor(ens)
 
         monkeypatch.setattr(harness, "integrate_trajectories", integrate)
-        monkeypatch.setattr(harness, "injectivity_pairs", injectivity_pairs)
-        monkeypatch.setattr(measure, "injectivity_pairs", injectivity_pairs)
+        monkeypatch.setattr(measure, "_injectivity_pairs", injectivity_pairs)
         monkeypatch.setattr(harness, "flow_injectivity_monitor", monitor)
         row = run_sweep(cfg, threads=threads).rows[0]
         monkeypatch.undo()
         assert row.valid
         assert not any(laned)
-        return row, built, given
+        for k, points, _, _ in built:
+            assert np.array_equal(points, ensembles[k].initial_points[ensembles[k].valid])
+        return row, built
 
     @pytest.mark.parametrize("escape", [False, True])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_one_and_two_threads_make_the_same_calls(self, monkeypatch, dim, escape):
         cfg = small_config(eps_list=(0.2,)) if dim == 1 else tiny_2d_config()
-        serial, built_1, given_1 = self._calls(monkeypatch, cfg, 1, escape)
-        laned, built_2, given_2 = self._calls(monkeypatch, cfg, 2, escape)
+        serial, built_1 = self._calls(monkeypatch, cfg, 1, escape)
+        laned, built_2 = self._calls(monkeypatch, cfg, 2, escape)
         m = cfg.sweep.ensemble_size
-        # one list of the escaped ensemble's valid samples, then one of the
-        # other ensemble's, every sample
-        assert [len(x) for x in built_1] == ([m - 2, m] if escape else [m])
+        # one list per monitor, in ensemble order: the escaped ensemble's
+        # valid samples, then every sample of the other
+        assert [(k, len(x)) for k, x, _, _ in built_1] == [(0, m - 2 if escape else m), (1, m)]
         assert len(built_2) == len(built_1)
         for a, b in zip(built_1, built_2):
-            assert np.array_equal(a, b)
-        assert sorted(given_1) == sorted(given_2) == [0, 1]
-        assert given_1[0] is not None and given_2[0] is not None
-        assert (given_1[1] is None) == (given_2[1] is None) == escape
-        for k in (0, 1):
-            if given_1[k] is not None:
-                for a, b in zip(given_1[k], given_2[k]):
-                    assert np.array_equal(a, b)
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
         assert dataclasses.replace(laned, wall_time=0.0) == dataclasses.replace(serial, wall_time=0.0)
 
 
@@ -1587,6 +1594,10 @@ class TestCli:
             ([], BENCH_YAML.replace("eps_list: [0.2, 0.1]", "eps_list: [0.2000001, 0.2]"),
              "share a report key"),
             ([], BENCH_YAML.replace("kind: gaussian", "kind: wkb"), "got 'wkb'"),
+            # unknown names of mixed types, which cannot be sorted as they are
+            ([], BENCH_YAML.replace("  dim: 1\n", "  dim: 1\n  1: 2\n  foo: 3\n"),
+             "unknown keys in section 'grid': ['foo', 1]"),
+            ([], BENCH_YAML + "1: {}\nfoo: {}\n", "unknown config sections: ['foo', 1]"),
             # max d^2 V = 1.23e7 breaks the convergence theorem's hypotheses
             ([], BENCH_YAML.replace(
                 "spatial: harmonic", "spatial: cosine_lattice\n  lattice_amplitude: 1.0e+7"

@@ -24,7 +24,6 @@ from pilotwave.measure import (
     bohmian_measure,
     flat_distance,
     flow_injectivity_monitor,
-    injectivity_pairs,
     monokinetic_deviation,
     trajectory_deviation_measure,
 )
@@ -434,33 +433,30 @@ class TestInjectivityMonitor:
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)  # measure imports it where it builds one
         x0 = np.array([[3.0], [1.0], [2.0], [1.0], [-1.0], [2.0]])
-        pairs = injectivity_pairs(x0)
-        assert pairs.lo.dtype == pairs.hi.dtype == np.int32
+        lo, hi = measure._injectivity_pairs(x0)
+        assert lo.dtype == hi.dtype == np.int32
         # sorted stably: 4, 1, 3, 2, 5, 0; the pairs (1, 3) and (2, 5) coincide
-        assert list(zip(pairs.lo.tolist(), pairs.hi.tolist())) == [(4, 1), (3, 2), (5, 0)]
+        assert list(zip(lo.tolist(), hi.tolist())) == [(4, 1), (3, 2), (5, 0)]
         with pytest.raises(UsageError, match="coincide"):
-            injectivity_pairs(np.zeros((5, 1)))
-
-    def test_shared_pair_list(self, monkeypatch):
-        monkeypatch.setattr(measure, "N_NEIGHBORS", 4)
-        rng = np.random.default_rng(4)
-        ens = random_ensemble(rng, 2, 60)
-        twin = dataclasses.replace(ens, positions=ens.positions[::-1].copy())
-        pairs = injectivity_pairs(ens.initial_points[ens.valid])
-        for e in (ens, twin):
-            assert flow_injectivity_monitor(e, pairs=pairs) == flow_injectivity_monitor(e)
+            measure._injectivity_pairs(np.zeros((5, 1)))
 
     def test_pair_indices_are_int32(self, monkeypatch):
         monkeypatch.setattr(measure, "N_NEIGHBORS", 8)
         rng = np.random.default_rng(6)
         ens = random_ensemble(rng, 2, 300)
-        pairs = injectivity_pairs(ens.initial_points[ens.valid])
-        assert pairs.lo.dtype == pairs.hi.dtype == np.int32
-        wide = dataclasses.replace(pairs, lo=pairs.lo.astype(np.int64), hi=pairs.hi.astype(np.int64))
+        real_pairs = measure._injectivity_pairs
+        lo, hi = real_pairs(ens.initial_points[ens.valid])
+        assert lo.dtype == hi.dtype == np.int32
+
+        def wide_pairs(points):
+            return tuple(a.astype(np.int64) for a in real_pairs(points))
+
         for violation_ratio in (1e-3, 0.2):
             monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
-            got = flow_injectivity_monitor(ens, pairs=pairs)
-            assert got == flow_injectivity_monitor(ens, pairs=wide)
+            got = flow_injectivity_monitor(ens)
+            with monkeypatch.context() as patch:
+                patch.setattr(measure, "_injectivity_pairs", wide_pairs)
+                assert got == flow_injectivity_monitor(ens)
 
     @pytest.mark.parametrize("m", [300, 46500])
     def test_pair_keys_switch_to_int64_when_m_squared_outgrows_int32(self, monkeypatch, m):
@@ -472,22 +468,10 @@ class TestInjectivityMonitor:
         x0 = ens.initial_points.copy()
         x0[1] += 1e-6  # no coincident pair
         ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
-        pairs = injectivity_pairs(ens.initial_points[ens.valid])
+        lo, hi = measure._injectivity_pairs(ens.initial_points[ens.valid])
         cols = cKDTree(x0).query(x0, k=3)[1][:, 1:].tolist()
         want = sorted({(min(i, j), max(i, j)) for i in range(m) for j in cols[i]})
-        assert list(zip(pairs.lo.tolist(), pairs.hi.tolist())) == want
-
-    def test_pair_list_of_other_samples_rejected(self):
-        rng = np.random.default_rng(5)
-        ens = random_ensemble(rng, 1, 40)
-        pairs = injectivity_pairs(ens.initial_points[ens.valid])
-        valid = ens.valid.copy()
-        valid[0] = False
-        with pytest.raises(UsageError, match="pair list"):
-            flow_injectivity_monitor(dataclasses.replace(ens, valid=valid), pairs=pairs)
-        moved = dataclasses.replace(ens, initial_points=ens.initial_points + 1.0)
-        with pytest.raises(UsageError, match="pair list"):
-            flow_injectivity_monitor(moved, pairs=pairs)
+        assert list(zip(lo.tolist(), hi.tolist())) == want
 
     def test_rigid_translation(self):
         g = make_grid(1, 64, 8.0)
@@ -588,18 +572,17 @@ class TestBlockedMeasures:
             ens = monotone_ensemble(rng, m) if dim == 1 else random_ensemble(rng, dim, m)
             for n_neighbors in (1, 3, 9):
                 monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
-                pairs = injectivity_pairs(ens.initial_points[ens.valid])
+                lo, hi = measure._injectivity_pairs(ens.initial_points[ens.valid])
                 # samples 0 and 1 start at the same point: their pair is dropped
-                assert 0 not in {*pairs.lo[pairs.hi == 1], *pairs.hi[pairs.lo == 1]}
+                assert 0 not in {*lo[hi == 1], *hi[lo == 1]}
                 for violation_ratio in (1e-3, 0.2):
                     monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
                     got = flow_injectivity_monitor(ens)
                     want = directed_pair_monitor(ens, m if dim == 1 else n_neighbors, violation_ratio)
                     assert got == want
-                    assert got == flow_injectivity_monitor(ens, pairs=pairs)
-                    for block in (1, 2, 1 << 20):  # the monitor's blocks; the list was built at 5
+                    for block in (1, 2, 1 << 20):  # the blocks of the list and of the monitor
                         monkeypatch.setattr(measure, "PAIR_BLOCK", block)
-                        assert got == flow_injectivity_monitor(ens, pairs=pairs)
+                        assert got == flow_injectivity_monitor(ens)
                     monkeypatch.setattr(measure, "PAIR_BLOCK", 5)
                     violations += got.first_violation_time is not None
         assert violations > 0
@@ -608,12 +591,12 @@ class TestBlockedMeasures:
         rng = np.random.default_rng(8)
         ens = random_ensemble(rng, 2, 500)
         monkeypatch.setattr(measure, "N_NEIGHBORS", 8)
-        small = injectivity_pairs(ens.initial_points[ens.valid])
+        small = measure._injectivity_pairs(ens.initial_points[ens.valid])
         monkeypatch.setattr(measure, "QUERY_BLOCK", 1 << 20)
         monkeypatch.setattr(measure, "PAIR_BLOCK", 1 << 20)
-        whole = injectivity_pairs(ens.initial_points[ens.valid])
-        for name in ("lo", "hi"):
-            assert np.array_equal(getattr(small, name), getattr(whole, name)), name
+        whole = measure._injectivity_pairs(ens.initial_points[ens.valid])
+        for name, a, b in zip(("lo", "hi"), small, whole):
+            assert np.array_equal(a, b), name
 
 
 class TestMeasureMemory:
@@ -639,24 +622,23 @@ class TestMeasureMemory:
         m, n_times = 20000, 41  # the bohm_ensemble row: 41 output times
         ens = self._ensemble(rng, 1, m, n_times)
         twin = perturbed_twin(rng, ens)
-        pairs = injectivity_pairs(ens.initial_points[ens.valid])
         limit = 4e6  # bytes; the whole-array versions took about 31 MB and 22 MB
         peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, twin, 0.05))
         assert peak < limit
-        peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens, pairs=pairs))
+        peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens))  # its list build included
         assert peak < limit
         # a 1D list needs its argsort (int64), the list (one int32 array that
         # both ends view) and a block's separation temporaries: the gathered
         # coordinates and their int64 indices
         points = ens.initial_points[ens.valid]
-        peak, built = self._traced_peak(lambda: injectivity_pairs(points))
-        assert built.lo.size == m - 1
+        peak, (lo, _) = self._traced_peak(lambda: measure._injectivity_pairs(points))
+        assert lo.size == m - 1
         temporaries = 3 * 8 * min(m, measure.PAIR_BLOCK)
         assert peak < 8 * m + 4 * m + temporaries
         # an nD list needs little beyond the list and its sorted keys, one
         # int32 per (sample, neighbour) while m * m fits int32
         ens = self._ensemble(rng, 2, m, 2)
-        peak, built = self._traced_peak(lambda: injectivity_pairs(ens.initial_points[ens.valid]))
-        list_bytes = built.lo.nbytes + built.hi.nbytes
+        peak, (lo, hi) = self._traced_peak(lambda: measure._injectivity_pairs(ens.initial_points[ens.valid]))
+        list_bytes = lo.nbytes + hi.nbytes
         keys_bytes = m * 64 * 4
         assert peak < list_bytes + keys_bytes
