@@ -11,7 +11,9 @@ Trajectories are integrated with classical RK4 on top of cubic
 (Catmull-Rom) interpolation in space; in time nothing is interpolated: the
 output times are mapped to history frames once, and every RK4 stage reads
 a stored velocity frame by its number.  A run builds one workspace and its
-steps write into it, so stepping allocates nothing.
+steps write into it, so stepping allocates nothing.  A 1D lookup gathers
+its stencil values from a per-component stencil table in that workspace,
+with the same bits as wrapped index arrays give.
 """
 
 from __future__ import annotations
@@ -363,7 +365,7 @@ def integrate_trajectories(
 
     # one workspace for the whole run: the lookup's, the stage points and
     # slopes, and the escape test's; each step only writes into it
-    work = _interp_work(dim, M)
+    work = _interp_work(dim, M, grid.n_per_axis, dim)
     stage, k2, k3, k4 = np.empty((4, M, dim))
     peak = np.empty(M)
     inside = np.empty(M, dtype=bool)
@@ -412,15 +414,21 @@ class _InterpWork(NamedTuple):
     """Reusable buffers of ``_interp_space`` for M points in ``dim`` axes."""
 
     weights: np.ndarray  # (dim, 4, M): the four Catmull-Rom weights per axis
-    indices: np.ndarray  # (dim, 4, M): wrapped stencil indices times the axis stride
+    indices: np.ndarray  # (dim, 4, M) in nD: wrapped stencil indices times the axis stride
+    table: np.ndarray  # (ncomp, n + 3) in 1D: each component wrapped, the stencil's rows
     scratch: np.ndarray  # (4, M) float
-    index: np.ndarray  # (M,) flat index of one stencil point
+    index: np.ndarray  # (M,) flat index of one stencil point; the wrapped cell in 1D
 
 
-def _interp_work(dim: int, M: int) -> _InterpWork:
+def _interp_work(dim: int, M: int, n: int = 0, ncomp: int = 1) -> _InterpWork:
+    """A workspace for lookups of M points in ``dim`` axes.  A 1D lookup
+    fills its stencil table, sized here for fields of up to ``ncomp``
+    components on ``n`` points; only an nD lookup has index arrays."""
+    one_d = dim == 1
     return _InterpWork(
         weights=np.empty((dim, 4, M)),
-        indices=np.empty((dim, 4, M), dtype=np.intp),
+        indices=np.empty((0, 4, M) if one_d else (dim, 4, M), dtype=np.intp),
+        table=np.empty((ncomp, n + 3) if one_d else (0, 0)),
         scratch=np.empty((4, M)),
         index=np.empty(M, dtype=np.intp),
     )
@@ -438,13 +446,21 @@ def _interp_space(
 
     ``field`` has shape (n_components, *grid.shape); ``X`` is (M, dim).
     Writes the (M, n_components) values into ``out`` and returns it.
-    ``work`` is a workspace from ``_interp_work(dim, M)``, so the lookup
-    allocates nothing.  The weights of the fractional coordinate f are
-    evaluated as written, ``0.5 * (-f3 + 2.0 * f2 - f)``,
+    ``work`` is a workspace from ``_interp_work(dim, M, n, n_components)``,
+    so the lookup allocates nothing.  The weights of the fractional
+    coordinate f are evaluated as written, ``0.5 * (-f3 + 2.0 * f2 - f)``,
     ``0.5 * (3.0 * f3 - 5.0 * f2 + 2.0)``, ``0.5 * (-3.0 * f3 + 4.0 * f2 + f)``
     and ``0.5 * (f3 - f2)`` with ``f2 = f * f`` and ``f3 = f2 * f``, and the
     stencil is summed from zeros in ``np.ndindex`` order, so every call
     gives the same bits.
+
+    In 1D the cell is wrapped once, and the four stencil values are
+    gathered from a stencil table filled in the workspace: each component
+    copied with one cell before it and two after, periodically, so that
+    stencil row k at cell j, ``table[c, k + j]``, holds
+    ``field[c][(j + k - 1) % n]``.  The values gathered are those of the
+    wrapped indices, so the bits are the same.  In more dimensions each
+    axis keeps its four wrapped index arrays.
     """
     n = grid.n_per_axis
     M, dim = X.shape
@@ -452,8 +468,9 @@ def _interp_space(
     weights, indices, base = work.weights, work.indices, work.index
     f, f2, f3, t = work.scratch
 
-    # per axis: four weights and the (4, M) wrapped indices of the stencil;
-    # Grid requires a power-of-two n, so & (n - 1) wraps exactly as np.mod
+    # per axis: four weights and, in nD, the (4, M) wrapped indices of the
+    # stencil; Grid requires a power-of-two n, so & (n - 1) wraps exactly
+    # as np.mod
     for axis in range(dim):
         g = np.divide(np.add(X[:, axis], grid.half_width, out=t), grid.dx, out=t)
         with np.errstate(invalid="ignore"):  # a NaN stage point, left to the escape test
@@ -474,6 +491,9 @@ def _interp_space(
         w2 += f
         np.subtract(f3, f2, out=w3)
         weights[axis] *= 0.5
+        if dim == 1:
+            base &= n - 1  # the cell, wrapped once: the table holds its neighbours
+            continue
         stride = n ** (dim - 1 - axis)
         for idx, offset in zip(indices[axis], range(-1, 3)):
             np.add(base, offset, out=idx)
@@ -481,19 +501,27 @@ def _interp_space(
             if stride > 1:
                 idx *= stride
 
-    flat = field.reshape(ncomp, -1)
-    w, values = work.scratch[:2]
+    values = work.scratch[1]
     out[...] = 0.0
+    if dim == 1:
+        table = work.table[:ncomp, : n + 3]
+        table[:, 1 : n + 1] = field
+        table[:, 0] = field[:, -1]
+        table[:, n + 1 :] = field[:, :2]
+        for k, w in enumerate(weights[0]):
+            for c in range(ncomp):
+                np.take(table[c, k : k + n], base, out=values, mode="clip")  # never clipped
+                out[:, c] += np.multiply(w, values, out=values)
+        return out
+
+    w, flat_idx = work.scratch[0], work.index
+    flat = field.reshape(ncomp, -1)
     for combo in np.ndindex(*(4,) * dim):
-        if dim == 1:
-            w, flat_idx = weights[0, combo[0]], indices[0, combo[0]]
-        else:
-            flat_idx = work.index
-            np.multiply(weights[0, combo[0]], weights[1, combo[1]], out=w)
-            np.add(indices[0, combo[0]], indices[1, combo[1]], out=flat_idx)
-            for axis in range(2, dim):
-                w *= weights[axis, combo[axis]]
-                flat_idx += indices[axis, combo[axis]]
+        np.multiply(weights[0, combo[0]], weights[1, combo[1]], out=w)
+        np.add(indices[0, combo[0]], indices[1, combo[1]], out=flat_idx)
+        for axis in range(2, dim):
+            w *= weights[axis, combo[axis]]
+            flat_idx += indices[axis, combo[axis]]
         for c in range(ncomp):
             np.take(flat[c], flat_idx, out=values, mode="clip")  # in range, so never clipped
             out[:, c] += np.multiply(w, values, out=values)

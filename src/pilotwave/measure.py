@@ -176,7 +176,9 @@ def trajectory_deviation_measure(
     points and times).  At delta = 0 only strictly positive deviations
     count, so identical ensembles give 0.  Exceedances are counted one
     output time at a time; the count is exact, so the fraction equals the
-    mean over the whole (times x samples) array bit for bit.
+    mean over the whole (times x samples) array bit for bit.  When every
+    sample of both ensembles is valid, each time's positions and momenta
+    are read as views; otherwise the shared valid samples are gathered.
     """
     if not delta >= 0:  # NaN included
         raise UsageError(f"delta must be nonnegative, got {delta}")
@@ -189,11 +191,14 @@ def trajectory_deviation_measure(
     both = np.flatnonzero(ens_eps.valid & ens_eff.valid)
     if both.size == 0:
         raise UsageError("no valid samples shared by the two ensembles")
+    pick = slice(None) if both.size == ens_eps.valid.size else both
     count = 0
     for k_t in range(ens_eps.times.size):
-        dx = ens_eps.positions[k_t, both] - ens_eff.positions[k_t, both]
-        dp = ens_eps.momenta[k_t, both] - ens_eff.momenta[k_t, both]
-        dev = np.sqrt(np.sum(dx * dx, axis=1) + np.sum(dp * dp, axis=1))
+        dx = np.subtract(ens_eps.positions[k_t, pick], ens_eff.positions[k_t, pick])
+        dp = np.subtract(ens_eps.momenta[k_t, pick], ens_eff.momenta[k_t, pick])
+        dev = np.sum(np.multiply(dx, dx, out=dx), axis=1)
+        dev += np.sum(np.multiply(dp, dp, out=dp), axis=1)
+        np.sqrt(dev, out=dev)
         count += int(np.count_nonzero(dev >= delta if delta > 0 else dev > 0.0))
     return count / (ens_eps.times.size * both.size)
 

@@ -552,15 +552,19 @@ def small_blocks(monkeypatch):
 class TestBlockedMeasures:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_deviation_equals_the_whole_array_formula(self, dim):
+        # samples lost by both ensembles or by one are gathered; with every
+        # sample valid in both, each time is read as views
         rng = np.random.default_rng(60 + dim)
         for _ in range(6):
             a = random_ensemble(rng, dim, int(rng.integers(4, 300)), n_times=int(rng.integers(1, 9)))
             b = perturbed_twin(rng, a)
             assert not (a.valid == b.valid).all()
-            for delta in (0.0, 0.01, 0.05, 0.3):
-                got = trajectory_deviation_measure(a, b, delta)
-                assert got == whole_array_deviation(a, b, delta), delta
-            assert 0.0 < trajectory_deviation_measure(a, b, 0.0) < 1.0  # unmoved samples count 0
+            whole_a, whole_b = (dataclasses.replace(e, valid=np.ones_like(e.valid)) for e in (a, b))
+            for x, y in ((a, b), (whole_a, b), (whole_a, whole_b)):
+                for delta in (0.0, 0.01, 0.05, 0.3):
+                    got = trajectory_deviation_measure(x, y, delta)
+                    assert got == whole_array_deviation(x, y, delta), delta
+                assert 0.0 < trajectory_deviation_measure(x, y, 0.0) < 1.0  # unmoved samples count 0
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_monitor_equals_the_directed_pair_reference(self, monkeypatch, dim):
@@ -627,6 +631,11 @@ class TestMeasureMemory:
         assert peak < limit
         peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens))  # its list build included
         assert peak < limit
+        # with every sample valid in both, each time is read as views: the
+        # temporaries are the differences and their sums, no gathered copies
+        whole = dataclasses.replace(twin, valid=np.ones(m, dtype=bool))
+        peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, whole, 0.05))
+        assert peak < 6 * 8 * m
         # a 1D list needs its argsort (int64), the list (one int32 array that
         # both ends view) and a block's separation temporaries: the gathered
         # coordinates and their int64 indices
