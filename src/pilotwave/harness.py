@@ -444,7 +444,9 @@ def build_potential(spec: PotentialSpec, grid: Grid) -> TimePeriodicPotential:
         spatial = cosine_lattice(spec.lattice_amplitude, spec.lattice_periods, grid.half_width)
     else:
         spatial = SPATIAL_BUILTINS[spec.spatial]()
-    return TimePeriodicPotential(temporal, spatial, analytic_mean=spec.analytic_mean)
+    if spec.analytic_mean is not None:
+        temporal = dataclasses.replace(temporal, mean=spec.analytic_mean)
+    return TimePeriodicPotential(temporal, spatial)
 
 
 def build_initial_state(spec: InitialStateSpec, grid: Grid, eps: float) -> WaveFunction:
@@ -590,10 +592,10 @@ def _propagate_and_record(
 
     Each stepper marches a stack: on a grid below ``LANE_MIN_POINTS``
     points one stepper marches every system's state as a row of one stack,
-    and the lane takes no part here (one stack leaves it nothing, and a 1D
-    frame's Gronwall term costs less than its hand-off); on a larger grid
-    each system has its own one-row stack, and the steppers share one
-    kinetic factor.  Each frame measures each stack in one pass; the
+    and the lane takes no part here (one stack leaves it nothing, and on
+    such a grid a frame's Gronwall term costs less than its hand-off); on a
+    larger grid each system has its own one-row stack, and the steppers
+    share one kinetic factor.  Each frame measures each stack in one pass; the
     monitors still judge each state.  On a large grid with a ``lane``, the
     effective system's steps and frame densities run on it, and so does
     each frame's Gronwall term: the lane takes tasks in order, so a frame's
@@ -712,14 +714,12 @@ def _measures(
         dictionary_size=config.measure.dictionary_size,
         seed=dictionary_seed,
     )
-    traj_dev = tuple(
-        (d, trajectory_deviation_measure(*ensembles[:2], d)) for d in config.sweep.delta_list
-    )
+    traj_dev = trajectory_deviation_measure(*ensembles[:2], config.sweep.delta_list)
     reports = [flow_injectivity_monitor(ens) for ens in ensembles]
     violations = [r.first_violation_time for r in reports if r.first_violation_time is not None]
     return {
         "monokinetic_dev": mono_dev,
-        "traj_dev": traj_dev,
+        "traj_dev": tuple(zip(config.sweep.delta_list, traj_dev)),
         "injectivity_ratio": min(r.min_pair_separation_ratio for r in reports),
         "injectivity_first_violation": min(violations, default=math.nan),
     }
@@ -729,8 +729,9 @@ def _measures(
 # hand-offs; a row on such a grid marches its two systems as one stack
 # instead, and a sweep on it opens no lane.  The placement and resolution
 # rules admit no Gaussian row below n = 256 per axis, so every 2D and 3D
-# row propagates with the lane when a second worker is allowed, and every
-# 1D row marches as one stack.
+# row propagates with the lane when a second worker is allowed; a 1D row
+# marches as one stack up to n = 32768, and a 1D grid of 65536 points or
+# more takes the large-grid path, lane included.
 LANE_MIN_POINTS = 2**16
 
 
@@ -751,15 +752,17 @@ def run_sweep(
 
     ``threads`` is the worker count, the CPUs this process may run on when
     None; any other value than a plain int >= 1 raises ConfigError.  On a grid
-    below ``LANE_MIN_POINTS`` points (every 1D grid), the rows are dealt by
-    step count into ``min(workers, rows)`` bins, longest first
-    (``_deal_longest_first``); on a larger grid they form one bin.  The
-    calling process runs bin 0 and a fork pool runs every other bin (see
-    ``_run_rows``).  On a larger grid with a second worker the sweep opens
-    one helper thread, the lane, where each row in turn steps and measures
-    its averaged system (see ``run_single``).  A multi-row large grid stays
-    in one bin: two such rows at once would double the memory of a row.
-    The count never changes a result.
+    below ``LANE_MIN_POINTS`` points (a 1D grid of at most 32768 points;
+    no 2D or 3D grid the rules admit), the rows are dealt by step count
+    into ``min(workers, rows)`` bins, longest first
+    (``_deal_longest_first``); on a larger grid, a 1D one of 65536 points
+    or more included, they form one bin.  The calling process runs bin 0
+    and a fork pool runs every other bin (see ``_run_rows``).  On a larger
+    grid with a second worker the sweep opens one helper thread, the lane,
+    where each row in turn steps and measures its averaged system (see
+    ``run_single``).  A multi-row large grid stays in one bin: two such
+    rows at once would double the memory of a row.  The count never
+    changes a result.
 
     The config is checked (``_check_config``), then ``out_dir`` is created,
     so a config error or an unusable output directory raises ConfigError

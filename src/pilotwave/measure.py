@@ -10,7 +10,7 @@ which makes sweep statistics comparable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import numpy.random  # loaded with the package, so that no row pays the import
@@ -167,40 +167,49 @@ def monokinetic_deviation(
 
 
 def trajectory_deviation_measure(
-    ens_eps: TrajectoryEnsemble, ens_eff: TrajectoryEnsemble, delta: float
-) -> float:
-    """Fraction of (time, sample) pairs with |(X_eps,P_eps)-(X,P)| >= delta.
+    ens_eps: TrajectoryEnsemble, ens_eff: TrajectoryEnsemble, deltas: Sequence[float]
+) -> tuple[float, ...]:
+    """Fraction of (time, sample) pairs with |(X_eps,P_eps)-(X,P)| >= delta,
+    one per entry of ``deltas``, in order.
 
     Monte-Carlo estimate of the normalized product measure of the deviation
     set over [0,T] x supp(rho0); requires paired ensembles (same initial
-    points and times).  At delta = 0 only strictly positive deviations
-    count, so identical ensembles give 0.  Exceedances are counted one
-    output time at a time; the count is exact, so the fraction equals the
-    mean over the whole (times x samples) array bit for bit.  When every
-    sample of both ensembles is valid, each time's positions and momenta
-    are read as views; otherwise the shared valid samples are gathered.
+    points and times) and counts the samples valid in both.  At delta = 0
+    only strictly positive deviations count, so identical ensembles give 0.
+    One pass over the output times serves every delta: each time's
+    positions and momenta are read as views, a sample lost by either
+    ensemble gets a NaN deviation, which meets no threshold, and every
+    delta's exceedances are counted.  The counts are exact, so each
+    fraction equals the mean over the whole (times x shared samples) array
+    bit for bit.  An empty ``deltas`` gives ``()``.
     """
-    if not delta >= 0:  # NaN included
-        raise UsageError(f"delta must be nonnegative, got {delta}")
-    if ens_eps.times.shape != ens_eff.times.shape or not np.array_equal(
-        ens_eps.times, ens_eff.times
-    ):
+    if np.ndim(deltas) != 1:
+        raise UsageError(f"deltas must be a sequence of numbers, got {deltas!r}")
+    for delta in deltas:
+        if not delta >= 0:  # NaN included
+            raise UsageError(f"delta must be nonnegative, got {delta}")
+    if len(deltas) == 0:
+        return ()
+    if not np.array_equal(ens_eps.times, ens_eff.times):
         raise UsageError("ensembles are not paired: snapshot times differ")
     if not np.array_equal(ens_eps.initial_points, ens_eff.initial_points):
         raise UsageError("ensembles are not paired: initial points differ")
-    both = np.flatnonzero(ens_eps.valid & ens_eff.valid)
-    if both.size == 0:
+    lost = ~(ens_eps.valid & ens_eff.valid)
+    n_shared = lost.size - int(np.count_nonzero(lost))
+    if n_shared == 0:
         raise UsageError("no valid samples shared by the two ensembles")
-    pick = slice(None) if both.size == ens_eps.valid.size else both
-    count = 0
-    for k_t in range(ens_eps.times.size):
-        dx = np.subtract(ens_eps.positions[k_t, pick], ens_eff.positions[k_t, pick])
-        dp = np.subtract(ens_eps.momenta[k_t, pick], ens_eff.momenta[k_t, pick])
-        dev = np.sum(np.multiply(dx, dx, out=dx), axis=1)
-        dev += np.sum(np.multiply(dp, dp, out=dp), axis=1)
-        np.sqrt(dev, out=dev)
-        count += int(np.count_nonzero(dev >= delta if delta > 0 else dev > 0.0))
-    return count / (ens_eps.times.size * both.size)
+    counts = np.zeros(len(deltas), dtype=np.int64)
+    # a lost sample's values may be non-finite; its deviation is masked
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k_t in range(ens_eps.times.size):
+            dx = np.subtract(ens_eps.positions[k_t], ens_eff.positions[k_t])
+            dp = np.subtract(ens_eps.momenta[k_t], ens_eff.momenta[k_t])
+            dev = np.sum(np.multiply(dx, dx, out=dx), axis=1)
+            dev += np.sum(np.multiply(dp, dp, out=dp), axis=1)
+            np.sqrt(dev, out=dev)
+            dev[lost] = np.nan
+            counts += [np.count_nonzero(dev >= d if d > 0 else dev > 0.0) for d in deltas]
+    return tuple((counts / (ens_eps.times.size * n_shared)).tolist())
 
 
 class InjectivityReport(NamedTuple):

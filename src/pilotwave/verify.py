@@ -220,7 +220,7 @@ def _suite_measure_metrics() -> list[CheckResult]:
     ens_a = integrate_trajectories(history, x0, history.times[::2])
     shifted_fields = history.values + 0.08
     ens_b = integrate_trajectories(FieldHistory(grid, history.times, shifted_fields), x0, history.times[::2])
-    fracs = [trajectory_deviation_measure(ens_a, ens_b, d) for d in (0.01, 0.05, 0.1, 0.2)]
+    fracs = trajectory_deviation_measure(ens_a, ens_b, (0.01, 0.05, 0.1, 0.2))
     mono = all(f1 >= f2 for f1, f2 in zip(fracs, fracs[1:]))
     checks.append(
         CheckResult(

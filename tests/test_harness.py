@@ -669,6 +669,23 @@ class TestRowStages:
         assert mapping["regularized_fraction_osc"] == row.regularized_fraction_osc
         assert mapping["regularized_fraction_eff"] == row.regularized_fraction_eff
 
+    def test_one_deviation_call_per_row(self, monkeypatch):
+        # one pass over the output times serves every delta of the row
+        import pilotwave.harness as harness
+
+        calls = []
+        real_deviation = harness.trajectory_deviation_measure
+
+        def counted(ens_eps, ens_eff, deltas):
+            calls.append(tuple(deltas))
+            return real_deviation(ens_eps, ens_eff, deltas)
+
+        monkeypatch.setattr(harness, "trajectory_deviation_measure", counted)
+        row = run_single(small_config(eps_list=(0.2,), delta_list=(1e-4, 0.05)), 0.2)
+        assert row.valid
+        assert calls == [(1e-4, 0.05)]
+        assert [d for d, _ in row.traj_dev] == [1e-4, 0.05]
+
     def test_invalid_row_has_no_regularized_fraction(self):
         cfg = ExperimentConfig(
             grid=GridSpec(dim=1, n_per_axis=256, half_width=12.0),
@@ -701,6 +718,19 @@ class TestRunSweep:
         for name in floats:
             assert type(getattr(row, name)) is float, name
         assert all(type(d) is float and type(v) is float for d, v in row.traj_dev)
+
+    def test_empty_delta_list_writes_rows_without_deviation_columns(self, tmp_path):
+        report = run_sweep(small_config(eps_list=(0.2,), delta_list=()), threads=1, out_dir=tmp_path)
+        assert report.rows[0].valid
+        assert report.rows[0].traj_dev == ()
+        header, line = (tmp_path / "report.csv").read_text().strip().split("\n")
+        columns = header.split(",")
+        assert "monokinetic_dev" in columns
+        assert not any(c.startswith("traj_dev") for c in columns)
+        assert len(line.split(",")) == len(columns)
+        row = json.loads((tmp_path / "report.json").read_text())["rows"][0]
+        assert row["traj_dev"] == {}
+        assert row["valid"] is True
 
     @pytest.mark.parametrize("blocked", ["report.csv", "report.json", "psi_eps0_effective.field"])
     def test_failed_write_leaves_no_partial_report(self, tmp_path, blocked):

@@ -262,13 +262,13 @@ class TestTrajectoryDeviation:
 
     def test_identical_ensembles_zero(self):
         a, _ = self._paired_ensembles()
-        for delta in (1e-6, 0.05, 1.0):
-            assert trajectory_deviation_measure(a, a, delta) == 0.0
+        assert trajectory_deviation_measure(a, a, (1e-6, 0.05, 1.0)) == (0.0, 0.0, 0.0)
 
     def test_zero_delta_edge(self):
         a, b = self._paired_ensembles()
-        assert trajectory_deviation_measure(a, a, 0.0) == 0.0
-        assert trajectory_deviation_measure(a, b, 0.0) > 0.99
+        assert trajectory_deviation_measure(a, a, (0.0,)) == (0.0,)
+        (frac,) = trajectory_deviation_measure(a, b, (0.0,))
+        assert frac > 0.99
 
     @pytest.mark.parametrize("delta", [-0.05, float("nan")])
     def test_negative_or_nan_delta_rejected(self, delta):
@@ -276,12 +276,21 @@ class TestTrajectoryDeviation:
         # the delta = 0 fraction
         a, b = self._paired_ensembles()
         with pytest.raises(UsageError, match="delta must be nonnegative"):
-            trajectory_deviation_measure(a, b, delta)
+            trajectory_deviation_measure(a, b, (0.05, delta))
+
+    def test_bare_number_rejected(self):
+        a, b = self._paired_ensembles()
+        with pytest.raises(UsageError, match="sequence"):
+            trajectory_deviation_measure(a, b, 0.05)
+
+    def test_no_deltas_give_no_fractions(self):
+        a, b = self._paired_ensembles()
+        assert trajectory_deviation_measure(a, b, ()) == ()
 
     def test_monotone_in_delta(self):
         a, b = self._paired_ensembles()
         deltas = (0.005, 0.02, 0.05, 0.1, 0.3)
-        fracs = [trajectory_deviation_measure(a, b, d) for d in deltas]
+        fracs = trajectory_deviation_measure(a, b, deltas)
         assert all(f1 >= f2 for f1, f2 in zip(fracs, fracs[1:]))
         assert fracs[0] > 0.0
 
@@ -296,7 +305,7 @@ class TestTrajectoryDeviation:
             valid=b.valid,
         )
         with pytest.raises(UsageError):
-            trajectory_deviation_measure(a, shifted, 0.05)
+            trajectory_deviation_measure(a, shifted, (0.05,))
 
     def test_doubled_ensemble_consistency(self):
         # the statistic is a Monte-Carlo mean over samples: doubling M moves
@@ -304,8 +313,8 @@ class TestTrajectoryDeviation:
         delta = 0.045
         a1, b1 = self._paired_ensembles(m=500, seed=21)
         a2, b2 = self._paired_ensembles(m=1000, seed=22)
-        f1 = trajectory_deviation_measure(a1, b1, delta)
-        f2 = trajectory_deviation_measure(a2, b2, delta)
+        (f1,) = trajectory_deviation_measure(a1, b1, (delta,))
+        (f2,) = trajectory_deviation_measure(a2, b2, (delta,))
 
         def sample_sigma(ea, eb):
             dx = ea.positions - eb.positions
@@ -552,19 +561,35 @@ def small_blocks(monkeypatch):
 class TestBlockedMeasures:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_deviation_equals_the_whole_array_formula(self, dim):
-        # samples lost by both ensembles or by one are gathered; with every
-        # sample valid in both, each time is read as views
+        # three pairings: samples lost by both ensembles, lost by one, and
+        # none lost; one call with an unsorted delta tuple that repeats an
+        # entry gives the reference fraction of each delta, in order
         rng = np.random.default_rng(60 + dim)
+        deltas = (0.05, 0.0, 0.3, 0.01, 0.05)
         for _ in range(6):
             a = random_ensemble(rng, dim, int(rng.integers(4, 300)), n_times=int(rng.integers(1, 9)))
             b = perturbed_twin(rng, a)
             assert not (a.valid == b.valid).all()
             whole_a, whole_b = (dataclasses.replace(e, valid=np.ones_like(e.valid)) for e in (a, b))
             for x, y in ((a, b), (whole_a, b), (whole_a, whole_b)):
-                for delta in (0.0, 0.01, 0.05, 0.3):
-                    got = trajectory_deviation_measure(x, y, delta)
-                    assert got == whole_array_deviation(x, y, delta), delta
-                assert 0.0 < trajectory_deviation_measure(x, y, 0.0) < 1.0  # unmoved samples count 0
+                got = trajectory_deviation_measure(x, y, deltas)
+                assert got == tuple(whole_array_deviation(x, y, d) for d in deltas)
+                assert 0.0 < got[1] < 1.0  # unmoved samples count 0
+                assert got[0] == got[4]
+
+    def test_lost_samples_may_hold_any_value(self):
+        # a lost sample is masked, whatever its positions and momenta hold
+        rng = np.random.default_rng(66)
+        a = random_ensemble(rng, 2, 50)
+        b = perturbed_twin(rng, a)
+        lost = np.flatnonzero(~b.valid)
+        positions, momenta = b.positions.copy(), b.momenta.copy()
+        positions[:, lost[0]] = np.inf
+        positions[:, lost[1]] = np.nan
+        momenta[:, lost[2]] = 1e300
+        c = dataclasses.replace(b, positions=positions, momenta=momenta)
+        deltas = (0.0, 0.05)
+        assert trajectory_deviation_measure(a, c, deltas) == trajectory_deviation_measure(a, b, deltas)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_monitor_equals_the_directed_pair_reference(self, monkeypatch, dim):
@@ -627,14 +652,17 @@ class TestMeasureMemory:
         ens = self._ensemble(rng, 1, m, n_times)
         twin = perturbed_twin(rng, ens)
         limit = 4e6  # bytes; the whole-array versions took about 31 MB and 22 MB
-        peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, twin, 0.05))
+        peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, twin, (0.05,)))
         assert peak < limit
+        # lost samples are masked, not gathered: no copies of the shared
+        # samples and no index arrays
+        assert peak < 5 * 8 * m
         peak, _ = self._traced_peak(lambda: flow_injectivity_monitor(ens))  # its list build included
         assert peak < limit
-        # with every sample valid in both, each time is read as views: the
-        # temporaries are the differences and their sums, no gathered copies
+        # with every sample valid in both, each time is read as views too:
+        # the temporaries are the differences and their sums
         whole = dataclasses.replace(twin, valid=np.ones(m, dtype=bool))
-        peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, whole, 0.05))
+        peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, whole, (0.05,)))
         assert peak < 6 * 8 * m
         # a 1D list needs its argsort (int64), the list (one int32 array that
         # both ends view) and a block's separation temporaries: the gathered

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ class TestEffectivePotential:
 
     def test_wrong_analytic_mean_raises(self):
         g = make_grid(1, 32, 8.0)
-        V = TimePeriodicPotential(one_plus_cos(), harmonic(), analytic_mean=1.01)
+        V = TimePeriodicPotential(dataclasses.replace(one_plus_cos(), mean=1.01), harmonic())
         with pytest.raises(InconsistencyError):
             effective_potential(V, g)
 
