@@ -219,7 +219,7 @@ class InjectivityReport(NamedTuple):
 
 def _injectivity_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int32 ``(lo, hi)`` indexing the rows of ``points``: the neighbour
-    pairs among them, each once, with coincident pairs dropped.
+    pairs among them, as their search returns them.
 
     In 1D these are the ``m - 1`` pairs adjacent in a stable sort of the
     points (``lo`` the lower point), found with no k-d tree.  For a
@@ -229,99 +229,75 @@ def _injectivity_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     adjacent gaps between them, a mediant of the adjacent ratios
     ``g_k / d_k``, so it is at least their minimum.
 
-    In more dimensions each pair of ``N_NEIGHBORS``-nearest neighbours
-    counts, whether one or both of its samples list the other (the k-NN
-    relation is not symmetric).
+    In more dimensions each sample is paired with its ``N_NEIGHBORS``
+    nearest neighbours (see ``_nearest_neighbour_pairs``).  Coincident
+    pairs are kept; the monitor skips them.
     """
     m = len(points)
     if m < 2:
         raise UsageError("need at least 2 valid samples to monitor injectivity")
     if points.shape[1] == 1:
         order = np.argsort(points[:, 0], kind="stable").astype(np.int32)
-        lo, hi = order[:-1], order[1:]  # two views of one array
-    else:
-        lo, hi = _nearest_neighbour_pairs(points)
-    coords = points.T
-    keep = np.empty(lo.size, dtype=bool)
-    for start in range(0, lo.size, PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        # coincident initial samples carry no ratio information
-        keep[block] = _pair_separation(coords, lo[block], hi[block]) > 0
-    if not keep.all():
-        if not keep.any():
-            raise UsageError("all neighbor pairs coincide at t=0")
-        lo, hi = lo[keep], hi[keep]
-    return lo, hi
+        return order[:-1], order[1:]  # two views of one array
+    return _nearest_neighbour_pairs(points)
 
 
 def _nearest_neighbour_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int32 ``(lo, hi)`` with ``lo < hi``, sorted, of every unordered pair
-    of ``N_NEIGHBORS``-nearest neighbours among the rows of ``points``.
-    Only this nD path uses scipy (see ``grid._import_nd_backends``)."""
+    """int32 ``(lo, hi)``: each row of ``points`` (``lo``) paired with
+    each of its ``N_NEIGHBORS`` nearest neighbours (``hi``), sample by
+    sample.  The k-NN relation is not symmetric, so a pair whose samples
+    list each other appears twice, which changes no minimum.  The k-d
+    tree is queried ``QUERY_BLOCK`` samples at a time.  Only this nD path
+    uses scipy (see ``grid._import_nd_backends``)."""
     from scipy.spatial import cKDTree
 
     m = len(points)
     tree = cKDTree(points)
     k = min(N_NEIGHBORS + 1, m)
-
-    # key = min(i, j) * m + max(i, j) per (sample, neighbour), self-match
-    # dropped; the tree is queried QUERY_BLOCK samples at a time and each
-    # block's keys are formed in place in one preallocated array, which is
-    # then sorted in place: that beats np.unique's hashing at this size.
-    # The keys are int32 while m * m fits (m <= 46340), else int64
-    key_type = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
-    keys = np.empty((m, k - 1), dtype=key_type)
+    hi = np.empty((m, k - 1), dtype=np.int32)
     for start in range(0, m, QUERY_BLOCK):
-        stop = min(start + QUERY_BLOCK, m)
-        cols = tree.query(points[start:stop], k=k)[1][:, 1:]  # distances dropped at once
-        rows = np.arange(start, stop)[:, None]
-        block = keys[start:stop]
-        np.minimum(cols, rows, out=block)
-        np.maximum(cols, rows, out=cols)
-        block *= m
-        block += cols
-    del cols, block  # a leftover view would keep ``keys`` alive
-    keys = keys.ravel()
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    pair_keys = keys[first]
-    del keys, first
-    # one sample index fits int32 at any ensemble size, which halves the
-    # kept pair list
-    lo = np.floor_divide(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
-    hi = np.remainder(pair_keys, m, out=np.empty(pair_keys.size, dtype=np.int32))
-    return lo, hi
+        rows = slice(start, start + QUERY_BLOCK)
+        hi[rows] = tree.query(points[rows], k=k)[1][:, 1:]  # self match dropped
+    return np.repeat(np.arange(m, dtype=np.int32), k - 1), hi.ravel()
 
 
 def flow_injectivity_monitor(ens: TrajectoryEnsemble) -> InjectivityReport:
     """Track pairwise stretching ratios |X(t,xi)-X(t,xj)| / |xi-xj|.
 
     The pairs are those of ``_injectivity_pairs`` among the start points
-    of ``ens``'s valid samples, each measured once: in 1D the ``M - 1``
-    pairs adjacent in the initial order, whose minimum is the minimum over
-    all pairs of a monotone flow; in more dimensions each sample's
+    of ``ens``'s valid samples: in 1D the ``M - 1`` pairs adjacent in the
+    initial order, whose minimum is the minimum over all pairs of a
+    monotone flow; in more dimensions each sample with its
     ``N_NEIGHBORS`` nearest initial neighbours, so the cost stays
     O(M * N_NEIGHBORS).  A ratio below ``VIOLATION_RATIO`` is the proxy
     for trajectory crossing; the first time it happens is reported.  The
     pairs are measured ``PAIR_BLOCK`` at a time: a block's initial
-    separations are computed once from the start points, then the block
-    is measured at every output time; a min is exact under any blocking,
-    so the block sets only the size of the temporaries.
+    separations are computed once from the start points, its coincident
+    pairs (separation not positive) are skipped, and the rest is measured
+    at every output time.  A min is exact under any blocking, order or
+    repetition of the pairs, so these set only the size of the
+    temporaries.  Raises ``UsageError`` when every pair coincides.
     """
     valid = np.flatnonzero(ens.valid)
     points = ens.initial_points[valid]
     pair_lo, pair_hi = _injectivity_pairs(points)
     coords = points.T
     ratio = np.full(ens.times.size, np.inf)  # smallest ratio per output time
+    n_apart = 0
     for start in range(0, pair_lo.size, PAIR_BLOCK):
         part = slice(start, start + PAIR_BLOCK)
-        base = _pair_separation(coords, pair_lo[part], pair_hi[part])
+        lo, hi = pair_lo[part], pair_hi[part]
+        base = _pair_separation(coords, lo, hi)
+        apart = base > 0  # coincident initial samples carry no ratio information
+        base = base[apart]
+        n_apart += base.size
         # the block's sample indices, translated once for every output time
-        lo, hi = valid[pair_lo[part]], valid[pair_hi[part]]
+        lo, hi = valid[lo[apart]], valid[hi[apart]]
         for k_t in range(ens.times.size):
             sep = _pair_separation(ens.positions[k_t].T, lo, hi)
-            ratio[k_t] = np.minimum(ratio[k_t], np.min(sep / base))
+            ratio[k_t] = np.min(sep / base, initial=ratio[k_t])
+    if n_apart == 0:
+        raise UsageError("all neighbor pairs coincide at t=0")
     violations = ens.times[ratio < VIOLATION_RATIO]
     return InjectivityReport(
         # a time whose ratio is NaN is skipped, as ``<`` skips it

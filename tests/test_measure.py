@@ -444,10 +444,21 @@ class TestInjectivityMonitor:
         x0 = np.array([[3.0], [1.0], [2.0], [1.0], [-1.0], [2.0]])
         lo, hi = measure._injectivity_pairs(x0)
         assert lo.dtype == hi.dtype == np.int32
-        # sorted stably: 4, 1, 3, 2, 5, 0; the pairs (1, 3) and (2, 5) coincide
-        assert list(zip(lo.tolist(), hi.tolist())) == [(4, 1), (3, 2), (5, 0)]
+        # sorted stably: 4, 1, 3, 2, 5, 0; the list keeps the coincident
+        # pairs (1, 3) and (2, 5), which the monitor skips
+        assert list(zip(lo.tolist(), hi.tolist())) == [(4, 1), (1, 3), (3, 2), (2, 5), (5, 0)]
+        times = np.linspace(0.0, 1.0, 3)
+        positions = np.zeros((times.size, 5, 1))
+        ens = TrajectoryEnsemble(
+            grid=make_grid(1, 16, 4.0),
+            initial_points=positions[0],
+            times=times,
+            positions=positions,
+            momenta=positions,
+            valid=np.ones(5, dtype=bool),
+        )
         with pytest.raises(UsageError, match="coincide"):
-            measure._injectivity_pairs(np.zeros((5, 1)))
+            flow_injectivity_monitor(ens)
 
     def test_pair_indices_are_int32(self, monkeypatch):
         monkeypatch.setattr(measure, "N_NEIGHBORS", 8)
@@ -468,9 +479,9 @@ class TestInjectivityMonitor:
                 assert got == flow_injectivity_monitor(ens)
 
     @pytest.mark.parametrize("m", [300, 46500])
-    def test_pair_keys_switch_to_int64_when_m_squared_outgrows_int32(self, monkeypatch, m):
-        # int32 keys min(i, j) * m + max(i, j) overflow from m = 46342 on;
-        # only an nD list has keys
+    def test_nd_list_is_each_sample_with_its_neighbours(self, monkeypatch, m):
+        # one int32 entry per (sample, neighbour), on either side of
+        # m = 46341, where m * m outgrows int32
         monkeypatch.setattr(measure, "N_NEIGHBORS", 2)
         rng = np.random.default_rng(m)
         ens = random_ensemble(rng, 2, m, n_times=2)
@@ -478,9 +489,37 @@ class TestInjectivityMonitor:
         x0[1] += 1e-6  # no coincident pair
         ens = dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
         lo, hi = measure._injectivity_pairs(ens.initial_points[ens.valid])
+        assert lo.dtype == hi.dtype == np.int32
+        assert lo.size == hi.size == 2 * m
         cols = cKDTree(x0).query(x0, k=3)[1][:, 1:].tolist()
-        want = sorted({(min(i, j), max(i, j)) for i in range(m) for j in cols[i]})
-        assert list(zip(lo.tolist(), hi.tolist())) == want
+        assert set(zip(lo.tolist(), hi.tolist())) == {(i, j) for i in range(m) for j in cols[i]}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_repeated_and_reordered_pairs_change_nothing(self, monkeypatch, dim):
+        # the nD list holds a pair whose samples list each other twice, in
+        # search order; its distinct pairs, sorted, give the same report
+        real_pairs = measure._injectivity_pairs
+
+        def distinct_pairs(points):
+            lo, hi = real_pairs(points)
+            pairs = np.unique(np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=1), axis=0)
+            assert pairs.shape[0] < lo.size
+            return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+        rng = np.random.default_rng(80 + dim)
+        violations = 0
+        for _ in range(6):
+            ens = random_ensemble(rng, dim, int(rng.integers(4, 120)))  # samples 0 and 1 coincide
+            for n_neighbors in (1, 3, 9):
+                monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
+                for violation_ratio in (1e-3, 0.2):
+                    monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
+                    got = flow_injectivity_monitor(ens)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(measure, "_injectivity_pairs", distinct_pairs)
+                        assert got == flow_injectivity_monitor(ens)
+                    violations += got.first_violation_time is not None
+        assert violations > 0
 
     def test_rigid_translation(self):
         g = make_grid(1, 64, 8.0)
@@ -601,9 +640,11 @@ class TestBlockedMeasures:
             ens = monotone_ensemble(rng, m) if dim == 1 else random_ensemble(rng, dim, m)
             for n_neighbors in (1, 3, 9):
                 monkeypatch.setattr(measure, "N_NEIGHBORS", n_neighbors)
-                lo, hi = measure._injectivity_pairs(ens.initial_points[ens.valid])
-                # samples 0 and 1 start at the same point: their pair is dropped
-                assert 0 not in {*lo[hi == 1], *hi[lo == 1]}
+                x0 = ens.initial_points[ens.valid]
+                lo, hi = measure._injectivity_pairs(x0)
+                # samples 0 and 1 start at the same point: the list holds a
+                # coincident pair, which the monitor skips
+                assert (np.linalg.norm(x0[lo] - x0[hi], axis=1) == 0).any()
                 for violation_ratio in (1e-3, 0.2):
                     monkeypatch.setattr(measure, "VIOLATION_RATIO", violation_ratio)
                     got = flow_injectivity_monitor(ens)
@@ -643,7 +684,7 @@ class TestMeasureMemory:
     def _ensemble(rng, dim, m, n_times):
         ens = random_ensemble(rng, dim, m, n_times=n_times)
         x0 = ens.initial_points.copy()
-        x0[1] += 1e-6  # no coincident pair, so the list is not compacted
+        x0[1] += 1e-6  # no coincident pair, so every listed pair is measured
         return dataclasses.replace(ens, initial_points=x0, valid=np.ones(m, dtype=bool))
 
     def test_transient_peaks_are_bounded(self):
@@ -664,18 +705,16 @@ class TestMeasureMemory:
         whole = dataclasses.replace(twin, valid=np.ones(m, dtype=bool))
         peak, _ = self._traced_peak(lambda: trajectory_deviation_measure(ens, whole, (0.05,)))
         assert peak < 6 * 8 * m
-        # a 1D list needs its argsort (int64), the list (one int32 array that
-        # both ends view) and a block's separation temporaries: the gathered
-        # coordinates and their int64 indices
+        # a 1D list needs its argsort (int64) and the list (one int32 array
+        # that both ends view), plus a few small objects
         points = ens.initial_points[ens.valid]
         peak, (lo, _) = self._traced_peak(lambda: measure._injectivity_pairs(points))
         assert lo.size == m - 1
-        temporaries = 3 * 8 * min(m, measure.PAIR_BLOCK)
-        assert peak < 8 * m + 4 * m + temporaries
-        # an nD list needs little beyond the list and its sorted keys, one
-        # int32 per (sample, neighbour) while m * m fits int32
+        assert peak < 8 * m + 4 * m + 4096
+        # an nD list needs the list (int32 samples and their neighbours) and
+        # one block of k-d tree answers (float64 distances, int64 indices)
         ens = self._ensemble(rng, 2, m, 2)
         peak, (lo, hi) = self._traced_peak(lambda: measure._injectivity_pairs(ens.initial_points[ens.valid]))
         list_bytes = lo.nbytes + hi.nbytes
-        keys_bytes = m * 64 * 4
-        assert peak < list_bytes + keys_bytes
+        query_bytes = measure.QUERY_BLOCK * (measure.N_NEIGHBORS + 1) * 16
+        assert peak < list_bytes + query_bytes
